@@ -67,9 +67,15 @@
 // delta into the affected keyword topics and threats (DirtySet), and
 // re-runs just the dirty slice of the workflow through a ResultCache —
 // cached listings with exact invalidation plus memoized per-topic
-// co-occurrence graphs, SAI entries and threat tunings. Incremental
-// refreshes are provably identical to a cold RunSocial over the merged
-// corpus, at a fraction of the work (see Framework.RunSocialDelta).
+// co-occurrence graphs, SAI entries, threat tunings and per-post SAI
+// features. Each post is tokenized once per listing it enters: a
+// re-drained listing reuses the features of every post it already
+// held and extends its co-occurrence graph by the added posts, so an
+// incremental refresh costs O(delta tokenization) + O(listing
+// arithmetic) — summing memoized features over the touched listings —
+// rather than re-analyzing every listed post. Incremental refreshes
+// are provably identical to a cold RunSocial over the merged corpus
+// (see Framework.RunSocialDelta).
 // The pspd daemon serves the resulting Assessment over HTTP — ingest,
 // cached SAI/TARA results with freshness metadata, health — with
 // graceful shutdown via ListenAndServeGraceful. GET /v1/assessment

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"github.com/psp-framework/psp/internal/finance"
@@ -14,14 +15,13 @@ import (
 // injecting the transport failures a remote platform produces.
 type faultySearcher struct {
 	inner     social.Searcher
-	successes int
-	calls     int
+	successes int32
+	calls     atomic.Int32 // the workflow fans queries out concurrently
 	err       error
 }
 
 func (f *faultySearcher) Search(ctx context.Context, q social.Query) (*social.Page, error) {
-	f.calls++
-	if f.calls > f.successes {
+	if f.calls.Add(1) > f.successes {
 		return nil, f.err
 	}
 	return f.inner.Search(ctx, q)
@@ -33,7 +33,7 @@ func TestRunSocialPropagatesSearcherErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("platform unavailable")
-	for _, successes := range []int{0, 3, 12} {
+	for _, successes := range []int32{0, 3, 12} {
 		fw, err := New(Config{Searcher: &faultySearcher{inner: store, successes: successes, err: boom}})
 		if err != nil {
 			t.Fatal(err)

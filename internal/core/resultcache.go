@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/psp-framework/psp/internal/nlp"
 	"github.com/psp-framework/psp/internal/sai"
@@ -132,12 +133,24 @@ func (c *QueryCache) Len() int {
 }
 
 // querySlice is one platform query's contribution to a workflow run:
-// the (possibly authenticity-filtered) posts, the poisoning-defence
-// drop count, and the lazily built derivations the incremental path
-// memoizes — the group's co-occurrence graph and SAI entry.
+// the (possibly authenticity-filtered) posts, their SAI features
+// (features[i] describes posts[i]), the poisoning-defence drop count,
+// and the lazily built derivations the incremental path memoizes — the
+// group's co-occurrence graph and SAI entry.
+//
+// When invalidation forces a re-drain, the new slice inherits the
+// previous memo's features for every post both listings hold, matched
+// by *social.Post pointer (posts are immutable and the store is
+// append-only), so only posts new to the listing are tokenized. The
+// graph follows one rule: a listing that is a superset of the previous
+// one gets the previous graph plus the added posts' observations
+// (integer counts, so exact); any other listing — a post dropped by the
+// poisoning defence, a federated page that lost a backend, or fresh
+// pointers from a remote drain — rebuilds it from scratch.
 type querySlice struct {
 	fill     *cacheFill // nil on uncached runs
 	posts    []*social.Post
+	features []sai.PostFeatures
 	filtered int
 	graph    *nlp.CooccurrenceGraph
 	entry    *sai.Entry
@@ -157,7 +170,11 @@ type threatMemo struct {
 // query's cacheFill pointer is unchanged — i.e. while no ingested post
 // matched the query — which is exactly the condition under which the
 // slice's inputs, and therefore its derivations, are provably
-// identical.
+// identical. A memo whose fill was invalidated still lends its per-post
+// features (and, for a superset listing, its co-occurrence graph) to
+// the re-drain, so a delta costs tokenizing the posts new to each
+// re-drained listing plus arithmetic over the listing. Features live
+// only inside slice memos and are freed when the sweep drops a slice.
 type ResultCache struct {
 	qc      *QueryCache
 	mu      sync.Mutex
@@ -169,6 +186,9 @@ type ResultCache struct {
 	usedKeys    map[string]bool
 	usedSigs    map[string]bool
 	usedThreats map[string]bool
+	// analyzed counts the posts tokenized into features, over the
+	// cache's lifetime — the incremental cost model's unit of work.
+	analyzed atomic.Int64
 }
 
 // NewResultCache builds a result cache over a platform backend. Pass it
@@ -247,15 +267,14 @@ func (c *QueryCache) retain(keys map[string]bool) {
 	}
 }
 
-// slice returns the memoized querySlice for a signature if its fill is
-// still current.
-func (rc *ResultCache) slice(sig string, fill *cacheFill) *querySlice {
+// slice returns the memoized querySlice for a signature, if any, and
+// whether its fill is still current. A stale memo is returned too: its
+// features seed the re-drained slice.
+func (rc *ResultCache) slice(sig string, fill *cacheFill) (qs *querySlice, fresh bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if qs := rc.slices[sig]; qs != nil && qs.fill == fill && fill != nil {
-		return qs
-	}
-	return nil
+	qs = rc.slices[sig]
+	return qs, qs != nil && fill != nil && qs.fill == fill
 }
 
 func (rc *ResultCache) storeSlice(sig string, qs *querySlice) {

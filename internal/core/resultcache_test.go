@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/psp-framework/psp/internal/sai"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
 )
@@ -101,9 +103,159 @@ func TestQueryCacheInvalidationIsExact(t *testing.T) {
 // TestRunSocialDeltaMatchesColdRun is the core equivalence guarantee:
 // after ingesting a delta and invalidating, the incremental run equals
 // a cold RunSocial over the merged corpus — reflect.DeepEqual over the
-// whole SocialResult, including the float-valued index and tunings.
+// whole SocialResult, including the float-valued index and tunings. The
+// cases cover the incremental graph's two paths: a listing that grew
+// (the previous graph extended by the added posts) and one that lost a
+// post it held before, through the poisoning defence or a backend that
+// stopped returning it (the graph rebuilt from scratch).
 func TestRunSocialDeltaMatchesColdRun(t *testing.T) {
-	store, err := social.DefaultStore(99)
+	for _, tc := range []struct {
+		name   string
+		filter bool
+		hide   bool
+	}{
+		{name: "plain"},
+		{name: "filter", filter: true},
+		{name: "hidden", hide: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := social.DefaultStore(99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backend := &hidingSearcher{inner: store}
+			fw, err := New(Config{Searcher: backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			threats := []*tara.ThreatScenario{ecmThreat()}
+			in := SocialInput{Threats: threats, FilterInauthentic: tc.filter}
+			ctx := context.Background()
+			rc := NewResultCache(backend)
+
+			warm, err := fw.RunSocialDelta(ctx, in, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldBefore, err := fw.RunSocial(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(warm, coldBefore) {
+				t.Fatal("initial delta run differs from cold run over the same corpus")
+			}
+
+			if tc.hide {
+				// Hide a listed post whose only tag the delta carries, so
+				// every listing holding it is re-drained without it.
+				hidden := soleTagPost(t, rc, "chiptuning")
+				backend.hide.Store(&hidden)
+			}
+
+			// Ingest a delta touching one topic and the ECM threat, plus noise.
+			var delta []*social.Post
+			for i := 10; i < 40; i++ {
+				text := "fresh #chiptuning remap results"
+				if i%3 == 0 {
+					text = "unrelated #fillerchatter noise"
+				}
+				delta = append(delta, deltaPost(i, text))
+			}
+			if err := store.Add(delta...); err != nil {
+				t.Fatal(err)
+			}
+			if n := rc.Invalidate(delta...); n == 0 {
+				t.Fatal("delta invalidated nothing; test is vacuous")
+			}
+
+			incremental, err := fw.RunSocialDelta(ctx, in, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := fw.RunSocial(ctx, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(incremental, cold) {
+				t.Errorf("incremental result diverged from cold run\nincremental index: %+v\ncold index: %+v",
+					incremental.Index.Entries, cold.Index.Entries)
+			}
+			// The delta must actually have moved the result (non-vacuous).
+			if reflect.DeepEqual(incremental.Index, coldBefore.Index) {
+				t.Error("delta did not change the index; equivalence test is vacuous")
+			}
+			checkMemos(t, fw, rc)
+		})
+	}
+}
+
+// checkMemos asserts that every memoized slice's features and
+// co-occurrence graph equal a fresh analysis of its posts — the memo
+// invariant the incremental path maintains by reuse and extension.
+func checkMemos(t *testing.T, fw *Framework, rc *ResultCache) {
+	t.Helper()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for sig, qs := range rc.slices {
+		if !reflect.DeepEqual(qs.features, fw.builder.AnalyzePosts(qs.posts)) {
+			t.Errorf("slice %s: memoized features differ from a fresh analysis", sig)
+		}
+		if qs.graph != nil && !reflect.DeepEqual(qs.graph, sai.BuildGroupGraph(qs.posts)) {
+			t.Errorf("slice %s: memoized co-occurrence graph differs from a fresh build", sig)
+		}
+	}
+}
+
+// hidingSearcher wraps a Searcher and drops one post, chosen by ID, from
+// every page — a backend that stops returning a post it listed before.
+type hidingSearcher struct {
+	inner social.Searcher
+	hide  atomic.Pointer[string]
+}
+
+func (h *hidingSearcher) Search(ctx context.Context, q social.Query) (*social.Page, error) {
+	page, err := h.inner.Search(ctx, q)
+	id := h.hide.Load()
+	if err != nil || id == nil {
+		return page, err
+	}
+	out := *page
+	out.Posts = nil
+	for _, p := range page.Posts {
+		if p.ID != *id {
+			out.Posts = append(out.Posts, p)
+		}
+	}
+	return &out, nil
+}
+
+// soleTagPost returns the ID of a post whose only hashtag is tag and
+// which a memoized keyword-group slice (one with a co-occurrence graph)
+// lists, so that hiding it forces that group's graph to be rebuilt.
+func soleTagPost(t *testing.T, rc *ResultCache, tag string) string {
+	t.Helper()
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for _, qs := range rc.slices {
+		if qs.graph == nil {
+			continue
+		}
+		for _, p := range qs.posts {
+			if tags := p.Hashtags(); len(tags) == 1 && tags[0] == tag {
+				return p.ID
+			}
+		}
+	}
+	t.Fatalf("no memoized group listing holds a post tagged only #%s", tag)
+	return ""
+}
+
+// TestRunSocialDeltaAnalyzesOnlyNewPosts pins the per-post cost model:
+// a warm run after a k-post delta tokenizes exactly the posts new to
+// each re-drained listing — not the listings themselves, whose other
+// posts keep their memoized features.
+func TestRunSocialDeltaAnalyzesOnlyNewPosts(t *testing.T) {
+	store, err := social.DefaultStore(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,54 +263,70 @@ func TestRunSocialDeltaMatchesColdRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threats := []*tara.ThreatScenario{ecmThreat()}
-	in := SocialInput{Threats: threats}
+	in := SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
 	ctx := context.Background()
 	rc := NewResultCache(store)
 
-	warm, err := fw.RunSocialDelta(ctx, in, rc)
-	if err != nil {
+	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
 		t.Fatal(err)
 	}
-	coldBefore, err := fw.RunSocial(ctx, in)
-	if err != nil {
-		t.Fatal(err)
+	// A cold cache analyzes every listed post once.
+	listed := 0
+	before := make(map[string]*querySlice, len(rc.slices))
+	for sig, qs := range rc.slices {
+		listed += len(qs.posts)
+		before[sig] = qs
 	}
-	if !reflect.DeepEqual(warm, coldBefore) {
-		t.Fatal("initial delta run differs from cold run over the same corpus")
+	cold := rc.analyzed.Load()
+	if cold != int64(listed) {
+		t.Fatalf("cold run analyzed %d posts, want the %d listed", cold, listed)
 	}
 
-	// Ingest a delta touching one topic and the ECM threat, plus noise.
+	const k = 5
 	var delta []*social.Post
-	for i := 10; i < 40; i++ {
-		text := "fresh #chiptuning remap results"
-		if i%3 == 0 {
-			text = "unrelated #fillerchatter noise"
-		}
-		delta = append(delta, deltaPost(i, text))
+	for i := 0; i < k; i++ {
+		delta = append(delta, deltaPost(60+i, "fresh #chiptuning remap results"))
 	}
 	if err := store.Add(delta...); err != nil {
 		t.Fatal(err)
 	}
-	if n := rc.Invalidate(delta...); n == 0 {
+	if rc.Invalidate(delta...) == 0 {
 		t.Fatal("delta invalidated nothing; test is vacuous")
 	}
+	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
+		t.Fatal(err)
+	}
 
-	incremental, err := fw.RunSocialDelta(ctx, in, rc)
-	if err != nil {
-		t.Fatal(err)
+	want, redrained, relisted := 0, 0, 0
+	for sig, qs := range rc.slices {
+		old := before[sig]
+		if old == qs {
+			continue // fresh memo, not re-drained
+		}
+		redrained++
+		relisted += len(qs.posts)
+		held := make(map[*social.Post]bool)
+		if old != nil {
+			for _, p := range old.posts {
+				held[p] = true
+			}
+		}
+		for _, p := range qs.posts {
+			if !held[p] {
+				want++
+			}
+		}
 	}
-	cold, err := fw.RunSocial(ctx, in)
-	if err != nil {
-		t.Fatal(err)
+	got := rc.analyzed.Load() - cold
+	if redrained == 0 || want == 0 {
+		t.Fatalf("delta re-drained %d listings with %d new posts; test is vacuous", redrained, want)
 	}
-	if !reflect.DeepEqual(incremental, cold) {
-		t.Errorf("incremental result diverged from cold run\nincremental index: %+v\ncold index: %+v",
-			incremental.Index.Entries, cold.Index.Entries)
+	if got != int64(want) {
+		t.Errorf("delta run analyzed %d posts, want the %d new to %d re-drained listings", got, want, redrained)
 	}
-	// The delta must actually have moved the result (non-vacuous).
-	if reflect.DeepEqual(incremental.Index, coldBefore.Index) {
-		t.Error("delta did not change the index; equivalence test is vacuous")
+	if want > k*redrained || got >= int64(relisted) {
+		t.Errorf("delta run analyzed %d posts for a %d-post delta over %d re-drained listings of %d posts",
+			got, k, redrained, relisted)
 	}
 }
 

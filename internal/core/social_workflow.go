@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/psp-framework/psp/internal/nlp"
 	"github.com/psp-framework/psp/internal/sai"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
@@ -90,9 +91,15 @@ func (f *Framework) RunSocial(ctx context.Context, in SocialInput) (*SocialResul
 // derivation — keyword-group co-occurrence graphs, SAI entries, threat
 // tunings — reused while the slice's cached listing is untouched by
 // ingest. After rc.Invalidate(newPosts), only the slices a new post can
-// actually match are recomputed, so a steady trickle of posts costs
-// incremental work, yet the result is identical to a cold RunSocial
-// over the merged corpus (the equivalence the monitor tests pin down).
+// actually match are re-drained, and a re-drained slice re-analyzes only
+// the posts new to its listing: every post it held before keeps its
+// memoized SAI features (matched by pointer), and its co-occurrence
+// graph is the previous graph plus the added posts when the new listing
+// is a superset of the old one, rebuilt from scratch otherwise. A steady
+// trickle of posts therefore costs tokenizing the delta plus arithmetic
+// over the touched listings, yet the result is identical to a cold
+// RunSocial over the merged corpus (the equivalence the core and monitor
+// tests pin down).
 //
 // Ignoring the framework's configured Searcher, queries go to the
 // backend the cache wraps. Runs against the same cache must be
@@ -196,11 +203,7 @@ func (f *Framework) runSocial(ctx context.Context, in SocialInput, searcher soci
 	for _, g := range groups {
 		qs := finalOut[g.Topic]
 		if qs.entry == nil {
-			e := f.builder.BuildEntry(sai.TopicPosts{
-				Topic: g.Topic,
-				Tags:  g.AllTags(),
-				Posts: qs.posts,
-			})
+			e := sai.EntryOf(g.Topic, g.AllTags(), qs.features)
 			qs.entry = &e
 		}
 		entries = append(entries, *qs.entry)
@@ -270,12 +273,11 @@ func (f *Framework) tuneThreat(ctx context.Context, searcher social.Searcher, rc
 			return tuning, qs.filtered, nil
 		}
 	}
-	owners := sai.NewOwnerClassifier()
 	tuning := &ThreatTuning{
 		Threat:       threat,
 		Posts:        len(qs.posts),
-		Insider:      len(qs.posts) > 0 && owners.MajorityInsider(qs.posts),
-		VectorShares: f.builder.VectorShares(qs.posts),
+		Insider:      len(qs.posts) > 0 && sai.MajorityInsider(qs.features),
+		VectorShares: sai.SharesOf(qs.features),
 	}
 	tuning.Factors = sai.CorrectiveFactors(tuning.VectorShares)
 	if tuning.Insider {
@@ -332,26 +334,29 @@ func tagSigKey(tags []string, in SocialInput) (key, sig string) {
 }
 
 // querySlice drains a paginated tag search with the workflow filters,
-// applying the poisoning defence when the input enables it and building
-// the group's co-occurrence graph when learning needs it. With a result
-// cache, a memoized slice is returned as long as its listing is fresh;
-// recomputed slices are stored back for the next run.
+// applying the poisoning defence when the input enables it, analyzing
+// the posts into SAI features and building the group's co-occurrence
+// graph when learning needs it. With a result cache, a memoized slice
+// is returned as long as its listing is fresh; a re-drained slice
+// reuses the stale memo's features (see the querySlice type) and is
+// stored back for the next run.
 func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc *ResultCache, tags []string, in SocialInput, withGraph bool) (*querySlice, error) {
 	if len(tags) == 0 {
 		return &querySlice{}, nil
 	}
 	q := tagQuery(tags, in)
 	var sig, key string
-	var fill *cacheFill
+	var prev *querySlice
 	if rc != nil {
 		key, sig = tagSigKey(tags, in)
 		rc.markUsed(key, sig)
-		fill = rc.qc.lookup(key)
-		if qs := rc.slice(sig, fill); qs != nil {
-			if withGraph && qs.graph == nil {
-				qs.graph = sai.BuildGroupGraph(qs.posts)
+		var fresh bool
+		prev, fresh = rc.slice(sig, rc.qc.lookup(key))
+		if fresh {
+			if withGraph && prev.graph == nil {
+				prev.graph = sai.BuildGroupGraph(prev.posts)
 			}
-			return qs, nil
+			return prev, nil
 		}
 	}
 	posts, err := social.SearchAll(ctx, searcher, q)
@@ -366,14 +371,66 @@ func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc
 		}
 		qs.posts, qs.filtered = reportOut.Clean, len(reportOut.Flagged)
 	}
-	if withGraph {
-		qs.graph = sai.BuildGroupGraph(qs.posts)
-	}
+	analyzed := f.analyzeSlice(qs, prev, withGraph)
 	if rc != nil {
+		rc.analyzed.Add(int64(analyzed))
 		qs.fill = rc.qc.lookup(key)
 		rc.storeSlice(sig, qs)
 	}
 	return qs, nil
+}
+
+// analyzeSlice fills a freshly drained slice's features — and its
+// co-occurrence graph when withGraph — reusing prev's features for the
+// posts prev already held. It returns the number of posts analyzed.
+// Each post is tokenized at most once: new posts for their features
+// and hashtags together, reused posts only when the graph must be
+// rebuilt.
+func (f *Framework) analyzeSlice(qs, prev *querySlice, withGraph bool) int {
+	var known map[*social.Post]int
+	if prev != nil && len(prev.posts) > 0 {
+		known = make(map[*social.Post]int, len(prev.posts))
+		for i, p := range prev.posts {
+			known[p] = i
+		}
+	}
+	rebuild := false
+	if withGraph {
+		// Listings hold each post once, so prev ⊆ posts exactly when
+		// every previous post is found again.
+		kept := 0
+		for _, p := range qs.posts {
+			if _, ok := known[p]; ok {
+				kept++
+			}
+		}
+		qs.graph = nlp.NewCooccurrenceGraph()
+		if prev != nil && prev.graph != nil && kept == len(prev.posts) {
+			qs.graph.Merge(prev.graph)
+		} else {
+			rebuild = true
+		}
+	}
+	qs.features = make([]sai.PostFeatures, len(qs.posts))
+	analyzed := 0
+	for i, p := range qs.posts {
+		j, ok := known[p]
+		if ok {
+			qs.features[i] = prev.features[j]
+			if !rebuild {
+				continue
+			}
+		}
+		tokens := nlp.Tokenize(p.Text)
+		if !ok {
+			qs.features[i] = f.builder.AnalyzeTokens(p, tokens)
+			analyzed++
+		}
+		if qs.graph != nil {
+			qs.graph.Observe(nlp.Hashtags(tokens))
+		}
+	}
+	return analyzed
 }
 
 // TopicTrend computes the quarterly attraction trend of a tag set under
@@ -390,7 +447,7 @@ func (f *Framework) TopicTrend(ctx context.Context, tags []string, in SocialInpu
 	if err != nil {
 		return nil, err
 	}
-	return f.builder.ComputeTrend(qs.posts)
+	return sai.TrendOf(qs.posts, qs.features)
 }
 
 // PersistLearned merges a run's learned keywords back into the

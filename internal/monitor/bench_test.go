@@ -150,8 +150,8 @@ func BenchmarkRunSocialCold64k(b *testing.B) {
 // BenchmarkIncrementalDelta64k measures one monitoring step: ingest a
 // 100-post delta into the 64k corpus, invalidate, re-assess through the
 // result cache. Acceptance target: ≥ 5× faster than the cold run above
-// (only the touched topic re-drains, re-tokenizes and re-scores; every
-// other slice is served from memos).
+// (only the touched topic re-drains and re-scores, tokenizing just the
+// posts new to its listing; every other slice is served from memos).
 func BenchmarkIncrementalDelta64k(b *testing.B) {
 	store := newBench64kStore(b)
 	fw, err := core.New(core.Config{Searcher: store})

@@ -50,8 +50,8 @@ const (
 	gateNegative = 0.5
 )
 
-// Scorer computes post attraction. It holds a sentiment analyzer so the
-// gate does not re-tokenize repeatedly.
+// Scorer computes post attraction: the weighted engagement mix, gated by
+// the sentiment of the post text when the gate is on.
 type Scorer struct {
 	weights  Weights
 	analyzer *nlp.Analyzer
@@ -74,6 +74,16 @@ func (s *Scorer) Weights() Weights { return s.weights }
 // Attraction scores one post. The score is non-negative; zero-engagement
 // posts still contribute a small floor so volume matters.
 func (s *Scorer) Attraction(p *social.Post) float64 {
+	var tokens []nlp.Token
+	if s.weights.SentimentGate {
+		tokens = nlp.Tokenize(p.Text)
+	}
+	return s.attraction(p, tokens)
+}
+
+// attraction scores one post from its tokens, which the sentiment gate
+// reads (they may be nil when the gate is off).
+func (s *Scorer) attraction(p *social.Post, tokens []nlp.Token) float64 {
 	views := float64(p.Metrics.Views)
 	inter := float64(p.Metrics.Interactions())
 	popularity := 0.0
@@ -84,7 +94,7 @@ func (s *Scorer) Attraction(p *social.Post) float64 {
 		s.weights.Interactions*math.Log1p(inter) +
 		s.weights.Popularity*popularity
 	if s.weights.SentimentGate {
-		switch s.analyzer.Score(p.Text).Label {
+		switch s.analyzer.ScoreTokens(tokens).Label {
 		case nlp.SentimentPositive:
 			score *= gatePositive
 		case nlp.SentimentNegative:
@@ -98,9 +108,9 @@ func (s *Scorer) Attraction(p *social.Post) float64 {
 
 // Total sums the attraction of a post set.
 func (s *Scorer) Total(posts []*social.Post) float64 {
-	var total float64
-	for _, p := range posts {
-		total += s.Attraction(p)
+	features := make([]PostFeatures, len(posts))
+	for i, p := range posts {
+		features[i].Attraction = s.Attraction(p)
 	}
-	return total
+	return TotalAttraction(features)
 }

@@ -51,12 +51,15 @@ func NewVectorClassifier() *VectorClassifier {
 // vocabulary was found. Scoring counts keyword hits per vector; ties
 // resolve toward the closer (lower-valued) vector.
 func (c *VectorClassifier) Classify(p *social.Post) (tara.AttackVector, bool) {
-	counts := map[tara.AttackVector]int{}
-	for _, tok := range nlp.Tokenize(p.Text) {
-		if tok.Kind != nlp.TokenWord && tok.Kind != nlp.TokenHashtag {
-			continue
-		}
-		if v, ok := c.index[nlp.Normalize(tok.Text)]; ok {
+	return c.classifyWords(nlp.NormalizeAll(nlp.Tokenize(p.Text)))
+}
+
+// classifyWords is Classify over a post's normalized word and hashtag
+// terms (nlp.NormalizeAll of its tokens).
+func (c *VectorClassifier) classifyWords(words []string) (tara.AttackVector, bool) {
+	var counts [tara.VectorNetwork + 1]int
+	for _, w := range words {
+		if v, ok := c.index[w]; ok {
 			counts[v]++
 		}
 	}
@@ -114,12 +117,14 @@ func NewOwnerClassifier() *OwnerClassifier {
 // paper's observation that most threat scenarios on social media are
 // insider.
 func (c *OwnerClassifier) IsInsider(p *social.Post) bool {
+	return c.insiderWords(nlp.NormalizeAll(nlp.Tokenize(p.Text)))
+}
+
+// insiderWords is IsInsider over a post's normalized word and hashtag
+// terms (nlp.NormalizeAll of its tokens).
+func (c *OwnerClassifier) insiderWords(words []string) bool {
 	inScore, outScore := 0, 0
-	for _, tok := range nlp.Tokenize(p.Text) {
-		if tok.Kind != nlp.TokenWord && tok.Kind != nlp.TokenHashtag {
-			continue
-		}
-		w := nlp.Normalize(tok.Text)
+	for _, w := range words {
 		if c.insider[w] {
 			inScore++
 		}
@@ -133,11 +138,9 @@ func (c *OwnerClassifier) IsInsider(p *social.Post) bool {
 // MajorityInsider classifies a post set: it reports whether insider
 // posts form the (weak) majority.
 func (c *OwnerClassifier) MajorityInsider(posts []*social.Post) bool {
-	in := 0
-	for _, p := range posts {
-		if c.IsInsider(p) {
-			in++
-		}
+	features := make([]PostFeatures, len(posts))
+	for i, p := range posts {
+		features[i].Insider = c.IsInsider(p)
 	}
-	return in*2 >= len(posts)
+	return MajorityInsider(features)
 }

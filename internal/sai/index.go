@@ -83,19 +83,11 @@ func (b *Builder) Build(groups []TopicPosts) (*Index, error) {
 
 // BuildEntry scores one topic group in isolation: everything but the
 // Probability, which is a global normalization over all entries (see
-// AssembleIndex). Entries are pure functions of their group's posts, so
-// the incremental re-assessment path memoizes them per topic and only
-// rebuilds the groups whose query results changed.
+// AssembleIndex). It is EntryOf over a fresh analysis of the group's
+// posts; the incremental re-assessment path calls EntryOf directly with
+// the features it memoizes per listed post.
 func (b *Builder) BuildEntry(g TopicPosts) Entry {
-	e := Entry{
-		Topic: g.Topic,
-		Tags:  append([]string(nil), g.Tags...),
-		Posts: len(g.Posts),
-	}
-	e.Score = b.scorer.Total(g.Posts)
-	e.Insider = b.owners.MajorityInsider(g.Posts)
-	e.VectorShares = b.VectorShares(g.Posts)
-	return e
+	return EntryOf(g.Topic, g.Tags, b.AnalyzePosts(g.Posts))
 }
 
 // AssembleIndex normalizes per-topic entries into a sorted index:
@@ -128,28 +120,9 @@ func AssembleIndex(entries []Entry) (*Index, error) {
 }
 
 // VectorShares computes the attraction share of each attack vector over
-// the classified posts of a set. Posts without method vocabulary are
-// excluded. The shares sum to 1 when any post classifies.
+// the classified posts of a set (see SharesOf).
 func (b *Builder) VectorShares(posts []*social.Post) map[tara.AttackVector]float64 {
-	weights := make(map[tara.AttackVector]float64, 4)
-	var total float64
-	for _, p := range posts {
-		v, ok := b.vectors.Classify(p)
-		if !ok {
-			continue
-		}
-		a := b.scorer.Attraction(p)
-		weights[v] += a
-		total += a
-	}
-	shares := make(map[tara.AttackVector]float64, 4)
-	if total == 0 {
-		return shares
-	}
-	for v, w := range weights {
-		shares[v] = w / total
-	}
-	return shares
+	return SharesOf(b.AnalyzePosts(posts))
 }
 
 // Top returns the highest-scoring entry, or an error for an empty index.

@@ -94,14 +94,14 @@ func (l *Learner) Learn(seeds []string, maxNew int) ([]string, error) {
 // most. groups maps a group name to its seed tags; the result maps group
 // name to its attributed new tags, sorted for determinism.
 func (l *Learner) Attribute(learned []string, groups map[string][]string) map[string][]string {
+	names := make([]string, 0, len(groups))
+	for name := range groups {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	out := make(map[string][]string)
 	for _, tag := range learned {
 		bestGroup, bestCount := "", -1
-		names := make([]string, 0, len(groups))
-		for name := range groups {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		for _, name := range names {
 			count := 0
 			for _, seed := range groups[name] {

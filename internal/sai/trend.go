@@ -64,18 +64,24 @@ const stabilityBand = 0.02
 // ComputeTrend buckets posts per quarter and fits the attraction series.
 // At least two non-empty quarters are required.
 func (b *Builder) ComputeTrend(posts []*social.Post) (*Trend, error) {
+	return TrendOf(posts, b.AnalyzePosts(posts))
+}
+
+// TrendOf is ComputeTrend over already analyzed posts: features[i]
+// describes posts[i].
+func TrendOf(posts []*social.Post, features []PostFeatures) (*Trend, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("sai: no posts to compute a trend from")
 	}
 	buckets := make(map[time.Time]*TrendPoint)
-	for _, p := range posts {
+	for i, p := range posts {
 		q := quarterStart(p.CreatedAt)
 		tp, ok := buckets[q]
 		if !ok {
 			tp = &TrendPoint{Quarter: q}
 			buckets[q] = tp
 		}
-		tp.Attraction += b.scorer.Attraction(p)
+		tp.Attraction += features[i].Attraction
 		tp.Posts++
 	}
 	if len(buckets) < 2 {

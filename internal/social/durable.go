@@ -654,6 +654,7 @@ func (d *storeDurability) logParts(parts []*stripePart, span *obs.Span) (logged 
 			d.records.Add(int64(records))
 			if len(part.seqs) > 0 {
 				part.posts = part.posts[:lo]
+				part.tags = part.tags[:lo]
 				part.terms = part.terms[:lo]
 				return parts[:i+1], err
 			}
@@ -820,7 +821,7 @@ func (d *storeDurability) compact(s *Store) (err error) {
 		sn := s.shards[i].view()
 		g := sn.base
 		if len(sn.delta.byTime) > 0 {
-			g = foldGens(sn.base, sn.delta, nil, nil)
+			g = foldGens(sn.base, sn.delta, nil, nil, nil)
 		}
 		if len(g.byTime) == 0 {
 			continue // an empty stripe needs no files; its entry stays empty

@@ -2,6 +2,7 @@ package social
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,4 +82,23 @@ func (p *Post) Terms() map[string]bool {
 		}
 	}
 	return set
+}
+
+// indexKeys tokenizes a post once into what the store indexes it under:
+// its distinct normalized hashtags, in first-occurrence order, and its
+// normalized word and hashtag term set (a superset of the tags).
+func indexKeys(p *Post) (tags []string, terms map[string]bool) {
+	tokens := nlp.Tokenize(p.Text)
+	terms = make(map[string]bool, len(tokens))
+	for _, t := range tokens {
+		if t.Kind != nlp.TokenWord && t.Kind != nlp.TokenHashtag {
+			continue
+		}
+		w := nlp.Normalize(t.Text)
+		if t.Kind == nlp.TokenHashtag && !slices.Contains(tags, w) {
+			tags = append(tags, w)
+		}
+		terms[w] = true
+	}
+	return tags, terms
 }

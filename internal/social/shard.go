@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/psp-framework/psp/internal/nlp"
 )
 
 // The store stripes its corpus across N shards keyed by CreatedAt time
@@ -105,15 +103,16 @@ func (sh *shard) view() *shardSnapshot { return sh.snap.Load() }
 // delta generation (copying O(delta) index entries), and once the delta
 // would outgrow shardCompactThreshold the commit folds base, delta and
 // batch into a fresh base. Readers holding the previous snapshot are
-// unaffected either way. terms[i] is posts[i]'s term set, tokenized by
-// the caller outside the lock. Caller holds sh.mu.
-func (sh *shard) commit(posts []*Post, terms []map[string]bool) {
+// unaffected either way. tags[i] and terms[i] are posts[i]'s distinct
+// normalized hashtags and term set, tokenized by the caller outside the
+// lock. Caller holds sh.mu.
+func (sh *shard) commit(posts []*Post, tags [][]string, terms []map[string]bool) {
 	cur := sh.snap.Load()
 	var next *shardSnapshot
 	if len(cur.delta.byTime)+len(posts) >= shardCompactThreshold {
-		next = &shardSnapshot{base: foldGens(cur.base, cur.delta, posts, terms), delta: emptyGen}
+		next = &shardSnapshot{base: foldGens(cur.base, cur.delta, posts, tags, terms), delta: emptyGen}
 	} else {
-		next = &shardSnapshot{base: cur.base, delta: foldGens(cur.delta, emptyGen, posts, terms)}
+		next = &shardSnapshot{base: cur.base, delta: foldGens(cur.delta, emptyGen, posts, tags, terms)}
 	}
 	sh.snap.Store(next)
 }
@@ -123,7 +122,7 @@ func (sh *shard) commit(posts []*Post, terms []map[string]bool) {
 // are shared untouched where possible and copied where the fold extends
 // them — never mutated — and the new posts' lists merge in sorted, so
 // no query-time sort is ever needed.
-func foldGens(a, b *shardGen, posts []*Post, terms []map[string]bool) *shardGen {
+func foldGens(a, b *shardGen, posts []*Post, tags [][]string, terms []map[string]bool) *shardGen {
 	g := &shardGen{
 		byTime: mergeSorted(mergeSorted(a.byTime, b.byTime), posts),
 		byTag:  make(map[string][]*Post, len(a.byTag)+len(b.byTag)),
@@ -147,15 +146,9 @@ func foldGens(a, b *shardGen, posts []*Post, terms []map[string]bool) *shardGen 
 	tagAdds := make(map[string][]*Post)
 	termAdds := make(map[string][]*Post)
 	for i, p := range posts {
-		// Dedupe per post: a repeated hashtag must contribute one
-		// posting, or the post would surface twice in tag queries.
-		postTags := make(map[string]bool)
-		for _, tag := range p.Hashtags() {
-			tag = nlp.Normalize(tag)
-			if postTags[tag] {
-				continue
-			}
-			postTags[tag] = true
+		// tags[i] is deduplicated: a repeated hashtag must contribute
+		// one posting, or the post would surface twice in tag queries.
+		for _, tag := range tags[i] {
 			tagAdds[tag] = append(tagAdds[tag], p)
 		}
 		for term := range terms[i] {

@@ -100,11 +100,12 @@ type PostProfile struct {
 
 // ProfilePost tokenizes a post once for repeated query matching.
 func ProfilePost(p *Post) *PostProfile {
-	tags := make(map[string]bool)
-	for _, t := range p.Hashtags() {
-		tags[nlp.Normalize(t)] = true
+	tags, terms := indexKeys(p)
+	set := make(map[string]bool, len(tags))
+	for _, t := range tags {
+		set[t] = true
 	}
-	return &PostProfile{post: p, tags: tags, terms: p.Terms()}
+	return &PostProfile{post: p, tags: set, terms: terms}
 }
 
 // ProfilePosts tokenizes a batch once for repeated query matching.
@@ -510,21 +511,22 @@ func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error
 }
 
 // stripePart is one stripe's share of a validated batch: its posts and
-// their precomputed term sets in (CreatedAt, ID) order, plus — on a
+// their precomputed tag and term sets in (CreatedAt, ID) order, plus — on a
 // durable store — the stripe-WAL sequences the sub-batch's records
 // were logged under (several when the sub-batch exceeds the per-record
 // chunk size).
 type stripePart struct {
 	stripe int
 	posts  []*Post
+	tags   [][]string
 	terms  []map[string]bool
 	seqs   []uint64
 }
 
 // partitionBatch splits a (CreatedAt, ID)-sorted batch into its
-// time-bucket stripes, tokenizing outside any lock: term-set
-// construction is the expensive part of ingest and needs no store
-// state. Parts come out in ascending stripe order — the store's lock
+// time-bucket stripes, tokenizing each post once outside any lock:
+// tag- and term-set construction is the expensive part of ingest and
+// needs no store state. Parts come out in ascending stripe order — the store's lock
 // order.
 func (s *Store) partitionBatch(batch []*Post) []*stripePart {
 	n := len(s.shards)
@@ -534,8 +536,10 @@ func (s *Store) partitionBatch(batch []*Post) []*stripePart {
 		if byStripe[i] == nil {
 			byStripe[i] = &stripePart{stripe: i}
 		}
+		tags, terms := indexKeys(p)
 		byStripe[i].posts = append(byStripe[i].posts, p)
-		byStripe[i].terms = append(byStripe[i].terms, p.Terms())
+		byStripe[i].tags = append(byStripe[i].tags, tags)
+		byStripe[i].terms = append(byStripe[i].terms, terms)
 	}
 	parts := make([]*stripePart, 0, 1)
 	for _, part := range byStripe {
@@ -624,7 +628,7 @@ func (s *Store) commitParts(parts []*stripePart, batch []*Post) {
 		s.shards[part.stripe].mu.Lock()
 	}
 	for _, part := range parts {
-		s.shards[part.stripe].commit(part.posts, part.terms)
+		s.shards[part.stripe].commit(part.posts, part.tags, part.terms)
 	}
 	s.publishSequenced(batch)
 	for i := len(parts) - 1; i >= 0; i-- {

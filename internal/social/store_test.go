@@ -2,9 +2,12 @@ package social
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/psp-framework/psp/internal/nlp"
 )
 
 func ts(y, m, d int) time.Time {
@@ -417,4 +420,34 @@ func ids(posts []*Post) []string {
 		out[i] = p.ID
 	}
 	return out
+}
+
+// TestIndexKeysMatchPostDerivations pins the single-tokenization ingest
+// keys to the per-post derivations: the distinct normalized hashtags in
+// first-occurrence order, and the full term set.
+func TestIndexKeysMatchPostDerivations(t *testing.T) {
+	posts := append(samplePosts(), &Post{
+		ID: "dup", Author: "u", Text: "dpfdelete first, then #DPFdelete #dpfdelete #Gaaains and #gaains",
+		CreatedAt: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
+	})
+	for _, p := range posts {
+		tags, terms := indexKeys(p)
+		var want []string
+		seen := map[string]bool{}
+		for _, tag := range p.Hashtags() {
+			if tag = nlp.Normalize(tag); !seen[tag] {
+				seen[tag] = true
+				want = append(want, tag)
+			}
+		}
+		if !reflect.DeepEqual(tags, want) {
+			t.Errorf("post %s: tags %v, want %v", p.ID, tags, want)
+		}
+		if !reflect.DeepEqual(terms, p.Terms()) {
+			t.Errorf("post %s: terms %v, want %v", p.ID, terms, p.Terms())
+		}
+	}
+	if tags, _ := indexKeys(posts[len(posts)-1]); !reflect.DeepEqual(tags, []string{"dpfdelete", "gaains"}) {
+		t.Errorf("duplicate tags not collapsed: %v", tags)
+	}
 }
