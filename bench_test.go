@@ -465,10 +465,9 @@ func mixedWritePost(n int64) *social.Post {
 // whole store and pays an O(corpus) index merge; at 8 stripes writers
 // touch 1/8th of the index under 1/8th of the lock footprint, so mixed
 // throughput scales with the shard count (compare ns/op across the
-// shards= sub-benchmarks; BENCH_3.json records the sweep). The obs=on
-// variant re-runs the widest shape with a full psp_store_* recording
-// surface attached — its ns/op against the obs=off twin is the
-// metrics-overhead acceptance check (BENCH_7.json; the atomic
+// shards= sub-benchmarks). The obs=on variant re-runs the widest shape
+// with a full psp_store_* recording surface attached — its ns/op
+// against the obs=off twin is the metrics-overhead check (the atomic
 // recorders must stay within a few percent).
 func BenchmarkStoreConcurrentMixed(b *testing.B) {
 	for _, cfg := range []struct {
@@ -514,7 +513,7 @@ func BenchmarkStoreConcurrentMixed(b *testing.B) {
 // serves every search from an immutable snapshot, so read latency must
 // stay flat no matter how long the writer holds its stripe mutexes;
 // the PR 3 locked store stalled each search behind the in-flight
-// commit (compare BENCH_4.json's locked-baseline records). Beyond the
+// commit. Beyond the
 // mean, the p50-ns/p99-ns metrics expose the tail, where lock
 // convoying shows first.
 func BenchmarkStoreReadUnderWrite(b *testing.B) {
@@ -863,7 +862,7 @@ var walPostSeq atomic.Int64
 // every fsync acknowledges all appends waiting on it; the batch
 // dimension is the ingest-API batch size (ns/op is per batch, ÷ batch
 // for per-post). The mode ratio at equal batch is the cost of crash
-// safety; BENCH_5.json records the sweep.
+// safety.
 func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	for _, batch := range []int{1, 16} {
 		for _, mode := range []string{"memory", "wal"} {
@@ -998,8 +997,8 @@ func durableFixture(b *testing.B) (string, int) {
 }
 
 // durableWarmFixture builds (once) a fully compacted 64k-post data
-// directory — per-stripe snapshots with index sidecars, empty WAL
-// tail — the state a graceful shutdown leaves behind.
+// directory — one snapshot file per stripe, empty WAL tail — the state
+// a graceful shutdown leaves behind.
 var (
 	durableWarmOnce sync.Once
 	durableWarmDir  string
@@ -1053,42 +1052,51 @@ func durableWarmFixture(b *testing.B) (string, int) {
 	return durableWarmDir, durableWarmLen
 }
 
-// stripSidecars deletes every index sidecar from a cloned data
-// directory, forcing recovery down the re-tokenize fallback — the
-// pre-PR-9 open path, and the baseline the sidecar is measured against.
-func stripSidecars(b *testing.B, dir string) {
+// damagePostings flips the last byte of every snapshot file in a
+// cloned data directory — inside the postings section — forcing each
+// stripe down the re-tokenizing fallback. copyTreeHardlink links the
+// fixture's files, so each one is replaced by a damaged copy rather
+// than modified in place, which would corrupt the shared source.
+func damagePostings(b *testing.B, dir string) {
 	b.Helper()
-	idx, err := filepath.Glob(filepath.Join(dir, "snap", "*.idx"))
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap", "*.snap"))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(idx) == 0 {
-		b.Fatal("no sidecars to strip")
+	if len(snaps) == 0 {
+		b.Fatal("no snapshot files to damage")
 	}
-	for _, p := range idx {
+	for _, p := range snaps {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data[len(data)-1] ^= 0x40
 		if err := os.Remove(p); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRecovery64k measures opening a 64k-post data directory until
-// the store is fully queryable, in three shapes. warm=indexed loads the
-// per-stripe index sidecars (the PR-9 fast path); warm=rebuild is the
-// same directory with the sidecars deleted, so every stripe
-// re-tokenizes — the pre-sidecar baseline (BENCH_5.json measured
-// 2.33 s for the crash shape). crash reopens a kill -9 directory:
-// indexed snapshot bulk plus a 16k-post WAL tail to replay.
-// BENCH_9.json commits the figures.
+// the store is fully queryable, in three shapes. warm=indexed installs
+// each stripe's snapshot file directly (the fast path); warm=rebuild is
+// the same directory with every postings section damaged, so every
+// stripe re-tokenizes from its posts — the baseline the stored postings
+// are measured against. crash reopens a kill -9 directory: indexed
+// snapshot bulk plus a 16k-post WAL tail to replay.
 func BenchmarkRecovery64k(b *testing.B) {
-	openClone := func(b *testing.B, src string, corpus int, strip bool, wantRebuilt bool) {
+	openClone := func(b *testing.B, src string, corpus int, damage bool, wantRebuilt bool) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			dst := filepath.Join(b.TempDir(), fmt.Sprintf("clone-%d", i))
 			copyTreeHardlink(b, src, dst)
-			if strip {
-				stripSidecars(b, dst)
+			if damage {
+				damagePostings(b, dst)
 			}
 			// A real recovery starts in a fresh process with an empty heap;
 			// collect the bench loop's accumulated garbage off-timer so the
@@ -1132,8 +1140,8 @@ func BenchmarkRecovery64k(b *testing.B) {
 // stripes=one confines the delta to one UTC day (one stripe — live
 // ingest's shape), so incremental compaction writes a small fraction
 // of the corpus; stripes=all spreads the same record count across
-// every stripe, which is the full-rewrite worst case the <10%
-// acceptance ratio in BENCH_9.json is measured against.
+// every stripe, which is the full-rewrite worst case the one-stripe
+// shape is compared with (it should write under 10% of it).
 func BenchmarkCompactDelta(b *testing.B) {
 	deltaPost := func(n, days int) *social.Post {
 		return &social.Post{
@@ -1350,7 +1358,7 @@ func BenchmarkAnalysisRerateDelta(b *testing.B) {
 //     bound (nil-injector consults on every write and fsync).
 //
 // The acceptance bar: each instrumented twin within 5% of its bare
-// one. BENCH_8.json commits the figures.
+// one.
 func BenchmarkResilienceSeams(b *testing.B) {
 	for _, mode := range []string{"bare", "resilient"} {
 		b.Run("multi="+mode, func(b *testing.B) {

@@ -114,19 +114,23 @@
 // time-bucket stripe's segmented write-ahead log — CRC-framed records,
 // group commit, one fsync acknowledging every append waiting on that
 // stripe — before it touches an index, a background pass compacts the
-// live store into atomic JSON Lines snapshots and truncates old WAL
-// segments, and reopening the directory recovers snapshot + WAL tail
-// (torn tails truncated, never fatal) into listings byte-identical to
-// the acknowledged pre-crash state. The monitor persists its own state
-// alongside (MonitorConfig.State, NewMonitorFileState): the serialized
-// assessment, the listing cache's fill identities, and the store
-// cursor. A restarted pspd therefore serves its previous assessment
-// immediately — same generation, same ETag — and catches up with one
-// incremental delta run over the posts ingested past the cursor
-// instead of a cold full workflow. The daemons expose all of this as
-// -data-dir; snapshot/corpus dumps (WriteSocialPostsFile,
-// sociald -dump) are atomic — temp file, fsync, rename — so no crash
-// can leave a half-written corpus.
+// stripes that absorbed writes into one binary snapshot file each —
+// posts and posting lists in two CRC-framed sections — and truncates
+// old WAL segments. Reopening the directory recovers snapshot + WAL
+// tail (torn tails truncated, never fatal) into listings byte-identical
+// to the acknowledged pre-crash state: a damaged postings section is
+// re-tokenized from its posts, a damaged posts section fails the open
+// with the file named, and a directory from an older layout is refused
+// untouched with the -dump/-corpus migration route in the error. The
+// monitor persists its own state alongside (MonitorConfig.State,
+// NewMonitorFileState): the serialized assessment, the listing cache's
+// fill identities, and the store cursor. A restarted pspd therefore
+// serves its previous assessment immediately — same generation, same
+// ETag — and catches up with one incremental delta run over the posts
+// ingested past the cursor instead of a cold full workflow. The
+// daemons expose all of this as -data-dir; JSON Lines corpus dumps
+// (WriteSocialPostsFile, sociald -dump) are atomic — temp file, fsync,
+// rename — so no crash can leave a half-written corpus.
 //
 // # Observability
 //
@@ -148,7 +152,8 @@
 // (SocialStore.Stats, TARARegistry.Stats). pspd separates liveness
 // (/v1/healthz, always 200) from readiness (/v1/readyz, 503 until the
 // initial assessment and TARA rating pass land). The instrumented hot
-// paths stay within a few percent of bare (BENCH_7.json).
+// paths stay within a few percent of bare (BenchmarkStoreConcurrentMixed,
+// obs=on against obs=off).
 //
 // # Distributed tracing
 //
@@ -179,7 +184,7 @@
 // and NewHTTPMetrics().WithTracer / MonitorAPI.WithTracing; spans
 // serve as JSON from GET /v1/trace (TraceHandler). Unsampled spans
 // cost one atomic coin flip, keeping the default configuration within
-// a few percent of bare (BENCH_10.json).
+// a few percent of bare (BenchmarkTracingOverhead).
 //
 // # Resilience and graceful degradation
 //
@@ -221,5 +226,5 @@
 //
 // All resilience seams are pay-for-use: with no injector bound and no
 // fault firing, the federated and ingest hot paths stay within a few
-// percent of their bare twins (BENCH_8.json).
+// percent of their bare twins (BenchmarkResilienceSeams).
 package psp

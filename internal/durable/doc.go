@@ -85,28 +85,28 @@
 // # Snapshot manifest
 //
 // A Manifest (MANIFEST.json in the store's data directory) records,
-// per stripe, the current snapshot files and the replay floor: the
+// per stripe, the current snapshot file and the replay floor: the
 // highest sequence known to be fully reflected in that stripe's
-// snapshot. Since manifest Version 2 each stripe names two files — its
-// post snapshot and an optional index sidecar holding the stripe's
-// search indices in a pre-built, checksummed form (the sidecar format
-// itself belongs to the layer above; see internal/social). Recovery
-// loads each stripe's snapshot, then replays every WAL record with a
+// snapshot. Each non-empty stripe names exactly one file, holding its
+// posts and its search indices in two checksummed sections (the format
+// belongs to the layer above; see internal/social). Recovery loads
+// each stripe's snapshot, then replays every WAL record with a
 // sequence above that stripe's floor; records at or below a floor that
 // still exist on disk (truncation is whole-segment) are skipped, and
 // replayed posts that the snapshot already contains are deduplicated by
 // ID. The manifest is replaced atomically (WriteFileAtomic), so a crash
 // mid-compaction leaves either the old manifest (and orphaned new
-// stripe files, removed at next open) or the new one — never a torn
-// file.
+// stripe files or temp files, removed at next open) or the new one —
+// never a torn file.
 //
-// Version skew is explicit: a Version 0 manifest (the field absent —
-// directories written before per-stripe snapshots) names one
-// whole-corpus snapshot in Snapshot, which current code still opens;
-// a Version above the writer's ManifestVersion is refused rather than
-// misread. Because clean stripes keep their files and floors verbatim
-// across a compaction, a Version 2 manifest may mix stripe entries
-// written by different compaction passes — each entry is self-
-// contained, so that mix is the normal steady state, not a repair
-// case.
+// Version skew is explicit: LoadManifest accepts only ManifestVersion
+// (3). Older directories — Version 0 with one whole-corpus JSON Lines
+// snapshot, Version 2 with a JSON Lines posts file plus an index
+// sidecar per stripe — are refused before anything in them is touched,
+// with an error naming the -dump/-corpus migration route; a Version
+// from the future is refused rather than misread. Because clean
+// stripes keep their files and floors verbatim across a compaction, a
+// manifest may mix stripe entries written by different compaction
+// passes — each entry is self-contained, so that mix is the normal
+// steady state, not a repair case.
 package durable

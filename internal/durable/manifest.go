@@ -11,35 +11,23 @@ import (
 // ManifestName is the manifest's file name within a data directory.
 const ManifestName = "MANIFEST.json"
 
-// ManifestVersion is the current manifest schema version. Version 0
-// (the field absent — releases before indexed snapshots) names one
-// whole-corpus snapshot file in Snapshot; ManifestVersion manifests
-// carry one StripeSnapshot per stripe instead. Loaders accept every
-// version up to the current one — an old-format directory must keep
-// opening — and refuse versions from the future, whose semantics this
-// code cannot know.
-const ManifestVersion = 2
+// ManifestVersion is the manifest schema version this build reads and
+// writes. Version 3 names one snapshot file per stripe. Earlier
+// versions are refused, not upgraded: version 0 (the field absent)
+// named one whole-corpus JSON Lines snapshot, and version 2 named a
+// JSON Lines posts file plus a binary index sidecar per stripe — their
+// readers went with those formats. Versions from the future are
+// refused too, because this code cannot know their semantics.
+const ManifestVersion = 3
 
-// StripeSnapshot names one stripe's snapshot files within the snapshot
-// directory: the post snapshot (JSON Lines) and its index sidecar (the
-// serialized posting lists — see internal/social's sidecar format).
-// Both empty means the stripe held no posts at its last compaction. A
-// missing, corrupt or version-skewed sidecar is recoverable — the posts
-// file alone suffices, at re-tokenization cost — but the posts file is
-// the data itself and has no fallback.
-type StripeSnapshot struct {
-	Posts string `json:"posts,omitempty"`
-	Index string `json:"index,omitempty"`
-}
-
-// Manifest tracks a data directory's current snapshot and, per stripe,
-// the WAL replay floor: every record with sequence ≤ the floor is fully
-// reflected in the snapshot, so recovery replays only records above it.
-// Manifests are replaced atomically; see the package documentation.
+// Manifest tracks a data directory's current snapshot files and, per
+// stripe, the WAL replay floor: every record with sequence ≤ the floor
+// is fully reflected in the stripe's snapshot, so recovery replays only
+// records above it. Manifests are replaced atomically; see the package
+// documentation.
 type Manifest struct {
-	// Version is the manifest schema version (see ManifestVersion);
-	// absent on directories written before snapshot indexing.
-	Version int `json:"version,omitempty"`
+	// Version is the manifest schema version (see ManifestVersion).
+	Version int `json:"version"`
 	// Shards is the stripe count the directory's WAL layout and
 	// snapshot floors were built for. Reopening with a different count
 	// is an error: the bucket→stripe mapping, and with it the per-stripe
@@ -49,14 +37,13 @@ type Manifest struct {
 	// files uniquely so a crashed compaction never half-overwrites the
 	// files the manifest still points at.
 	Gen uint64 `json:"generation"`
-	// Snapshot is the version-0 whole-corpus snapshot file name (within
-	// the snapshot directory); empty on Version ≥ 2 manifests, which
-	// carry per-stripe entries in Stripes instead.
-	Snapshot string `json:"snapshot,omitempty"`
 	// Floors holds one replay floor per stripe.
 	Floors []uint64 `json:"floors"`
-	// Stripes holds one snapshot entry per stripe (Version ≥ 2).
-	Stripes []StripeSnapshot `json:"stripes,omitempty"`
+	// Snapshots holds one snapshot file name per stripe, within the
+	// snapshot directory (the file format belongs to internal/social).
+	// An empty name means the stripe held no posts at its last
+	// compaction.
+	Snapshots []string `json:"snapshots"`
 }
 
 // LoadManifest reads a data directory's manifest, returning (nil, nil)
@@ -76,14 +63,19 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if m.Version > ManifestVersion {
 		return nil, fmt.Errorf("durable: manifest version %d is newer than this build understands (%d)", m.Version, ManifestVersion)
 	}
+	if m.Version < ManifestVersion {
+		return nil, fmt.Errorf("durable: data dir %s has manifest version %d, which this build does not open (it reads version %d); the directory was left untouched. "+
+			"To migrate, run the previous build's `sociald -data-dir %s -dump corpus.jsonl`, then seed a new data directory with `-corpus corpus.jsonl`",
+			dir, m.Version, ManifestVersion, dir)
+	}
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("durable: manifest with invalid shard count %d", m.Shards)
 	}
 	if len(m.Floors) != m.Shards {
 		return nil, fmt.Errorf("durable: manifest floors length %d != %d shards", len(m.Floors), m.Shards)
 	}
-	if m.Version >= 2 && len(m.Stripes) != m.Shards {
-		return nil, fmt.Errorf("durable: manifest stripes length %d != %d shards", len(m.Stripes), m.Shards)
+	if len(m.Snapshots) != m.Shards {
+		return nil, fmt.Errorf("durable: manifest snapshots length %d != %d shards", len(m.Snapshots), m.Shards)
 	}
 	return &m, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -398,7 +399,13 @@ func TestManifestRoundtrip(t *testing.T) {
 	if m, err := LoadManifest(dir); err != nil || m != nil {
 		t.Fatalf("empty dir: manifest %v err %v, want nil, nil", m, err)
 	}
-	in := &Manifest{Shards: 4, Gen: 7, Snapshot: "snap-00000007.jsonl", Floors: []uint64{3, 0, 12, 5}}
+	in := &Manifest{
+		Version:   ManifestVersion,
+		Shards:    4,
+		Gen:       7,
+		Floors:    []uint64{3, 0, 12, 5},
+		Snapshots: []string{"stripe-0000-00000007.snap", "", "stripe-0002-00000006.snap", ""},
+	}
 	if err := in.Write(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +413,24 @@ func TestManifestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Shards != in.Shards || out.Gen != in.Gen || out.Snapshot != in.Snapshot ||
-		len(out.Floors) != len(in.Floors) || out.Floors[2] != 12 {
-		t.Fatalf("roundtrip mismatch: %+v", out)
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("roundtrip mismatch: %+v, want %+v", out, in)
+	}
+
+	// Other versions are refused with the version named; older ones
+	// also name the migration route.
+	for _, v := range []int{0, 2, ManifestVersion + 1} {
+		old := *in
+		old.Version = v
+		if err := old.Write(dir); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadManifest(dir)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version %d manifest: err = %v, want a refusal naming the version", v, err)
+		}
+		if v < ManifestVersion && !strings.Contains(err.Error(), "-dump") {
+			t.Fatalf("version %d refusal does not name the migration route: %v", v, err)
+		}
 	}
 }

@@ -23,6 +23,22 @@ func attrMap(s *obs.Span) map[string]string {
 	return m
 }
 
+// pollSpan calls find until it returns a span or ctx ends. A monitor
+// publishes its result before the span timing that work ends, so a test
+// that waited for the result can read the ring before the span is in it.
+func pollSpan(ctx context.Context, find func() *obs.Span) *obs.Span {
+	for {
+		if s := find(); s != nil {
+			return s
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // TestMonitorFlushLinksIngestTrace: an ingest under a traced context
 // must yield store.add in the caller's trace, and the debounced
 // monitor flush — running on its own goroutine, after the ingest
@@ -81,16 +97,20 @@ func TestMonitorFlushLinksIngestTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans := tr.TraceSpans(root.TraceID)
-	var add, flush *obs.Span
-	for _, s := range spans {
-		switch s.Name {
-		case "store.add":
-			add = s
-		case "monitor.flush":
-			flush = s
+	var spans []*obs.Span
+	var add *obs.Span
+	flush := pollSpan(waitCtx, func() (flush *obs.Span) {
+		spans = tr.TraceSpans(root.TraceID)
+		for _, s := range spans {
+			switch s.Name {
+			case "store.add":
+				add = s
+			case "monitor.flush":
+				flush = s
+			}
 		}
-	}
+		return flush
+	})
 	if add == nil {
 		t.Fatalf("no store.add span in the ingest trace (%d spans)", len(spans))
 	}
@@ -154,16 +174,22 @@ func TestTARARateSpansAttributeCost(t *testing.T) {
 		}
 	}
 
-	perTenant := map[string]*obs.Span{}
-	for _, s := range tr.Spans(0) {
-		if s.Name == "tara.rate" {
-			perTenant[attrMap(s)["tenant"]] = s
-		}
+	// rateSpan returns the latest tara.rate span whose attributes
+	// satisfy match.
+	rateSpan := func(match func(attrs map[string]string) bool) *obs.Span {
+		return pollSpan(waitCtx, func() (found *obs.Span) {
+			for _, s := range tr.Spans(0) {
+				if s.Name == "tara.rate" && match(attrMap(s)) {
+					found = s
+				}
+			}
+			return found
+		})
 	}
 	for _, name := range reg.Names() {
-		s, ok := perTenant[name]
-		if !ok {
-			t.Fatalf("no tara.rate span for tenant %s (got %v)", name, perTenant)
+		s := rateSpan(func(attrs map[string]string) bool { return attrs["tenant"] == name })
+		if s == nil {
+			t.Fatalf("no tara.rate span for tenant %s", name)
 		}
 		got := attrMap(s)
 		if got["rerated"] != "true" {
@@ -196,16 +222,9 @@ func TestTARARateSpansAttributeCost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var incremental *obs.Span
-	for _, s := range tr.Spans(0) {
-		if s.Name != "tara.rate" {
-			continue
-		}
-		got := attrMap(s)
-		if got["tenant"] == "t01" && got["generation"] == fmt.Sprint(genBefore+1) {
-			incremental = s
-		}
-	}
+	incremental := rateSpan(func(attrs map[string]string) bool {
+		return attrs["tenant"] == "t01" && attrs["generation"] == fmt.Sprint(genBefore+1)
+	})
 	if incremental == nil {
 		t.Fatal("no tara.rate span for the incremental re-rate")
 	}

@@ -7,8 +7,7 @@ import (
 
 // The recorder micro-benchmarks pin the per-event cost the store, WAL
 // and monitor hot paths pay when instrumented: one atomic RMW for a
-// counter, a bucket scan plus three atomics for a histogram. CI folds
-// them into BENCH_7.json next to the instrumented-vs-bare store pair.
+// counter, a bucket scan plus three atomics for a histogram.
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("bench_events_total", "Benchmark counter.")

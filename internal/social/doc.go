@@ -142,35 +142,39 @@
 // and fsync'd, off the commit critical section) before the snapshot
 // swap makes them searchable, so an acknowledged Add survives kill -9
 // and an unacknowledged one never half-surfaces. Snapshots are per
-// stripe: each stripe persists a JSON Lines post snapshot plus an
-// index sidecar (see sidecar.go for the on-disk format) holding its
-// posting lists in a CRC-framed, position-encoded form bound to the
-// posts file by an ID checksum. A warm open loads each stripe's
-// indices as a file read — no re-tokenization — and stripes load in
-// parallel, so reopening a large corpus costs milliseconds instead of
-// a full index rebuild. Compaction is incremental and delta-bounded:
+// stripe: each non-empty stripe persists one binary snapshot file (see
+// snapfile.go for the on-disk format) with two CRC-framed sections, its
+// posts and its position-encoded posting lists. A warm open installs
+// each stripe's posts and indices as a file read — no re-tokenization —
+// and stripes load in parallel, so reopening a large corpus costs
+// milliseconds instead of a full index rebuild. Compaction is incremental and delta-bounded:
 // per-stripe dirty counters track which stripes absorbed records since
 // their last snapshot, a pass rewrites only those stripes (an idle
 // pass writes nothing at all, not even a manifest), clean stripes keep
 // their files and floors verbatim, and WAL segments wholly below the
 // new floors are truncated.
 //
-// The fallback contract makes the sidecar strictly an optimization: a
-// missing, torn, corrupt or version-skewed sidecar — or a posts file
-// whose order or routing disagrees with the opening store — degrades
-// that stripe to the re-tokenizing load and marks it dirty so the next
-// compaction rewrites it; it never fails the open. Pre-indexing
-// directories (manifest Version 0, one whole-corpus snapshot) open the
-// same way and upgrade to the per-stripe format at their first
-// compaction. Only real data loss is fatal: an unreadable or invalid
-// posts file, or two snapshot files claiming the same post ID.
+// The two sections fail differently. The postings section is derived
+// data: when its CRC or structure is bad, or the posts' order or
+// routing disagrees with the opening store, that stripe is
+// re-tokenized from its decoded posts and marked dirty so the next
+// compaction rewrites it. The posts section is the only snapshot copy
+// of the stripe's posts, by design (snapfile.go gives the reasoning):
+// a missing file, a bad header or a bad posts section fails the open
+// with an error naming the stripe and the file, as does two snapshot
+// files claiming the same post ID. Directories written before this
+// layout (manifest Version 0 or 2) are refused, untouched, with an
+// error naming the -dump/-corpus migration route. The open removes
+// every snapshot-directory entry the manifest does not name, including
+// the temp files of a compaction that crashed mid-write.
 // Recovery replays each stripe's WAL tail above its floor,
 // deduplicating the (deliberately conservative) overlap by post ID.
 // DurableCursor and PostsSince expose the WAL position to consumers
 // that checkpoint their own progress — the monitor persists the cursor
 // with its assessment and catches up incrementally after a restart.
 // WritePostsFile/WriteStoreFile are the atomic (temp + fsync + rename)
-// snapshot dumps; a reader can never observe a truncated file.
+// JSON Lines dumps — the interchange format, never a recovery input; a
+// reader can never observe a truncated file.
 //
 // Determinism: the generator derives everything from an explicit seed;
 // two runs with the same seed and spec produce identical corpora, and

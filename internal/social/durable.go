@@ -19,13 +19,14 @@ import (
 // Durable store layout under a data directory:
 //
 //	<dir>/MANIFEST.json                    snapshot manifest (durable.Manifest)
-//	<dir>/snap/stripe-<i>-<gen>.jsonl      per-stripe post snapshots (JSON Lines)
-//	<dir>/snap/stripe-<i>-<gen>.idx        per-stripe index sidecars (see sidecar.go)
+//	<dir>/snap/stripe-<i>-<gen>.snap       one snapshot per non-empty stripe (see snapfile.go)
 //	<dir>/wal/stripe-<i>/*.seg             one segmented WAL per lock stripe
 //
-// Directories written before snapshot indexing hold one whole-corpus
-// snap/snap-<gen>.jsonl instead (manifest version 0); they open via the
-// re-tokenize path and upgrade in place at their first compaction.
+// A snapshot file carries its stripe's posts and posting lists in two
+// CRC-framed sections, and it is the only snapshot copy of those posts
+// (snapfile.go explains why one copy is the design). The open refuses
+// directories whose manifest predates this layout (version < 3) before
+// touching them; the error names the -dump/-corpus migration route.
 //
 // Every stripe owns its own log with its own group-commit fsync queue,
 // so concurrent ingest across stripes never serializes on one disk
@@ -150,28 +151,27 @@ type storeDurability struct {
 }
 
 // OpenStoreDir opens (or initializes) a durable store in dir and
-// recovers its contents: each stripe's post snapshot is read and its
-// search indices are loaded directly from the index sidecar — warm open
-// is a file read plus a varint scan, no re-tokenization — then each
-// stripe's WAL tail above the manifest's floor is replayed (torn or
-// corrupt tail records are truncated, never fatal). A stripe whose
-// sidecar is missing, corrupt or version-skewed falls back to
-// re-tokenizing its posts file, and a pre-indexing directory (one
-// whole-corpus snapshot, manifest version 0) loads entirely through
-// that fallback — degraded open speed, never a failed open; the next
-// compaction rewrites what the fallback had to rebuild. The returned
-// store behaves exactly like an in-memory one, plus: Add acknowledges
-// only after its batch is fsync'd (group commit), a background pass
-// compacts dirty stripes into snapshots, and Close flushes. Search
-// results are byte-identical to an in-memory store holding the same
-// posts.
+// recovers its contents: each stripe's snapshot file is read and its
+// posts and search indices are installed directly — warm open is a file
+// read plus a varint scan, no re-tokenization — then each stripe's WAL
+// tail above the manifest's floor is replayed (torn or corrupt tail
+// records are truncated, never fatal). A stripe whose postings section
+// is damaged, or whose posts route elsewhere in this store, is
+// re-tokenized from its posts section and compacted again at the next
+// pass; a damaged posts section fails the open, naming the file. A
+// directory whose manifest predates the single-file layout is refused
+// before anything in it is written or removed. The returned store
+// behaves exactly like an in-memory one, plus: Add acknowledges only
+// after its batch is fsync'd (group commit), a background pass compacts
+// dirty stripes into snapshots, and Close flushes. Search results are
+// byte-identical to an in-memory store holding the same posts.
 func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, snapDirName), 0o755); err != nil {
-		return nil, fmt.Errorf("social: create data dir: %w", err)
-	}
 	man, err := durable.LoadManifest(dir)
 	if err != nil {
 		return nil, err
+	}
+	if err := os.MkdirAll(filepath.Join(dir, snapDirName), 0o755); err != nil {
+		return nil, fmt.Errorf("social: create data dir: %w", err)
 	}
 	shards := opts.Shards
 	if shards <= 0 {
@@ -184,10 +184,10 @@ func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
 		shards = man.Shards
 	} else {
 		man = &durable.Manifest{
-			Version: durable.ManifestVersion,
-			Shards:  shards,
-			Floors:  make([]uint64, shards),
-			Stripes: make([]durable.StripeSnapshot, shards),
+			Version:   durable.ManifestVersion,
+			Shards:    shards,
+			Floors:    make([]uint64, shards),
+			Snapshots: make([]string, shards),
 		}
 		if err := man.Write(dir); err != nil {
 			return nil, err
@@ -214,37 +214,18 @@ func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
 		d.stripes[i].pending = make(map[uint64]struct{})
 	}
 
-	// Snapshot first: it holds everything at or below the floors.
+	// Snapshots first: they hold everything at or below the floors. One
+	// parallel load per stripe: stripe loads are independent — distinct
+	// shards, and the ID registry is stripe-locked — so the bounded
+	// fan-out is safe.
 	snapDir := filepath.Join(dir, snapDirName)
 	var phases recoveryPhases
-	switch {
-	case man.Version >= 2:
-		// Warm path: one parallel load per stripe, each installing its
-		// sidecar indices directly (or falling back to re-tokenization).
-		// Stripe loads are independent — distinct shards, and the ID
-		// registry is stripe-locked — so the bounded fan-out is safe.
-		errs := make([]error, shards)
-		forEachBounded(shards, func(i int) {
-			errs[i] = d.loadStripe(s, snapDir, man.Stripes[i], i, &phases)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	case man.Snapshot != "":
-		// Pre-indexing directory: one whole-corpus snapshot, re-tokenized
-		// through Add. Every stripe is dirty afterwards, so the first
-		// compaction upgrades the directory to the per-stripe format.
-		t0 := time.Now()
-		if err := loadSnapshot(s, filepath.Join(snapDir, man.Snapshot)); err != nil {
-			return nil, err
-		}
-		phases.rebuild.Add(int64(time.Since(t0)))
-		phases.rebuilt.Add(int64(shards))
-		for i := range d.stripes {
-			d.stripes[i].dirty.Add(1)
-		}
+	errs := make([]error, shards)
+	forEachBounded(shards, func(i int) {
+		errs[i] = d.loadStripe(s, snapDir, man.Snapshots[i], i, &phases)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	removeOrphanSnapshots(snapDir, man)
 
@@ -367,64 +348,62 @@ type phaseNanos struct{ atomic.Int64 }
 
 func (p *phaseNanos) seconds() float64 { return float64(p.Load()) / 1e9 }
 
-// recoveryPhases breaks one recovery down by phase: posts files read,
-// sidecar indices decoded, fallback re-tokenization, WAL replay — plus
-// the per-stripe outcome split. Stripe loads run in parallel, so phase
-// times are summed across stripes (CPU seconds); the top-level recovery
-// gauge stays wall-clock.
+// recoveryPhases breaks one recovery down by phase: snapshot files read
+// and their posts decoded, postings decoded and installed, fallback
+// re-tokenization, WAL replay — plus the per-stripe outcome split.
+// Stripe loads run in parallel, so phase times are summed across
+// stripes (CPU seconds); the top-level recovery gauge stays wall-clock.
 type recoveryPhases struct {
-	snapshot phaseNanos // post snapshots read + decoded
-	load     phaseNanos // index sidecars decoded
+	snapshot phaseNanos // snapshot files read + posts sections decoded
+	load     phaseNanos // postings sections decoded + installed
 	rebuild  phaseNanos // fallback re-tokenization
 	replay   phaseNanos // WAL tails replayed
 	indexed  atomic.Int64
 	rebuilt  atomic.Int64
 }
 
-// loadStripe recovers one stripe from its manifest entry. The warm
-// path never touches the JSON Lines posts file: the sidecar carries the
-// stripe's posts and posting lists in one checksummed binary read, and
-// installs after a routing-and-order check against this store's stripe
-// map. Everything about the sidecar degrades rather than fails — a
-// missing, torn, corrupt, version-skewed or mis-routed sidecar falls
-// back to reading and re-tokenizing the authoritative posts file (and
-// leaves the stripe dirty so the next compaction writes a fresh
-// sidecar). Only the posts file itself is load-bearing: unreadable or
-// invalid is a failed open, exactly like the whole-corpus loader. A
-// posts file whose order or routing disagrees with this store falls
-// back to the generic Add path with every stripe dirtied, because its
-// posts just landed wherever shardFor routes them now.
-func (d *storeDurability) loadStripe(s *Store, snapDir string, ent durable.StripeSnapshot, i int, ph *recoveryPhases) error {
-	if ent.Posts == "" {
+// loadStripe recovers one stripe from its snapshot file. The posts
+// section is load-bearing: unreadable or invalid fails the open, naming
+// the stripe and the file. The postings section is derived: when it is
+// damaged, or the posts are out of order or route to other stripes of
+// this store, the stripe is re-tokenized from the decoded posts through
+// Add and left dirty so the next compaction writes a fresh file.
+// Mis-routed posts land wherever shardFor routes them now, so that case
+// dirties every stripe.
+func (d *storeDurability) loadStripe(s *Store, snapDir, name string, i int, ph *recoveryPhases) error {
+	if name == "" {
 		return nil
 	}
-	if ent.Index != "" {
-		t0 := time.Now()
-		g, derr := readStripeIndex(filepath.Join(snapDir, ent.Index))
-		if derr == nil && !stripeOrdered(s, g.byTime, i) {
-			derr = sidecarErrf("stripe %d posts mis-routed for this store", i)
-		}
-		if derr == nil {
-			derr = s.installStripeBase(i, g)
-		}
-		ph.load.Add(int64(time.Since(t0)))
-		if derr == nil {
-			ph.indexed.Add(1)
-			return nil
-		}
-	}
+	path := filepath.Join(snapDir, name)
 	t0 := time.Now()
-	posts, err := readPostsFile(filepath.Join(snapDir, ent.Posts))
+	data, err := os.ReadFile(path)
+	var posts []*Post
+	var postings []byte
+	if err == nil {
+		posts, postings, err = decodeSnapshotPosts(data)
+	}
 	ph.snapshot.Add(int64(time.Since(t0)))
 	if err != nil {
-		return err
+		return fmt.Errorf("social: stripe %d snapshot %s: %w", i, path, err)
 	}
+	t0 = time.Now()
 	ordered := stripeOrdered(s, posts, i)
+	if ordered {
+		var g *shardGen
+		if g, err = decodePostings(postings, posts); err == nil {
+			err = s.installStripeBase(i, g)
+		}
+	}
+	ph.load.Add(int64(time.Since(t0)))
+	if ordered && err == nil {
+		ph.indexed.Add(1)
+		return nil
+	}
 	t0 = time.Now()
 	err = s.Add(posts...)
 	ph.rebuild.Add(int64(time.Since(t0)))
 	if err != nil {
-		return fmt.Errorf("social: load snapshot stripe %d: %w", i, err)
+		return fmt.Errorf("social: stripe %d snapshot %s: %w", i, path, err)
 	}
 	ph.rebuilt.Add(1)
 	if ordered {
@@ -449,24 +428,15 @@ func stripeOrdered(s *Store, posts []*Post, i int) bool {
 	return true
 }
 
-// readStripeIndex reads and decodes one stripe's index sidecar.
-func readStripeIndex(path string) (*shardGen, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeStripeIndex(data)
-}
-
 // installStripeBase publishes g as stripe i's base generation and
 // registers its posts in the ID registry — the warm-open path that
 // bypasses tokenization entirely. Posts are bucketed by ID stripe
 // first so each registry lock is taken once per bucket, not once per
-// post. A duplicate ID means the sidecar claims a post some other
+// post. A duplicate ID means the snapshot claims a post some other
 // snapshot already holds; the install rolls its own registrations back
 // (by pointer identity, so a concurrent stripe's entries are never
 // touched) and reports, leaving the registry as it found it so the
-// caller's fallback to the authoritative posts file starts clean.
+// caller's re-tokenizing fallback starts clean.
 func (s *Store) installStripeBase(i int, g *shardGen) error {
 	var buckets [idStripes][]*Post
 	per := len(g.byTime)/idStripes + 1
@@ -486,7 +456,7 @@ func (s *Store) installStripeBase(i int, g *shardGen) error {
 		st.mu.Lock()
 		for _, p := range ps {
 			if _, seen := st.posts[p.ID]; seen {
-				dup = sidecarErrf("duplicate post ID %s", p.ID)
+				dup = snapErrf("duplicate post ID %s", p.ID)
 				break
 			}
 			st.posts[p.ID] = p
@@ -519,24 +489,6 @@ func (s *Store) installStripeBase(i int, g *shardGen) error {
 	return nil
 }
 
-// loadSnapshot reads a snapshot file into the store (no WAL attached
-// yet, so nothing is re-logged).
-func loadSnapshot(s *Store, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("social: open snapshot: %w", err)
-	}
-	defer f.Close()
-	posts, err := ReadPosts(f)
-	if err != nil {
-		return fmt.Errorf("social: snapshot %s: %w", path, err)
-	}
-	if err := s.Add(posts...); err != nil {
-		return fmt.Errorf("social: load snapshot %s: %w", path, err)
-	}
-	return nil
-}
-
 // replayBatch applies one WAL record — a JSON batch of posts — to the
 // store, skipping posts the snapshot (or an earlier record) already
 // delivered.
@@ -558,33 +510,25 @@ func replayBatch(s *Store, payload []byte) error {
 	return s.Add(fresh...)
 }
 
-// removeOrphanSnapshots deletes snapshot and sidecar files the manifest
-// no longer references — the leftovers of a compaction that crashed
-// between writing its files and committing its manifest.
+// removeOrphanSnapshots deletes every snapshot-directory entry the
+// manifest does not name: the files of a compaction that crashed before
+// committing its manifest, the temp files of a write that crashed
+// inside WriteFileAtomic, and anything else that is not current state.
+// It runs at open, after the stripes loaded and before the compactor
+// starts, so nothing can be writing there. Removal is best-effort: an
+// entry that survives is retried at the next open.
 func removeOrphanSnapshots(snapDir string, man *durable.Manifest) {
-	keep := make(map[string]bool, 2*len(man.Stripes)+1)
-	if man.Snapshot != "" {
-		keep[man.Snapshot] = true
-	}
-	for _, ent := range man.Stripes {
-		if ent.Posts != "" {
-			keep[ent.Posts] = true
-		}
-		if ent.Index != "" {
-			keep[ent.Index] = true
-		}
+	keep := make(map[string]bool, len(man.Snapshots))
+	for _, name := range man.Snapshots {
+		keep[name] = true
 	}
 	entries, err := os.ReadDir(snapDir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if keep[name] {
-			continue
-		}
-		if ext := filepath.Ext(name); ext == ".jsonl" || ext == ".idx" {
-			os.Remove(filepath.Join(snapDir, name))
+		if !keep[e.Name()] {
+			os.RemoveAll(filepath.Join(snapDir, e.Name()))
 		}
 	}
 }
@@ -748,17 +692,17 @@ func (d *storeDurability) compactLoop(s *Store, every time.Duration) {
 // stripes — those with WAL records applied since their last snapshot:
 // capture each stripe's dirty count and the floors, dump the dirty
 // stripes' live generations lock-free (ingest keeps committing
-// throughout), write their posts+index files, atomically publish the
-// new manifest, then drop WAL segments wholly below the floors. Clean
-// stripes carry their previous snapshot entry AND their previous floor
-// verbatim — a record applied between the dirty capture and the floor
-// read is missing from the carried-over snapshot, so advancing a clean
-// stripe's floor could truncate an applied record out of the WAL
-// before any snapshot holds it. With no dirty stripe at all, compact
-// returns without writing a byte (the idle early-exit). A crash at any
-// point leaves either the old manifest (plus orphan files cleaned at
-// next open) or the new one — never a state that loses an acknowledged
-// batch.
+// throughout), write one snapshot file per dirty stripe, atomically
+// publish the new manifest, then drop WAL segments wholly below the
+// floors. Clean stripes carry their previous snapshot entry AND their
+// previous floor verbatim — a record applied between the dirty capture
+// and the floor read is missing from the carried-over snapshot, so
+// advancing a clean stripe's floor could truncate an applied record
+// out of the WAL before any snapshot holds it. With no dirty stripe at
+// all, compact returns without writing a byte (the idle early-exit). A
+// crash at any point leaves either the old manifest (plus orphan files
+// cleaned at next open) or the new one — never a state that loses an
+// acknowledged batch.
 func (d *storeDurability) compact(s *Store) (err error) {
 	d.cmu.Lock()
 	defer d.cmu.Unlock()
@@ -797,7 +741,7 @@ func (d *storeDurability) compact(s *Store) (err error) {
 	drained := d.records.Load()
 	gen := d.man.Gen + 1
 	snapDir := filepath.Join(d.dir, snapDirName)
-	stripes := make([]durable.StripeSnapshot, len(d.stripes))
+	snaps := make([]string, len(d.stripes))
 	newFloors := make([]uint64, len(d.stripes))
 	var written int64
 	var compacted int64
@@ -810,9 +754,7 @@ func (d *storeDurability) compact(s *Store) (err error) {
 	}
 	for i := range d.stripes {
 		if dirty[i] == 0 {
-			if d.man.Version >= 2 {
-				stripes[i] = d.man.Stripes[i]
-			}
+			snaps[i] = d.man.Snapshots[i]
 			newFloors[i] = d.man.Floors[i]
 			continue
 		}
@@ -824,48 +766,31 @@ func (d *storeDurability) compact(s *Store) (err error) {
 			g = foldGens(sn.base, sn.delta, nil, nil, nil)
 		}
 		if len(g.byTime) == 0 {
-			continue // an empty stripe needs no files; its entry stays empty
+			continue // an empty stripe needs no file; its entry stays empty
 		}
-		postsName := fmt.Sprintf("stripe-%04d-%08d.jsonl", i, gen)
-		indexName := fmt.Sprintf("stripe-%04d-%08d.idx", i, gen)
-		n, err := writePostsFileCount(filepath.Join(snapDir, postsName), g.byTime)
+		name := fmt.Sprintf("stripe-%04d-%08d.snap", i, gen)
+		n, err := writeSnapshotFile(filepath.Join(snapDir, name), g)
 		if err != nil {
 			return fail(err)
 		}
 		written += n
-		newFiles = append(newFiles, postsName)
-		// The sidecar is strictly an optimization, so failing to encode
-		// one (a timestamp outside the Unix-nano range, say) must not
-		// wedge compaction — the stripe degrades to a posts-only entry
-		// and the next open rebuilds it by re-tokenizing.
-		n, err = writeStripeIndexFile(filepath.Join(snapDir, indexName), g)
-		if err != nil {
-			stripes[i] = durable.StripeSnapshot{Posts: postsName}
-			continue
-		}
-		written += n
-		newFiles = append(newFiles, indexName)
-		stripes[i] = durable.StripeSnapshot{Posts: postsName, Index: indexName}
+		newFiles = append(newFiles, name)
+		snaps[i] = name
 	}
 	next := &durable.Manifest{
-		Version: durable.ManifestVersion,
-		Shards:  len(d.logs),
-		Gen:     gen,
-		Floors:  newFloors,
-		Stripes: stripes,
+		Version:   durable.ManifestVersion,
+		Shards:    len(d.logs),
+		Gen:       gen,
+		Floors:    newFloors,
+		Snapshots: snaps,
 	}
 	if err := next.Write(d.dir); err != nil {
 		return fail(err)
 	}
 	// Manifest committed: the files it replaced are garbage now.
-	if old := d.man.Snapshot; old != "" {
-		os.Remove(filepath.Join(snapDir, old))
-	}
-	for i, old := range d.man.Stripes {
-		for _, f := range []string{old.Posts, old.Index} {
-			if f != "" && f != stripes[i].Posts && f != stripes[i].Index {
-				os.Remove(filepath.Join(snapDir, f))
-			}
+	for i, old := range d.man.Snapshots {
+		if old != "" && old != snaps[i] {
+			os.Remove(filepath.Join(snapDir, old))
 		}
 	}
 	d.man = next

@@ -32,7 +32,7 @@ type StoreMetrics struct {
 	CompactionErrors  *obs.Counter
 	CompactionLatency *obs.Histogram
 	// CompactionBytes / CompactedStripes measure incremental compaction
-	// volume: snapshot+sidecar bytes written and stripes rewritten. With
+	// volume: snapshot bytes written and stripes rewritten. With
 	// per-stripe dirty tracking they grow with the delta, not the corpus.
 	CompactionBytes  *obs.Counter
 	CompactedStripes *obs.Counter
@@ -75,7 +75,7 @@ func NewStoreMetrics(reg *obs.Registry) *StoreMetrics {
 		CompactionLatency: reg.Histogram("psp_store_compaction_seconds", "Snapshot compaction latency.",
 			obs.DefaultLatencyBuckets, obs.LatencyScale),
 		CompactionBytes: reg.Counter("psp_store_compaction_bytes_total",
-			"Snapshot and index-sidecar bytes written by compactions (dirty stripes only)."),
+			"Snapshot bytes written by compactions (dirty stripes only)."),
 		CompactedStripes: reg.Counter("psp_store_compaction_stripes_total",
 			"Stripes rewritten by compactions (clean stripes are skipped)."),
 		RecoverySeconds: reg.Gauge("psp_store_recovery_seconds",
@@ -160,8 +160,8 @@ type StoreStats struct {
 	CompactionBytes  int64
 	CompactedStripes int64
 	// RecoveredIndexed / RecoveredRebuilt split the last open's stripes
-	// by recovery path: loaded from the index sidecar vs re-tokenized
-	// through the fallback.
+	// by recovery path: installed from the snapshot's postings section
+	// vs re-tokenized from its posts section.
 	RecoveredIndexed int
 	RecoveredRebuilt int
 	// Degraded reports read-only degraded mode (see Store.Degraded);

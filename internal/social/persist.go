@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/psp-framework/psp/internal/durable"
 )
@@ -76,57 +75,12 @@ func WriteStore(w io.Writer, s *Store) error {
 // dump goes to a temporary file in the same directory, is fsync'd, and
 // renamed into place. A crash mid-dump can therefore never leave a
 // truncated file for LoadStoreShards to half-parse — path either still
-// holds its previous content or the complete new snapshot. The durable
-// store's snapshot compaction and the daemons' -dump/-corpus outputs
-// write through this.
+// holds its previous content or the complete new snapshot. The daemons'
+// -dump output writes through this.
 func WritePostsFile(path string, posts []*Post) error {
 	return durable.WriteFileAtomic(path, func(w io.Writer) error {
 		return WritePosts(w, posts)
 	})
-}
-
-// countingWriter sums the bytes written through it — how snapshot
-// compaction reports its I/O volume without a second stat pass.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// writePostsFileCount is WritePostsFile reporting the bytes written.
-func writePostsFileCount(path string, posts []*Post) (int64, error) {
-	var n int64
-	err := durable.WriteFileAtomic(path, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		if err := WritePosts(cw, posts); err != nil {
-			return err
-		}
-		n = cw.n
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// readPostsFile loads one snapshot file's posts.
-func readPostsFile(path string) ([]*Post, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("social: open snapshot: %w", err)
-	}
-	defer f.Close()
-	posts, err := ReadPosts(f)
-	if err != nil {
-		return nil, fmt.Errorf("social: snapshot %s: %w", path, err)
-	}
-	return posts, nil
 }
 
 // WriteStoreFile atomically dumps the store's current contents to path

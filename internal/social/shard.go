@@ -54,7 +54,7 @@ var shardCompactThreshold = 1024
 // membership questions (the must-term residual filter) are answered by
 // sorted-list seeks instead of per-post term-set maps — one fewer
 // O(shard) map to copy on every fold, and the exact structure the
-// snapshot sidecar persists (see sidecar.go).
+// stripe snapshot file persists (see snapfile.go).
 type shardGen struct {
 	byTime []*Post
 	byTag  map[string][]*Post
