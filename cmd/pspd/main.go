@@ -71,15 +71,21 @@
 // GET /v1/metrics exposes Prometheus families for every stage of the
 // pipeline:
 //
-//	psp_store_*    ingest/search counts and latency, shard visits,
-//	               changefeed backlog, compactions, recovery
+//	psp_trace_*    per-stage span counts, errors and latency by span
+//	               name: store.add, store.search, wal.append,
+//	               monitor.flush, tara.rate, http.server <route>
+//	psp_store_*    posts inserted, changefeed backlog, compactions,
+//	               recovery
 //	psp_wal_*      append/fsync latency, group-commit coalescing
 //	               (records per fsync), segment rolls
 //	psp_monitor_*  assessment generation, publish latency (debounce to
-//	               publication), delta sizes, failure count and age
-//	psp_tara_*     fleet size, dirty backlog, per-tenant re-rate
-//	               latency, cumulative engine rating calls
+//	               publication), delta sizes, error age
+//	psp_tara_*     fleet size, dirty backlog, cumulative engine rating
+//	               calls, threats re-rated per pass
 //	psp_http_*     per-route request counts by status class and latency
+//
+// A stage's psp_trace_* series appear at its first span, sampled or
+// not; the span is each stage's only count, error and latency record.
 //
 // Readiness and liveness are distinct: /v1/healthz always answers 200
 // while the process is up (point liveness probes here), and
@@ -96,9 +102,8 @@
 // (0 records only errors, slow spans and degraded pages; 1 records
 // everything); -slow-ms sets the latency above which a span is always
 // kept and logged. GET /v1/trace serves the recorded spans as JSON —
-// newest first, or one coherent trace via ?trace_id=. Span counts and
-// durations additionally surface per span name under psp_trace_* in
-// /v1/metrics, next to psp_build_info and process uptime.
+// newest first, or one coherent trace via ?trace_id=. /v1/metrics
+// also carries psp_build_info and process uptime.
 //
 // -pprof additionally mounts net/http/pprof under /debug/pprof/ for
 // live profiling; it is off by default because profiles are expensive
@@ -110,7 +115,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -118,46 +122,31 @@ import (
 	"time"
 
 	psp "github.com/psp-framework/psp"
+	"github.com/psp-framework/psp/internal/daemon"
 )
 
 // options carries the daemon configuration from flags to run.
 type options struct {
+	daemon.Flags
 	addr        string
-	seed        int64
-	corpus      string
-	dataDir     string
 	application string
 	region      string
 	debounce    time.Duration
 	drain       time.Duration
 	concurrency int
-	shards      int
 	taraFleet   bool
-	traceSample float64
-	slowMS      int
-	logLevel    string
-	logFormat   string
-	pprof       bool
 }
 
 func main() {
 	var opts options
+	opts.Register(flag.CommandLine)
 	flag.StringVar(&opts.addr, "addr", ":8484", "listen address")
-	flag.Int64Var(&opts.seed, "seed", 42, "corpus seed (ignored with -corpus)")
-	flag.StringVar(&opts.corpus, "corpus", "", "seed the store from a JSON Lines snapshot")
-	flag.StringVar(&opts.dataDir, "data-dir", "", "durable data directory (WAL + snapshots + monitor state); empty runs in-memory")
 	flag.StringVar(&opts.application, "application", "", "target application filter (e.g. excavator)")
 	flag.StringVar(&opts.region, "region", "", "region filter (EU, NA, APAC, OTHER)")
 	flag.DurationVar(&opts.debounce, "debounce", 200*time.Millisecond, "quiet period before re-assessment")
 	flag.DurationVar(&opts.drain, "drain", 5*time.Second, "shutdown drain timeout")
 	flag.IntVar(&opts.concurrency, "concurrency", 0, "workflow query fan-out (0 = GOMAXPROCS)")
-	flag.IntVar(&opts.shards, "shards", 0, "store shard count (0 = library default)")
 	flag.BoolVar(&opts.taraFleet, "tara", true, "serve the multi-tenant TARA fleet on /v1/tara")
-	flag.Float64Var(&opts.traceSample, "trace-sample", 0.1, "probabilistic trace sample rate in [0,1]; errors and slow spans are always kept")
-	flag.IntVar(&opts.slowMS, "slow-ms", 250, "spans at least this many milliseconds long are always traced and logged (<0 disables)")
-	flag.StringVar(&opts.logLevel, "log-level", "info", "log floor: debug, info, warn or error")
-	flag.StringVar(&opts.logFormat, "log-format", "text", "log encoding: text or json")
-	flag.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -168,72 +157,27 @@ func main() {
 	}
 }
 
-// newLogger builds the daemon logger from the -log-level/-log-format
-// flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch level {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown log level %q (valid: debug, info, warn, error)", level)
-	}
-	ho := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, ho)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, ho)), nil
-	default:
-		return nil, fmt.Errorf("unknown log format %q (valid: text, json)", format)
-	}
-}
-
 func run(ctx context.Context, opts options) error {
-	logger, err := newLogger(opts.logLevel, opts.logFormat)
+	base, err := daemon.Boot(opts.Flags)
 	if err != nil {
 		return err
 	}
-	obsReg := psp.NewMetricsRegistry()
-	psp.RegisterBuildInfo(obsReg, psp.Version)
-	storeMet := psp.NewSocialStoreMetrics(obsReg)
-	tracer := psp.NewTracer(psp.TracerOptions{
-		SampleRate:    opts.traceSample,
-		SlowThreshold: time.Duration(opts.slowMS) * time.Millisecond,
-		Logger:        logger,
-		Registry:      obsReg,
-	})
-
-	store, recovered, err := loadCorpus(opts.seed, opts.corpus, opts.dataDir, opts.shards, storeMet)
-	if err != nil {
-		return err
-	}
-	store.SetTracer(tracer)
 	// The final flush pairs with the graceful HTTP drain: once the
 	// server and monitor stopped, the WAL tail compacts into a snapshot
 	// so the next start recovers without replay.
-	defer func() {
-		if err := store.Close(); err != nil {
-			logger.Error("final flush failed", "error", err)
-		}
-	}()
+	defer base.Close()
+	store, logger := base.Store, base.Logger
 	var state psp.MonitorStateStore
-	if opts.dataDir != "" {
-		state = psp.NewMonitorFileState(filepath.Join(opts.dataDir, "monitor.json"))
+	if opts.DataDir != "" {
+		state = psp.NewMonitorFileState(filepath.Join(opts.DataDir, "monitor.json"))
 	}
-	m, fw, err := newMonitor(store, state, opts, psp.NewMonitorMetrics(obsReg), tracer, logger)
+	m, fw, err := newMonitor(store, state, opts, psp.NewMonitorMetrics(base.Registry), base.Tracer, logger)
 	if err != nil {
 		return err
 	}
 	var tm *psp.TARAMonitor
 	if opts.taraFleet {
-		tm, err = newTARAFleet(fw, m, opts.debounce, psp.NewTARAMonitorMetrics(obsReg), tracer, logger)
+		tm, err = newTARAFleet(fw, m, opts.debounce, psp.NewTARAMonitorMetrics(base.Registry), base.Tracer, logger)
 		if err != nil {
 			return err
 		}
@@ -253,8 +197,8 @@ func run(ctx context.Context, opts options) error {
 			stopRun()
 		}
 	}()
-	api := psp.NewMonitorAPI(m).WithObservability(obsReg, logger).WithTracing(tracer)
-	if opts.pprof {
+	api := psp.NewMonitorAPI(m).WithObservability(base.Registry, logger).WithTracing(base.Tracer)
+	if opts.Pprof {
 		api.WithPprof()
 	}
 	if tm != nil {
@@ -265,29 +209,17 @@ func run(ctx context.Context, opts options) error {
 		api.WithTARA(tm)
 	}
 
-	srv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           api.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		// Slowloris/stuck-client bounds: a request (headers + body)
-		// must arrive within ReadTimeout and a response flush within
-		// WriteTimeout (generous enough for 30s pprof profiles);
-		// idle keep-alive connections are reaped after IdleTimeout.
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 60 * time.Second,
-		IdleTimeout:  120 * time.Second,
-	}
 	persistence := "in-memory"
-	if opts.dataDir != "" {
-		persistence = fmt.Sprintf("durable at %s (recovered=%v)", opts.dataDir, recovered)
+	if opts.DataDir != "" {
+		persistence = fmt.Sprintf("durable at %s (recovered=%v)", opts.DataDir, base.Recovered)
 	}
 	logger.Info("monitoring",
-		"posts", store.Len(), "addr", opts.addr, "seed", opts.seed,
+		"posts", store.Len(), "addr", opts.addr, "seed", opts.Seed,
 		"debounce", opts.debounce, "shards", store.Shards(), "persistence", persistence)
 	if tm != nil {
 		logger.Info("serving TARA fleet", "tenants", tm.Registry().Len())
 	}
-	if err := psp.ListenAndServeGraceful(runCtx, srv, opts.drain); err != nil {
+	if err := psp.ListenAndServeGraceful(runCtx, daemon.NewServer(opts.addr, api.Handler()), opts.drain); err != nil {
 		return err
 	}
 	// Surface the monitor's exit reason: a cancellation-driven stop is
@@ -414,70 +346,4 @@ func defaultThreats() []*psp.ThreatScenario {
 			Keywords:    []string{"keyfobhack", "relayattack"},
 		},
 	}
-}
-
-// loadCorpus builds the store — durable when dataDir is set, striped
-// across the requested shard count — from the data directory, a
-// snapshot file, or the generator. recovered reports whether an
-// existing data directory supplied the corpus (seeding is then
-// skipped). met attaches the store's recording surface (WAL metrics
-// included) from the first recovery replay on.
-func loadCorpus(seed int64, path, dataDir string, shards int, met *psp.SocialStoreMetrics) (store *psp.SocialStore, recovered bool, err error) {
-	if dataDir == "" {
-		store, err = loadEphemeral(seed, path, shards)
-		if err == nil {
-			store.SetMetrics(met)
-		}
-		return store, false, err
-	}
-	// recovered = the directory held a store before this boot. Seeding
-	// is handled by the store itself (Seed hook): it runs only until
-	// the directory's seed marker commits, resumes a crashed seed
-	// idempotently, and every seed post is WAL-durable before the
-	// daemon serves.
-	_, statErr := os.Stat(filepath.Join(dataDir, "MANIFEST.json"))
-	recovered = statErr == nil
-	store, err = psp.OpenSocialStore(dataDir, psp.SocialDurableOptions{
-		Shards:  shards,
-		Seed:    func() ([]*psp.Post, error) { return seedPosts(seed, path) },
-		Metrics: met,
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return store, recovered, nil
-}
-
-// loadEphemeral is the in-memory path: generator or snapshot file.
-func loadEphemeral(seed int64, path string, shards int) (*psp.SocialStore, error) {
-	if path == "" {
-		return psp.DefaultSocialStoreShards(seed, shards)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("open corpus: %w", err)
-	}
-	defer f.Close()
-	store, err := psp.LoadSocialStoreShards(f, shards)
-	if err != nil {
-		return nil, fmt.Errorf("load corpus %s: %w", path, err)
-	}
-	return store, nil
-}
-
-// seedPosts produces the posts seeding a fresh data directory.
-func seedPosts(seed int64, path string) ([]*psp.Post, error) {
-	if path == "" {
-		return psp.GenerateCorpus(psp.DefaultCorpusSpec(seed))
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("open corpus: %w", err)
-	}
-	defer f.Close()
-	posts, err := psp.ReadSocialPosts(f)
-	if err != nil {
-		return nil, fmt.Errorf("load corpus %s: %w", path, err)
-	}
-	return posts, nil
 }

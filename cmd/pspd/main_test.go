@@ -10,19 +10,18 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/psp-framework/psp/internal/daemon"
 )
 
 // testOpts is the base daemon configuration of the e2e tests: fast
 // debounce, 4 store shards, quiet logs.
 func testOpts(addr string) options {
 	return options{
-		addr:      addr,
-		seed:      42,
-		debounce:  20 * time.Millisecond,
-		drain:     time.Second,
-		shards:    4,
-		logLevel:  "warn",
-		logFormat: "text",
+		Flags:    daemon.Flags{Seed: 42, Shards: 4, LogLevel: "warn", LogFormat: "text"},
+		addr:     addr,
+		debounce: 20 * time.Millisecond,
+		drain:    time.Second,
 	}
 }
 
@@ -67,29 +66,7 @@ func TestDaemonServesAndShutsDownGracefully(t *testing.T) {
 	}
 
 	// Ingest posts over the wire; the assessment generation advances.
-	posts := []map[string]any{{
-		"id":         "wire-1",
-		"author":     "tester",
-		"text":       "daemon #chiptuning ingest test",
-		"created_at": time.Date(2023, 5, 1, 10, 0, 0, 0, time.UTC).Format(time.RFC3339),
-		"region":     "EU",
-		"metrics":    map[string]int{"views": 10},
-	}}
-	body, _ := json.Marshal(posts)
-	resp, err := http.Post(base+"/v1/posts", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ing struct {
-		Added int `json:"added"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&ing); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || ing.Added != 1 {
-		t.Fatalf("ingest status %d, added %d", resp.StatusCode, ing.Added)
-	}
+	ingestPost(t, base, "wire-1")
 	waitAssessment(t, base, 2, &assessment)
 
 	// The TARA fleet is up: one tenant per reference-architecture ECU.
@@ -98,7 +75,7 @@ func TestDaemonServesAndShutsDownGracefully(t *testing.T) {
 			Tenant string `json:"tenant"`
 		} `json:"tenants"`
 	}
-	resp, err = http.Get(base + "/v1/tara")
+	resp, err := http.Get(base + "/v1/tara")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,25 +98,7 @@ func TestDaemonServesAndShutsDownGracefully(t *testing.T) {
 	// A single-threat mutation over the wire re-rates exactly one
 	// threat — the incrementality acceptance check, measured through the
 	// tenant's rating-call counter.
-	ops, _ := json.Marshal(map[string]any{
-		"expect_version": ecm.Version,
-		"ops": []map[string]any{{
-			"op": "set_threat_table", "id": "TS-TAMPER",
-			"table": map[string]any{
-				"name":    "field-report",
-				"ratings": map[string]string{"physical": "high", "local": "high", "adjacent": "low", "network": "very_low"},
-			},
-		}},
-	})
-	resp, err = http.Post(base+"/v1/tara/ECM", "application/json", bytes.NewReader(ops))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("tenant mutation status %d", resp.StatusCode)
-	}
+	mutateTenant(t, base, "ECM", ecm.Version)
 	after := waitTenant(t, base, "ECM", ecm.Version+1)
 	if after.RatedThreats != 1 {
 		t.Fatalf("mutation re-rated %d threats, want 1", after.RatedThreats)
@@ -184,7 +143,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			opts := testOpts(addr)
-			opts.dataDir = dataDir
+			opts.DataDir = dataDir
 			done <- run(ctx, opts)
 		}()
 		return "http://" + addr, cancel, done
@@ -234,11 +193,64 @@ func TestDaemonWarmRestart(t *testing.T) {
 
 func TestRunRejectsMissingCorpus(t *testing.T) {
 	opts := testOpts("127.0.0.1:0")
-	opts.seed = 0
-	opts.corpus = "/nonexistent/corpus.jsonl"
+	opts.Seed = 0
+	opts.Corpus = "/nonexistent/corpus.jsonl"
 	opts.debounce = time.Millisecond
 	if err := run(context.Background(), opts); err == nil {
 		t.Fatal("missing corpus accepted")
+	}
+}
+
+// ingestPost POSTs one post on a monitored topic (#chiptuning) and
+// requires it accepted.
+func ingestPost(t *testing.T, base, id string) {
+	t.Helper()
+	body, _ := json.Marshal([]map[string]any{{
+		"id":         id,
+		"author":     "tester",
+		"text":       "daemon #chiptuning ingest test",
+		"created_at": time.Date(2023, 5, 1, 10, 0, 0, 0, time.UTC).Format(time.RFC3339),
+		"region":     "EU",
+		"metrics":    map[string]int{"views": 10},
+	}})
+	resp, err := http.Post(base+"/v1/posts", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ing struct {
+		Added int `json:"added"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&ing); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || ing.Added != 1 {
+		t.Fatalf("ingest status %d, added %d", resp.StatusCode, ing.Added)
+	}
+}
+
+// mutateTenant applies a one-threat op batch to the tenant at version
+// and requires it accepted.
+func mutateTenant(t *testing.T, base, tenant string, version uint64) {
+	t.Helper()
+	ops, _ := json.Marshal(map[string]any{
+		"expect_version": version,
+		"ops": []map[string]any{{
+			"op": "set_threat_table", "id": "TS-TAMPER",
+			"table": map[string]any{
+				"name":    "field-report",
+				"ratings": map[string]string{"physical": "high", "local": "high", "adjacent": "low", "network": "very_low"},
+			},
+		}},
+	})
+	resp, err := http.Post(base+"/v1/tara/"+tenant, "application/json", bytes.NewReader(ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("tenant mutation status %d", resp.StatusCode)
 	}
 }
 
@@ -345,12 +357,12 @@ func TestRunRejectsUnknownRegion(t *testing.T) {
 
 func TestRunRejectsBadLogFlags(t *testing.T) {
 	opts := testOpts("127.0.0.1:0")
-	opts.logLevel = "verbose"
+	opts.LogLevel = "verbose"
 	if err := run(context.Background(), opts); err == nil {
 		t.Fatal("unknown log level accepted")
 	}
 	opts = testOpts("127.0.0.1:0")
-	opts.logFormat = "logfmt"
+	opts.LogFormat = "logfmt"
 	if err := run(context.Background(), opts); err == nil {
 		t.Fatal("unknown log format accepted")
 	}
@@ -361,7 +373,10 @@ func TestRunRejectsBadLogFlags(t *testing.T) {
 // readiness gate opens only after the initial assessment and rating
 // pass, responses carry request IDs, and /v1/metrics serves a
 // Prometheus exposition covering every stage family — store, WAL,
-// monitor, TARA and HTTP.
+// monitor, TARA and HTTP. With every trace sampled, it drives ingest,
+// an assessment read and a tenant mutation, and requires every span
+// name /v1/trace shows to have its psp_trace_* series: the span is each
+// stage's only count and latency record.
 func TestDaemonObservabilityEndpoints(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -374,9 +389,10 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		opts := testOpts(addr)
-		opts.dataDir = t.TempDir()
+		opts.DataDir = t.TempDir()
 		opts.taraFleet = true
-		opts.pprof = true
+		opts.Pprof = true
+		opts.TraceSample = 1
 		done <- run(ctx, opts)
 	}()
 	base := "http://" + addr
@@ -423,6 +439,42 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("healthz detail = %+v", health)
 	}
 
+	// Drive every stage: ingest (store.add, wal.append) triggers a
+	// monitor delta run (monitor.flush, store.search), the assessment is
+	// read over HTTP, and a tenant mutation re-rates (tara.rate).
+	ingestPost(t, base, "obs-1")
+	var assessment struct{}
+	waitAssessment(t, base, 2, &assessment)
+	ecm := waitTenant(t, base, "ECM", 2)
+	mutateTenant(t, base, "ECM", ecm.Version)
+	waitTenant(t, base, "ECM", ecm.Version+1)
+
+	// Span names are collected before the exposition is read: a span
+	// reaches its series before it reaches the ring.
+	resp, err = http.Get(base + "/v1/trace?limit=4096")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		Spans []struct {
+			Name string `json:"name"`
+		} `json:"spans"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	spanNames := map[string]bool{}
+	for _, sp := range trace.Spans {
+		spanNames[sp.Name] = true
+	}
+	for _, stage := range []string{"store.add", "wal.append", "store.search", "monitor.flush", "tara.rate",
+		"http.server /v1/posts", "http.server /v1/assessment", "http.server /v1/tara/{tenant}"} {
+		if !spanNames[stage] {
+			t.Fatalf("no %q span recorded; names: %v", stage, spanNames)
+		}
+	}
+
 	// The exposition covers every stage family with live values.
 	resp, err = http.Get(base + "/v1/metrics")
 	if err != nil {
@@ -441,19 +493,29 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	}
 	body := string(exposition)
 	for _, want := range []string{
-		"# TYPE psp_store_adds_total counter",
+		`psp_trace_spans_total{span="store.add"}`,
 		"psp_store_posts ",
 		"psp_wal_appends_total",
 		"psp_wal_fsync_seconds_count",
 		"psp_monitor_generations_total",
 		"psp_monitor_publish_seconds_bucket",
 		"psp_tara_tenants",
-		"psp_tara_tenant_rates_total",
+		`psp_trace_spans_total{span="tara.rate"}`,
 		`psp_http_requests_total{code="2xx",route="/v1/healthz"}`,
 		`psp_http_request_seconds_bucket{route="/v1/readyz",le="+Inf"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, body)
+		}
+	}
+	for name := range spanNames {
+		for _, series := range []string{
+			`psp_trace_spans_total{span="` + name + `"} `,
+			`psp_trace_span_seconds_count{span="` + name + `"} `,
+		} {
+			if !strings.Contains(body, series) {
+				t.Errorf("span %q has no series %s", name, series)
+			}
 		}
 	}
 	// Durable boot: the seed corpus went through the WAL, so appends and

@@ -26,8 +26,11 @@
 // Logs are structured (log/slog; -log-level, -log-format json for log
 // shippers). GET /v1/metrics serves a Prometheus exposition of the
 // store (psp_store_*, and psp_wal_* when durable), the search API
-// (psp_http_*), span counts (psp_trace_*) and psp_build_info; every
-// response carries an X-Request-ID header. Requests are traced: the
+// (psp_http_*, routes /v2/search, /v2/healthz and /v2/other for every
+// other path), per-stage span counts, errors and latency (psp_trace_*,
+// the only per-call record of store.search and store.add; a stage's
+// series appear at its first span) and psp_build_info; every response
+// carries an X-Request-ID header. Requests are traced: the
 // middleware continues an inbound W3C traceparent header (as sent by a
 // federated pspd), so sociald's server and store spans join the
 // caller's distributed trace; GET /v1/trace serves the recorded spans
@@ -48,40 +51,25 @@ import (
 	"time"
 
 	psp "github.com/psp-framework/psp"
+	"github.com/psp-framework/psp/internal/daemon"
 )
 
 // options carries the daemon configuration from flags to run.
 type options struct {
-	addr        string
-	seed        int64
-	rate        float64
-	burst       int
-	corpus      string
-	dump        string
-	dataDir     string
-	shards      int
-	traceSample float64
-	slowMS      int
-	logLevel    string
-	logFormat   string
-	pprof       bool
+	daemon.Flags
+	addr  string
+	rate  float64
+	burst int
+	dump  string
 }
 
 func main() {
 	var opts options
+	opts.Register(flag.CommandLine)
 	flag.StringVar(&opts.addr, "addr", ":8384", "listen address")
-	flag.Int64Var(&opts.seed, "seed", 42, "corpus seed")
 	flag.Float64Var(&opts.rate, "rate", 50, "requests per second refill rate (0 disables limiting)")
 	flag.IntVar(&opts.burst, "burst", 100, "rate limiter burst capacity")
-	flag.StringVar(&opts.corpus, "corpus", "", "load corpus from a JSON Lines snapshot instead of generating")
 	flag.StringVar(&opts.dump, "dump", "", "write the corpus to a JSON Lines snapshot and exit")
-	flag.StringVar(&opts.dataDir, "data-dir", "", "durable data directory (WAL + snapshots); empty runs in-memory")
-	flag.IntVar(&opts.shards, "shards", 0, "store shard count (0 = library default)")
-	flag.Float64Var(&opts.traceSample, "trace-sample", 0.1, "probabilistic trace sample rate in [0,1]; errors and slow spans are always kept")
-	flag.IntVar(&opts.slowMS, "slow-ms", 250, "spans at least this many milliseconds long are always traced and logged (<0 disables)")
-	flag.StringVar(&opts.logLevel, "log-level", "info", "log floor: debug, info, warn or error")
-	flag.StringVar(&opts.logFormat, "log-format", "text", "log encoding: text or json")
-	flag.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -91,155 +79,50 @@ func main() {
 	}
 }
 
-// newLogger builds the daemon logger from the -log-level/-log-format
-// flags.
-func newLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch level {
-	case "debug":
-		lvl = slog.LevelDebug
-	case "info":
-		lvl = slog.LevelInfo
-	case "warn":
-		lvl = slog.LevelWarn
-	case "error":
-		lvl = slog.LevelError
-	default:
-		return nil, fmt.Errorf("unknown log level %q (valid: debug, info, warn, error)", level)
-	}
-	ho := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, ho)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, ho)), nil
-	default:
-		return nil, fmt.Errorf("unknown log format %q (valid: text, json)", format)
-	}
-}
-
 func run(ctx context.Context, opts options) error {
-	logger, err := newLogger(opts.logLevel, opts.logFormat)
+	base, err := daemon.Boot(opts.Flags)
 	if err != nil {
 		return err
 	}
-	obsReg := psp.NewMetricsRegistry()
-	psp.RegisterBuildInfo(obsReg, psp.Version)
-	tracer := psp.NewTracer(psp.TracerOptions{
-		SampleRate:    opts.traceSample,
-		SlowThreshold: time.Duration(opts.slowMS) * time.Millisecond,
-		Logger:        logger,
-		Registry:      obsReg,
-	})
-	store, err := loadCorpus(opts.seed, opts.corpus, opts.dataDir, opts.shards, psp.NewSocialStoreMetrics(obsReg))
-	if err != nil {
-		return err
-	}
-	store.SetTracer(tracer)
-	// With -data-dir this compacts the WAL tail into a final snapshot
-	// on the way out (SIGTERM included); in-memory it is a no-op.
-	defer func() {
-		if err := store.Close(); err != nil {
-			logger.Error("final flush failed", "error", err)
-		}
-	}()
+	defer base.Close()
+	store, logger := base.Store, base.Logger
 	if opts.dump != "" {
-		return dumpCorpus(store, opts.seed, opts.dump, logger)
+		return dumpCorpus(store, opts.Seed, opts.dump, logger)
 	}
 	var limiter *psp.RateLimiter
 	if opts.rate > 0 {
-		limiter = newLimiter(opts.burst, opts.rate)
+		limiter = psp.NewRateLimiter(opts.burst, opts.rate)
 	}
 
-	// The search API's two routes are a bounded label set, so the path
-	// itself can serve as the route label.
-	httpMet := psp.NewHTTPMetrics(obsReg, logger).WithTracer(tracer)
+	httpMet := psp.NewHTTPMetrics(base.Registry, logger).WithTracer(base.Tracer)
 	mux := http.NewServeMux()
-	mux.Handle("/v2/", httpMet.Instrument(
-		func(r *http.Request) string { return r.URL.Path },
-		psp.NewSocialServer(store, limiter).Handler()))
-	mux.Handle("/v1/metrics", psp.MetricsHandler(obsReg))
-	mux.Handle("/v1/trace", psp.TraceHandler(tracer))
-	if opts.pprof {
+	mux.Handle("/v2/", httpMet.Instrument(routeOf, psp.NewSocialServer(store, limiter).Handler()))
+	mux.Handle("/v1/metrics", psp.MetricsHandler(base.Registry))
+	mux.Handle("/v1/trace", psp.TraceHandler(base.Tracer))
+	if opts.Pprof {
 		mux.Handle("/debug/pprof/", psp.PprofHandler())
 	}
 
-	srv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		// Slowloris/stuck-client bounds: a request (headers + body)
-		// must arrive within ReadTimeout and a response flush within
-		// WriteTimeout (generous enough for 30s pprof profiles);
-		// idle keep-alive connections are reaped after IdleTimeout.
-		ReadTimeout:  30 * time.Second,
-		WriteTimeout: 60 * time.Second,
-		IdleTimeout:  120 * time.Second,
-	}
 	logger.Info("serving",
-		"posts", store.Len(), "addr", opts.addr, "seed", opts.seed, "shards", store.Shards())
+		"posts", store.Len(), "addr", opts.addr, "seed", opts.Seed, "shards", store.Shards())
 	// Drain in-flight searches on SIGINT/SIGTERM instead of dropping
 	// them mid-response; the helper is shared with pspd.
-	if err := psp.ListenAndServeGraceful(ctx, srv, 5*time.Second); err != nil {
+	if err := psp.ListenAndServeGraceful(ctx, daemon.NewServer(opts.addr, mux), 5*time.Second); err != nil {
 		return err
 	}
 	logger.Info("shut down cleanly")
 	return nil
 }
 
-func newLimiter(burst int, rate float64) *psp.RateLimiter {
-	return psp.NewRateLimiter(burst, rate)
-}
-
-// loadCorpus builds the store — durable when dataDir is set, striped
-// across the requested shard count — from the data directory, a
-// snapshot file, or the generator. met attaches the store's recording
-// surface from the first recovery replay on.
-func loadCorpus(seed int64, path, dataDir string, shards int, met *psp.SocialStoreMetrics) (*psp.SocialStore, error) {
-	if dataDir != "" {
-		// The Seed hook runs only until the directory's seed marker
-		// commits and resumes a crashed seed idempotently — a kill -9
-		// mid-seed can never leave a silently partial corpus.
-		return psp.OpenSocialStore(dataDir, psp.SocialDurableOptions{
-			Shards:  shards,
-			Seed:    func() ([]*psp.Post, error) { return seedPosts(seed, path) },
-			Metrics: met,
-		})
+// routeOf labels the search API's two routes by path and every other
+// /v2/ path (each a 404) with one fixed label, so client-chosen paths
+// cannot create metric or span series.
+func routeOf(r *http.Request) string {
+	switch r.URL.Path {
+	case "/v2/search", "/v2/healthz":
+		return r.URL.Path
 	}
-	var store *psp.SocialStore
-	var err error
-	if path == "" {
-		store, err = psp.DefaultSocialStoreShards(seed, shards)
-	} else {
-		var f *os.File
-		f, err = os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open corpus: %w", err)
-		}
-		defer f.Close()
-		store, err = psp.LoadSocialStoreShards(f, shards)
-		if err != nil {
-			return nil, fmt.Errorf("load corpus %s: %w", path, err)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	store.SetMetrics(met)
-	return store, nil
-}
-
-// seedPosts produces the posts seeding a fresh data directory.
-func seedPosts(seed int64, path string) ([]*psp.Post, error) {
-	if path == "" {
-		return psp.GenerateCorpus(psp.DefaultCorpusSpec(seed))
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("open corpus: %w", err)
-	}
-	defer f.Close()
-	return psp.ReadSocialPosts(f)
+	return "/v2/other"
 }
 
 // dumpCorpus writes the served store's contents as a snapshot —

@@ -2,33 +2,29 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	psp "github.com/psp-framework/psp"
+	"github.com/psp-framework/psp/internal/daemon"
 )
 
-func TestLoadCorpusGeneratesByDefault(t *testing.T) {
-	store, err := loadCorpus(42, "", "", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() == 0 {
-		t.Fatal("generated store is empty")
-	}
-}
-
+// TestDumpAndLoadSnapshot: -dump writes the served store, and a
+// -corpus boot from that file serves the same posts.
 func TestDumpAndLoadSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.jsonl")
 
-	store, err := loadCorpus(7, "", "", 0, nil)
+	store, _, err := daemon.OpenStore(daemon.Flags{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,18 +36,12 @@ func TestDumpAndLoadSnapshot(t *testing.T) {
 		t.Fatalf("snapshot missing or empty: %v", err)
 	}
 
-	back, err := loadCorpus(0, path, "", 2, nil)
+	back, _, err := daemon.OpenStore(daemon.Flags{Corpus: path, Shards: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != store.Len() {
 		t.Errorf("snapshot round trip: %d posts, want %d", back.Len(), store.Len())
-	}
-}
-
-func TestLoadCorpusMissingFile(t *testing.T) {
-	if _, err := loadCorpus(0, "/nonexistent/corpus.jsonl", "", 0, nil); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 
@@ -69,8 +59,8 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, options{
-			addr: addr, seed: 7, shards: 4,
-			logLevel: "warn", logFormat: "text",
+			Flags: daemon.Flags{Seed: 7, Shards: 4, LogLevel: "warn", LogFormat: "text"},
+			addr:  addr,
 		})
 	}()
 
@@ -88,8 +78,9 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The search API is instrumented: a search records under the store
-	// and HTTP families, and /v1/metrics serves the exposition.
+	// The search API is instrumented: a search records under the
+	// store.search span and HTTP families, and /v1/metrics serves the
+	// exposition.
 	resp, err := http.Get("http://" + addr + "/v2/search?q=chiptuning")
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +90,19 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 	if resp.Header.Get("X-Request-ID") == "" {
 		t.Error("no request ID on search response")
 	}
+	// Client-chosen paths share one route label: two random /v2/ paths
+	// must not mint their own series.
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(fmt.Sprintf("http://%s/v2/x%d", addr, rand.Int63()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("unknown path status %d, want 404", resp.StatusCode)
+		}
+	}
 	resp, err = http.Get("http://" + addr + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +110,18 @@ func TestRunServesAndShutsDownGracefully(t *testing.T) {
 	exposition, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		"psp_store_searches_total 1",
+		`psp_trace_spans_total{span="store.search"} 1`,
 		`psp_http_requests_total{code="2xx",route="/v2/search"} 1`,
+		`psp_http_requests_total{code="4xx",route="/v2/other"} 2`,
 	} {
 		if !strings.Contains(string(exposition), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	routes := map[string]bool{"/v2/search": true, "/v2/healthz": true, "/v2/other": true}
+	for _, m := range regexp.MustCompile(`(?:route="|span="http\.server )([^"]*)"`).FindAllStringSubmatch(string(exposition), -1) {
+		if !routes[m[1]] {
+			t.Errorf("exposition carries unbounded route label %q", m[0])
 		}
 	}
 

@@ -145,7 +145,12 @@
 // and psp_wal_*), a monitor (MonitorConfig.Metrics — psp_monitor_*),
 // or a TARA fleet (TARAMonitorConfig.Metrics — psp_tara_*), and serve
 // it all as a Prometheus text exposition (MetricsHandler; pspd and
-// sociald mount GET /v1/metrics). HTTP routes wrap in NewHTTPMetrics
+// sociald mount GET /v1/metrics). These surfaces hold the domain
+// counters spans cannot express (posts inserted, compaction bytes,
+// delta sizes); each stage's call count, error count and latency is
+// the psp_trace_* series of its span (store.add, store.search,
+// monitor.flush, tara.rate — see Distributed tracing), which appear at
+// the stage's first span. HTTP routes wrap in NewHTTPMetrics
 // middleware — per-route status-class counters, latency histograms,
 // X-Request-ID correlation flowing into structured log/slog lines —
 // and the same state is available programmatically as typed snapshots

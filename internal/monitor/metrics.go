@@ -8,6 +8,8 @@ import (
 
 // Metrics is the social monitor's recording surface. All fields are
 // obs recorders (atomic, nil-safe); nil *Metrics disables recording.
+// Flush counts, failures and latency are the psp_trace_* series of the
+// "monitor.flush" span (Config.Tracer).
 type Metrics struct {
 	// Generations counts published assessments; Recomputes the subset
 	// that actually re-ran the workflow (the rest re-published the
@@ -19,9 +21,6 @@ type Metrics struct {
 	PublishLatency *obs.Histogram
 	// DeltaPosts is the per-flush delta size distribution.
 	DeltaPosts *obs.Histogram
-	// Failures counts failed re-assessment flushes (retried with
-	// backoff).
-	Failures *obs.Counter
 
 	reg *obs.Registry
 }
@@ -40,8 +39,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			obs.DefaultLatencyBuckets, obs.LatencyScale),
 		DeltaPosts: reg.Histogram("psp_monitor_delta_posts", "Posts per re-assessment delta.",
 			obs.DefaultSizeBuckets, 1),
-		Failures: reg.Counter("psp_monitor_failures_total", "Failed re-assessment flushes."),
-		reg:      reg,
+		reg: reg,
 	}
 }
 
@@ -80,20 +78,15 @@ func (m *Monitor) registerGauges() {
 }
 
 // TARAMetrics is the TARA fleet monitor's recording surface.
+// Per-tenant pass counts, failures and latency are the psp_trace_*
+// series of the "tara.rate" span (TARAConfig.Tracer).
 type TARAMetrics struct {
-	// TenantRates counts successful per-tenant rating passes;
-	// RateLatency times them.
-	TenantRates *obs.Counter
-	RateLatency *obs.Histogram
 	// RatingCalls accumulates engine rating calls made by monitor
 	// passes — the delta of TenantAssessment.RatingCalls across
 	// publications, so it grows with dirty threats, not model size.
 	RatingCalls *obs.Counter
 	// DirtyThreats is the threats-re-rated-per-pass distribution.
 	DirtyThreats *obs.Histogram
-	// Failures counts failed per-tenant passes (re-marked dirty and
-	// retried with backoff).
-	Failures *obs.Counter
 
 	reg *obs.Registry
 }
@@ -101,15 +94,11 @@ type TARAMetrics struct {
 // NewTARAMetrics registers the psp_tara_* family in reg.
 func NewTARAMetrics(reg *obs.Registry) *TARAMetrics {
 	return &TARAMetrics{
-		TenantRates: reg.Counter("psp_tara_tenant_rates_total", "Successful per-tenant rating passes."),
-		RateLatency: reg.Histogram("psp_tara_rate_seconds", "Per-tenant re-rate latency.",
-			obs.DefaultLatencyBuckets, obs.LatencyScale),
 		RatingCalls: reg.Counter("psp_tara_rating_calls_total",
 			"Engine rating calls made by monitor passes (grows with dirty threats, not model size)."),
 		DirtyThreats: reg.Histogram("psp_tara_rated_threats", "Threats re-rated per tenant pass.",
 			obs.DefaultSizeBuckets, 1),
-		Failures: reg.Counter("psp_tara_failures_total", "Failed per-tenant rating passes."),
-		reg:      reg,
+		reg: reg,
 	}
 }
 

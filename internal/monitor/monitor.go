@@ -45,9 +45,8 @@ type Config struct {
 	// state is saved with a nil cursor and ignored at restore time.
 	State StateStore
 	// Metrics, when set, records publication counts, debounce-to-publish
-	// latency, delta sizes and failures (see NewMetrics); gauge-valued
-	// readings (generation, assessment age, error age) register at
-	// construction.
+	// latency and delta sizes (see NewMetrics); gauge-valued readings
+	// (generation, assessment age, error age) register at construction.
 	Metrics *Metrics
 	// Tracer, when set, records one "monitor.flush" span per
 	// re-assessment with the delta's cost attribution (posts, cache
@@ -55,6 +54,8 @@ type Config struct {
 	// re-ran). When the watched store is traced too (Store.SetTracer),
 	// the flush span links into the trace of the ingest that triggered
 	// it, so GET /v1/trace shows ingest → WAL → delta run end to end.
+	// The span is the flush's only count, failure and latency record
+	// (psp_trace_* on the tracer's registry).
 	Tracer *obs.Tracer
 	// Logger receives the monitor's structured log lines; nil discards.
 	Logger *slog.Logger
@@ -328,9 +329,6 @@ func (m *Monitor) flush(ctx context.Context, pending []*social.Post, pendingSinc
 			m.lastErrAt = m.cfg.Now()
 		}
 		m.mu.Unlock()
-		if met != nil {
-			met.Failures.Inc()
-		}
 		m.cfg.Logger.Warn("re-assessment failed", slog.Int("delta_posts", len(pending)), slog.Any("error", err))
 		return
 	}

@@ -127,7 +127,9 @@ func TestAPIReadinessGate(t *testing.T) {
 
 // TestAPIObservabilityEndToEnd: with a registry attached, requests get
 // IDs, routes record under psp_http_*, and /v1/metrics exposes the
-// monitor and TARA families alongside the gauge callbacks.
+// monitor and TARA families alongside the gauge callbacks, with
+// per-tenant rating passes under the tara.rate span series of a
+// tracer on the same registry.
 func TestAPIObservabilityEndToEnd(t *testing.T) {
 	obsReg := obs.NewRegistry()
 	store, err := social.DefaultStore(42)
@@ -157,6 +159,7 @@ func TestAPIObservabilityEndToEnd(t *testing.T) {
 		Framework: tfw, Registry: taraReg,
 		Debounce: 10 * time.Millisecond,
 		Metrics:  NewTARAMetrics(obsReg),
+		Tracer:   obs.NewTracer(obs.TracerOptions{Registry: obsReg}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +212,7 @@ func TestAPIObservabilityEndToEnd(t *testing.T) {
 		"psp_monitor_generations_total",
 		"psp_monitor_publish_seconds_bucket",
 		"psp_monitor_generation 1",
-		"psp_tara_tenant_rates_total",
+		`psp_trace_spans_total{span="tara.rate"}`,
 		"psp_tara_tenants 2",
 		`psp_http_requests_total{code="2xx",route="/v1/assessment"} 1`,
 		`psp_http_request_seconds_count{route="/v1/assessment"} 1`,

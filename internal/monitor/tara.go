@@ -30,12 +30,14 @@ type TARAConfig struct {
 	Debounce time.Duration
 	// Now overrides the clock for tests.
 	Now func() time.Time
-	// Metrics, when set, records per-tenant rate latency, rating-call
-	// deltas and dirty-threat counts (see NewTARAMetrics).
+	// Metrics, when set, records rating-call deltas and dirty-threat
+	// counts (see NewTARAMetrics).
 	Metrics *TARAMetrics
 	// Tracer, when set, records one "tara.rate" span per tenant
 	// re-rate, attributing the pass's cost (dirty threats re-rated,
-	// rating calls spent) to the tenant.
+	// rating calls spent) to the tenant. The span is the pass's only
+	// count, failure and latency record (psp_trace_* on the tracer's
+	// registry); without a tracer none is kept.
 	Tracer *obs.Tracer
 	// Logger receives the fleet monitor's structured log lines; nil
 	// discards.
@@ -151,7 +153,6 @@ func (tm *TARAMonitor) ratePass(ctx context.Context, names []string) bool {
 		}
 		_, span := tm.cfg.Tracer.Start(ctx, "tara.rate")
 		span.SetAttr("tenant", name)
-		t0 := time.Now()
 		cur, err := ten.Rate(tm.cfg.Now(), func(p *tara.Plan) ([]*tara.ThreatResult, error) {
 			return tm.cfg.Framework.RatePlan(ctx, p)
 		})
@@ -160,24 +161,17 @@ func (tm *TARAMonitor) ratePass(ctx context.Context, names []string) bool {
 		tm.mu.Unlock()
 		if err != nil {
 			ok = false
-			if met != nil {
-				met.Failures.Inc()
-			}
 			span.Fail(err)
 			span.End()
 			tm.cfg.Logger.Warn("tenant rating failed", "tenant", name, "error", err)
 			tm.cfg.Registry.MarkDirty(name)
 			continue
 		}
-		if met != nil {
-			met.TenantRates.Inc()
-			met.RateLatency.ObserveSince(t0)
-			// Rate keeps the previous assessment when nothing is dirty —
-			// only an actual re-rate advances the call and threat counters.
-			if cur != prev {
-				met.RatingCalls.Add(ten.RatingCalls() - prevCalls)
-				met.DirtyThreats.Observe(int64(cur.RatedThreats))
-			}
+		// Rate keeps the previous assessment when nothing is dirty — only
+		// an actual re-rate advances the call and threat counters.
+		if met != nil && cur != prev {
+			met.RatingCalls.Add(ten.RatingCalls() - prevCalls)
+			met.DirtyThreats.Observe(int64(cur.RatedThreats))
 		}
 		if span != nil {
 			if cur != prev {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"log/slog"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,7 +72,7 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.Attrs = append(s.Attrs, SpanAttr{Key: key, Value: formatInt(v)})
+	s.Attrs = append(s.Attrs, SpanAttr{Key: key, Value: strconv.FormatInt(v, 10)})
 }
 
 // SetBool attaches a boolean attribute.
@@ -122,30 +123,6 @@ func (s *Span) End() {
 	}
 	s.Duration = time.Since(s.Start)
 	s.tracer.finish(s)
-}
-
-func formatInt(v int64) string {
-	// strconv-free hot path would be overkill; keep it simple.
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	var buf [21]byte
-	i := len(buf)
-	u := uint64(v)
-	if neg {
-		u = uint64(-v)
-	}
-	for u > 0 {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 const ctxSpan ctxKey = 100

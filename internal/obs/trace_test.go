@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,7 +108,7 @@ func TestSamplingInheritedByChildren(t *testing.T) {
 func TestRingWrapNewestFirst(t *testing.T) {
 	tr := NewTracer(TracerOptions{Capacity: 4, SampleRate: 1})
 	for i := 0; i < 10; i++ {
-		_, s := tr.Start(context.Background(), "span"+formatInt(int64(i)))
+		_, s := tr.Start(context.Background(), "span"+strconv.Itoa(i))
 		s.End()
 	}
 	spans := tr.Spans(0)

@@ -1,29 +1,22 @@
 package social
 
 import (
-	"time"
-
 	"github.com/psp-framework/psp/internal/durable"
 	"github.com/psp-framework/psp/internal/obs"
 )
 
-// StoreMetrics is the store's recording surface: ingest, search,
-// changefeed and durability telemetry. Every field is an obs recorder
-// (atomic, nil-safe); the store holds the struct behind an atomic
-// pointer, so an uninstrumented store pays one pointer load and a nil
-// check per operation and nothing else.
+// StoreMetrics is the store's recording surface: the domain counters
+// spans cannot express — posts inserted, changefeed and durability
+// telemetry. Per-call counts, errors and latency of Add and Search are
+// the psp_trace_* series of the "store.add" and "store.search" spans
+// (SetTracer), and the search fan-out is the "stripes" attribute of
+// each "store.search" span. Every field is an obs recorder (atomic,
+// nil-safe); the store holds the struct behind an atomic pointer, so an
+// uninstrumented store pays one pointer load and a nil check per
+// operation and nothing else.
 type StoreMetrics struct {
-	// Ingest: batches, posts, failures, and end-to-end Add latency
-	// (validation through WAL fsync through index commit).
-	Adds       *obs.Counter
+	// AddedPosts counts posts inserted by Add.
 	AddedPosts *obs.Counter
-	AddErrors  *obs.Counter
-	AddLatency *obs.Histogram
-	// Search: calls, latency, and shard snapshots visited (the
-	// window→stripe pruning fan-out; always counted when instrumented).
-	Searches      *obs.Counter
-	SearchLatency *obs.Histogram
-	ShardVisits   *obs.Counter
 	// Changefeed publication volume.
 	FeedBatches *obs.Counter
 	FeedPosts   *obs.Counter
@@ -56,17 +49,7 @@ type StoreMetrics struct {
 // yields an all-no-op surface.
 func NewStoreMetrics(reg *obs.Registry) *StoreMetrics {
 	return &StoreMetrics{
-		Adds:       reg.Counter("psp_store_adds_total", "Ingest batches accepted by Store.Add."),
-		AddedPosts: reg.Counter("psp_store_added_posts_total", "Posts inserted by Store.Add."),
-		AddErrors:  reg.Counter("psp_store_add_errors_total", "Store.Add calls that returned an error."),
-		AddLatency: reg.Histogram("psp_store_add_seconds",
-			"Store.Add latency, validation through durability and index commit.",
-			obs.DefaultLatencyBuckets, obs.LatencyScale),
-		Searches: reg.Counter("psp_store_searches_total", "Store.Search calls."),
-		SearchLatency: reg.Histogram("psp_store_search_seconds", "Store.Search latency.",
-			obs.DefaultLatencyBuckets, obs.LatencyScale),
-		ShardVisits: reg.Counter("psp_store_search_shard_visits_total",
-			"Shard snapshots examined by Search (window-to-stripe pruning fan-out)."),
+		AddedPosts:  reg.Counter("psp_store_added_posts_total", "Posts inserted by Store.Add."),
 		FeedBatches: reg.Counter("psp_store_changefeed_batches_total", "Batches published to the changefeed."),
 		FeedPosts:   reg.Counter("psp_store_changefeed_posts_total", "Posts published to the changefeed."),
 		Compactions: reg.Counter("psp_store_compactions_total", "Snapshot compactions completed."),
@@ -100,6 +83,9 @@ func NewStoreMetrics(reg *obs.Registry) *StoreMetrics {
 }
 
 // SetMetrics attaches (or, with nil, detaches) a recording surface.
+// Per-call Add and Search latency comes from the tracer (SetTracer),
+// not from this surface: a store with metrics but no tracer records
+// no per-stage latency.
 // Gauge-valued readings that need store state — live post count,
 // changefeed backlog — register as exposition-time callbacks here, so
 // the hot paths never maintain them. One StoreMetrics instance should
@@ -131,18 +117,13 @@ func (s *Store) SetMetrics(m *StoreMetrics) {
 func (s *Store) Metrics() *StoreMetrics { return s.met.Load() }
 
 // StoreStats is a typed point-in-time snapshot of the store's own
-// counters — the programmatic companion to the Prometheus exposition,
-// and the public replacement for one-off test hooks like
-// SearchShardVisits.
+// state — the programmatic companion to the Prometheus exposition.
+// Per-search stripe fan-out is not here: it is the "stripes" attribute
+// of each "store.search" span.
 type StoreStats struct {
 	// Posts and Shards describe the corpus layout.
 	Posts  int
 	Shards int
-	// SearchShardVisits is the cumulative count of shard snapshots
-	// examined by Search. Reading stats activates the observer-gated
-	// counter (see SearchShardVisits), so take a baseline snapshot
-	// before a measured workload.
-	SearchShardVisits int64
 	// ChangefeedSubscribers / ChangefeedBacklog describe the changefeed:
 	// live subscriptions and posts queued but not yet delivered.
 	ChangefeedSubscribers int
@@ -175,7 +156,6 @@ func (s *Store) Stats() StoreStats {
 	st := StoreStats{
 		Posts:                 s.Len(),
 		Shards:                len(s.shards),
-		SearchShardVisits:     s.SearchShardVisits(),
 		ChangefeedSubscribers: len(s.subs.Load().subs),
 		ChangefeedBacklog:     s.ChangefeedBacklog(),
 	}
@@ -198,14 +178,4 @@ func (s *Store) Stats() StoreStats {
 		st.DegradedCause = de.Cause.Error()
 	}
 	return st
-}
-
-// metricsNow returns the attached surface and, when one is attached, a
-// start timestamp — the single branch instrumented hot paths pay.
-func (s *Store) metricsNow() (*StoreMetrics, time.Time) {
-	m := s.met.Load()
-	if m == nil {
-		return nil, time.Time{}
-	}
-	return m, time.Now()
 }

@@ -7,14 +7,26 @@ import (
 	"github.com/psp-framework/psp/internal/obs"
 )
 
-// TestStoreMetricsRecording: adds, searches, shard visits and
-// changefeed publication land in the attached surface; Stats mirrors
-// them as a typed snapshot.
+// spanSeries returns the psp_trace_* count, error and latency series
+// that a tracer recording into reg keeps for spans named name.
+func spanSeries(reg *obs.Registry, name string) (total, errs *obs.Counter, seconds *obs.Histogram) {
+	l := obs.Label{Key: "span", Value: name}
+	return reg.Counter("psp_trace_spans_total", "", l),
+		reg.Counter("psp_trace_span_errors_total", "", l),
+		reg.Histogram("psp_trace_span_seconds", "", obs.DefaultLatencyBuckets, obs.LatencyScale, l)
+}
+
+// TestStoreMetricsRecording: adds and searches land in the span
+// series of a tracer on the same registry, the search fan-out in the
+// span's stripes attribute, inserted posts and changefeed publication
+// in the attached surface; Stats mirrors the store as a typed snapshot.
 func TestStoreMetricsRecording(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewStoreMetrics(reg)
+	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1, Registry: reg})
 	s := NewStoreShards(4)
 	s.SetMetrics(m)
+	s.SetTracer(tr)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -28,31 +40,33 @@ func TestStoreMetricsRecording(t *testing.T) {
 	if err := s.Add(durPost(0, 0)); err == nil {
 		t.Fatal("duplicate add must fail")
 	}
-	if got := m.Adds.Value(); got != 11 {
+	adds, addErrors, addLatency := spanSeries(reg, "store.add")
+	if got := adds.Value(); got != 11 {
 		t.Fatalf("adds = %d, want 11", got)
 	}
 	if got := m.AddedPosts.Value(); got != 10 {
 		t.Fatalf("added posts = %d, want 10", got)
 	}
-	if got := m.AddErrors.Value(); got != 1 {
+	if got := addErrors.Value(); got != 1 {
 		t.Fatalf("add errors = %d, want 1", got)
 	}
-	if got := m.AddLatency.Count(); got != 11 {
+	if got := addLatency.Count(); got != 11 {
 		t.Fatalf("add latency count = %d, want 11", got)
 	}
 
 	if _, err := s.Search(ctx, Query{MaxResults: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Searches.Value(); got != 1 {
+	searches, _, searchLatency := spanSeries(reg, "store.search")
+	if got := searches.Value(); got != 1 {
 		t.Fatalf("searches = %d, want 1", got)
 	}
-	if got := m.SearchLatency.Count(); got != 1 {
+	if got := searchLatency.Count(); got != 1 {
 		t.Fatalf("search latency count = %d, want 1", got)
 	}
 	// An unwindowed query visits every stripe.
-	if got := m.ShardVisits.Value(); got != 4 {
-		t.Fatalf("shard visits = %d, want 4", got)
+	if got := spanAttrs(findSpan(t, tr.Spans(0), "store.search"))["stripes"]; got != "4" {
+		t.Fatalf("shard visits = %s, want 4", got)
 	}
 
 	if got := m.FeedPosts.Value(); got != 10 {
@@ -71,14 +85,6 @@ func TestStoreMetricsRecording(t *testing.T) {
 	}
 	if st.Durable {
 		t.Fatal("in-memory store reported durable")
-	}
-	// Stats activates the observer-gated visit counter; a second search
-	// then shows up in the next snapshot.
-	if _, err := s.Search(ctx, Query{MaxResults: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().SearchShardVisits - st.SearchShardVisits; got != 4 {
-		t.Fatalf("visit delta = %d, want 4", got)
 	}
 
 	// The gauge callbacks registered by SetMetrics read live state.

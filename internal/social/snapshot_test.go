@@ -5,9 +5,12 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/psp-framework/psp/internal/obs"
 )
 
 // lowerCompactThreshold shrinks the delta-generation bound so small
@@ -205,9 +208,10 @@ func TestSearchAllEquivalenceWithPruning(t *testing.T) {
 }
 
 // TestWindowPruningVisitsOnlyStripeSet verifies the ≥5× fan-out
-// reduction by counter: on a 90-day corpus at 16 shards, a 1-day window
-// must visit at most 2 stripes (a day window can straddle one bucket
-// boundary) while an unbounded query visits all 16.
+// reduction by the stripes attribute of each store.search span: on a
+// 90-day corpus at 16 shards, a 1-day window must visit at most 2
+// stripes (a day window can straddle one bucket boundary) while an
+// unbounded query visits all 16.
 func TestWindowPruningVisitsOnlyStripeSet(t *testing.T) {
 	s := NewStoreShards(16)
 	for i := 0; i < 90; i++ {
@@ -215,33 +219,40 @@ func TestWindowPruningVisitsOnlyStripeSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
+	s.SetTracer(tr)
 	ctx := context.Background()
+	visited := func() int {
+		t.Helper()
+		n, err := strconv.Atoi(spanAttrs(findSpan(t, tr.Spans(1), "store.search"))["stripes"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 
-	before := s.SearchShardVisits()
 	page, err := s.Search(ctx, Query{})
 	if err != nil || page.TotalMatches != 90 {
 		t.Fatalf("unbounded search: %v (total %d)", err, page.TotalMatches)
 	}
-	if got := s.SearchShardVisits() - before; got != 16 {
+	if got := visited(); got != 16 {
 		t.Errorf("unbounded query visited %d stripes, want 16", got)
 	}
 
 	day30 := dayPost(30).CreatedAt.Truncate(24 * time.Hour)
-	before = s.SearchShardVisits()
 	page, err = s.Search(ctx, Query{Since: day30, Until: day30.AddDate(0, 0, 1)})
 	if err != nil || page.TotalMatches != 1 || page.Posts[0].ID != "day-030" {
 		t.Fatalf("1-day window search: %+v, %v", page, err)
 	}
-	if got := s.SearchShardVisits() - before; got > 2 {
+	if got := visited(); got > 2 {
 		t.Errorf("1-day window visited %d stripes, want ≤ 2", got)
 	}
 
 	// An empty window visits nothing at all.
-	before = s.SearchShardVisits()
 	if _, err := s.Search(ctx, Query{Since: day30, Until: day30}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SearchShardVisits() - before; got != 0 {
+	if got := visited(); got != 0 {
 		t.Errorf("empty window visited %d stripes, want 0", got)
 	}
 }

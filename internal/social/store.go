@@ -261,15 +261,6 @@ type Store struct {
 	// snapshots.
 	ids [idStripes]idStripe
 
-	// visits counts shard snapshots examined by Search — the
-	// observable effect of window→stripe pruning, read by tests and
-	// benchmarks. countVisits gates it: the increment would be the only
-	// cross-core shared write on the otherwise share-nothing read path,
-	// so it stays off until someone reads the counter (Search then only
-	// pays a read-shared bool load).
-	visits      atomic.Int64
-	countVisits atomic.Bool
-
 	// subs is the changefeed subscriber registry behind an atomic
 	// pointer to an immutable set: publication is a lock-free load plus
 	// per-subscriber enqueue, so commits on disjoint stripe sets no
@@ -453,17 +444,11 @@ func (s *Store) AddCount(posts ...*Post) (int, error) {
 // context holds, so an HTTP ingest and the delta run it triggers share
 // one trace.
 func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error) {
-	m, t0 := s.metricsNow()
 	ctx, span := s.trc.Load().Start(ctx, "store.add")
 	span.SetInt("posts", int64(len(posts)))
 	if de := s.degraded.Load(); de != nil {
 		// Read-only degraded mode: refuse before registering anything, so
 		// a rejected batch leaves no trace in the ID registry.
-		if m != nil {
-			m.Adds.Inc()
-			m.AddErrors.Inc()
-			m.AddLatency.ObserveSince(t0)
-		}
 		span.Fail(de)
 		span.End()
 		return 0, de
@@ -495,13 +480,8 @@ func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error
 	if walErr != nil {
 		err = walErr
 	}
-	if m != nil {
-		m.Adds.Inc()
+	if m := s.met.Load(); m != nil {
 		m.AddedPosts.Add(uint64(inserted))
-		if err != nil {
-			m.AddErrors.Inc()
-		}
-		m.AddLatency.ObserveSince(t0)
 	}
 	span.SetInt("inserted", int64(inserted))
 	span.Fail(err)
@@ -776,7 +756,6 @@ func (s *Store) Search(ctx context.Context, q Query) (*Page, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m, t0 := s.metricsNow()
 	_, span := s.trc.Load().Start(ctx, "store.search")
 	var cur *Cursor
 	if q.PageToken != "" {
@@ -801,12 +780,6 @@ func (s *Store) Search(ctx context.Context, q Query) (*Page, error) {
 		for i := range stripes {
 			stripes[i] = i
 		}
-	}
-	if s.countVisits.Load() {
-		s.visits.Add(int64(len(stripes)))
-	}
-	if m != nil {
-		m.ShardVisits.Add(uint64(len(stripes)))
 	}
 	snaps := make([]*shardSnapshot, len(stripes))
 	for k, i := range stripes {
@@ -858,10 +831,6 @@ func (s *Store) Search(ctx context.Context, q Query) (*Page, error) {
 	if len(posts) > 0 {
 		page.Posts = posts
 	}
-	if m != nil {
-		m.Searches.Inc()
-		m.SearchLatency.ObserveSince(t0)
-	}
 	if span != nil {
 		scanned := 0
 		for _, it := range iters {
@@ -875,20 +844,6 @@ func (s *Store) Search(ctx context.Context, q Query) (*Page, error) {
 		span.End()
 	}
 	return page, nil
-}
-
-// SearchShardVisits reads the cumulative count of shard snapshots
-// Search has examined. It is an observability counter: the difference
-// across a workload divided by its query count is the per-query stripe
-// fan-out, which window→stripe pruning keeps at O(window buckets)
-// instead of the stripe count. Counting is observer-activated — it
-// starts at the first call, so read a baseline before the measured
-// workload; stores nobody observes never pay the shared write on the
-// read path. The pruning tests and benchmarks verify the stripe-set
-// contract through it.
-func (s *Store) SearchShardVisits() int64 {
-	s.countVisits.Store(true)
-	return s.visits.Load()
 }
 
 // forEachBounded runs fn for every index on a bounded worker set (the

@@ -10,6 +10,9 @@ import (
 // "store.search" spans carrying per-query cost attribution (stripes
 // visited, posting entries scanned, delta sizes) and AddCountContext
 // opens "store.add" spans with a "wal.append" child on durable stores.
+// Every finished span, sampled or not, feeds the tracer registry's
+// psp_trace_* series: they are the store's only per-call count, error
+// and latency record (StoreMetrics keeps the domain counters).
 func (s *Store) SetTracer(t *obs.Tracer) {
 	s.trc.Store(t)
 }

@@ -32,12 +32,16 @@ type (
 	HTTPMetrics = obs.HTTPMetrics
 
 	// SocialStoreMetrics is the social store's recording surface
-	// (psp_store_* and, through its WAL field, psp_wal_*). Attach with
-	// SocialStore.SetMetrics or SocialDurableOptions.Metrics.
+	// (psp_store_* and, through its WAL field, psp_wal_*): posts
+	// inserted, changefeed, compaction, recovery and WAL counters. Attach
+	// with SocialStore.SetMetrics or SocialDurableOptions.Metrics.
+	// Per-call Add and Search counts, errors and latency are the
+	// psp_trace_* series of a tracer (SocialStore.SetTracer): a store
+	// with metrics but no tracer records no per-stage latency.
 	SocialStoreMetrics = social.StoreMetrics
 	// SocialStoreStats is a typed point-in-time snapshot of a store
-	// (SocialStore.Stats): corpus size, shard count, search shard
-	// visits, changefeed backlog and WAL floors.
+	// (SocialStore.Stats): corpus size, shard count, changefeed backlog,
+	// WAL floors, compaction volume and recovery paths.
 	SocialStoreStats = social.StoreStats
 	// WALMetrics is the write-ahead log's recording surface: append and
 	// fsync latency, group-commit coalescing, segment rolls.
@@ -86,7 +90,10 @@ const Version = "0.10.0"
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewSocialStoreMetrics registers the psp_store_* and psp_wal_* families
-// in reg and returns the surface to attach to one store.
+// in reg and returns the surface to attach to one store. Per-stage
+// latency comes from a tracer on the same registry (NewTracer with
+// TracerOptions.Registry), whose psp_trace_* series appear at each
+// stage's first span.
 func NewSocialStoreMetrics(reg *MetricsRegistry) *SocialStoreMetrics {
 	return social.NewStoreMetrics(reg)
 }
