@@ -50,11 +50,14 @@
 // -data-dir makes the daemon durable: the store runs on a per-stripe
 // write-ahead log with background snapshot compaction (ingest
 // acknowledges only after its batch is fsync'd), and the monitor
-// persists its assessment, listing cache and changefeed cursor after
+// persists its assessment, result cache (listings and per-post
+// analysis) and changefeed cursor to <data-dir>/monitor.state after
 // every publication. A restarted pspd recovers the corpus from
 // snapshot + WAL tail, serves its previous assessment immediately
 // (same generation, same ETag) and catches up with one incremental
-// delta run instead of a cold full workflow. -seed/-corpus seed only
+// delta run instead of a cold full workflow. A monitor.json left by an
+// older build is not read: that start runs cold, and its first save
+// removes the old file. -seed/-corpus seed only
 // an empty data directory; afterwards the directory is authoritative
 // (including its shard count — -shards must agree or stay 0).
 //
@@ -118,6 +121,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -169,7 +173,10 @@ func run(ctx context.Context, opts options) error {
 	store, logger := base.Store, base.Logger
 	var state psp.MonitorStateStore
 	if opts.DataDir != "" {
-		state = psp.NewMonitorFileState(filepath.Join(opts.DataDir, "monitor.json"))
+		state = &stateFile{
+			MonitorStateStore: psp.NewMonitorFileState(filepath.Join(opts.DataDir, "monitor.state")),
+			legacy:            filepath.Join(opts.DataDir, "monitor.json"),
+		}
 	}
 	m, fw, err := newMonitor(store, state, opts, psp.NewMonitorMetrics(base.Registry), base.Tracer, logger)
 	if err != nil {
@@ -228,6 +235,24 @@ func run(ctx context.Context, opts options) error {
 		return err
 	}
 	logger.Info("shut down cleanly")
+	return nil
+}
+
+// stateFile is the monitor's state file in the data directory. Its
+// first successful save removes the monitor.json an older build kept
+// there, a format no build reads any more; a failed removal is
+// harmless and retried by the next start.
+type stateFile struct {
+	psp.MonitorStateStore
+	legacy string
+	once   sync.Once
+}
+
+func (f *stateFile) Save(st *psp.MonitorState) error {
+	if err := f.MonitorStateStore.Save(st); err != nil {
+		return err
+	}
+	f.once.Do(func() { _ = os.Remove(f.legacy) })
 	return nil
 }
 

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +165,12 @@ func TestDaemonWarmRestart(t *testing.T) {
 		}
 	}
 
+	// A state file an older build left behind is not read, and the
+	// first save removes it.
+	legacy := filepath.Join(dataDir, "monitor.json")
+	if err := os.WriteFile(legacy, []byte(`{"generation": 7, "result": {}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var first struct {
 		Generation int  `json:"generation"`
 		CorpusSize int  `json:"corpus_size"`
@@ -173,6 +183,12 @@ func TestDaemonWarmRestart(t *testing.T) {
 		t.Fatalf("first life served a restored assessment: %+v", first)
 	}
 	stop(cancel, done)
+	if _, err := os.Stat(legacy); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("legacy monitor.json still present after the first save: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "monitor.state")); err != nil {
+		t.Fatalf("no monitor.state after the first life: %v", err)
+	}
 
 	var second struct {
 		Generation int  `json:"generation"`

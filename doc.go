@@ -123,11 +123,14 @@
 // with the file named, and a directory from an older layout is refused
 // untouched with the -dump/-corpus migration route in the error. The
 // monitor persists its own state alongside (MonitorConfig.State,
-// NewMonitorFileState): the serialized assessment, the listing cache's
-// fill identities, and the store cursor. A restarted pspd therefore
-// serves its previous assessment immediately — same generation, same
-// ETag — and catches up with one incremental delta run over the posts
-// ingested past the cursor instead of a cold full workflow. The
+// NewMonitorFileState), in the same CRC-framed sections: the
+// serialized assessment, the result cache's fills (post IDs) and slice
+// memos (per-post features and co-occurrence graphs), and the store
+// cursor. A restarted pspd therefore serves its previous assessment
+// immediately — same generation, same ETag — and catches up with one
+// incremental delta run over the posts ingested past the cursor, which
+// re-analyzes only posts the saved cache never saw, instead of a cold
+// full workflow. The
 // daemons expose all of this as -data-dir; JSON Lines corpus dumps
 // (WriteSocialPostsFile, sociald -dump) are atomic — temp file, fsync,
 // rename — so no crash can leave a half-written corpus.

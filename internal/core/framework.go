@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 
@@ -50,6 +51,7 @@ type Framework struct {
 	keywords     *KeywordDB
 	builder      *sai.Builder
 	scorer       *sai.Scorer
+	weights      sai.Weights
 	bands        sai.RatingBands
 	financeBands finance.Thresholds
 	learnMax     int
@@ -117,6 +119,7 @@ func New(cfg Config) (*Framework, error) {
 		keywords:     keywords,
 		builder:      builder,
 		scorer:       scorer,
+		weights:      weights,
 		bands:        bands,
 		financeBands: finBands,
 		learnMax:     learnMax,
@@ -128,6 +131,25 @@ func New(cfg Config) (*Framework, error) {
 // Keywords returns the framework's keyword database (the live instance:
 // social runs extend a clone, and PersistLearned merges results back).
 func (f *Framework) Keywords() *KeywordDB { return f.keywords }
+
+// AnalysisSignature fingerprints the configuration a social run's
+// results depend on besides its input: the attraction weights, the
+// rating bands, the learning cap and the keyword database. Persisted
+// analysis state is valid only under the signature it was saved with.
+func (f *Framework) AnalysisSignature() string {
+	data, err := json.Marshal(struct {
+		Weights  sai.Weights
+		Bands    sai.RatingBands
+		LearnMax int
+		Keywords []*KeywordGroup
+	}{f.weights, f.bands, f.learnMax, f.keywords.Groups()})
+	if err != nil {
+		// Plain data always marshals; a failure still yields a stable
+		// signature that matches nothing saved.
+		return fmt.Sprintf("unmarshalable: %v", err)
+	}
+	return string(data)
+}
 
 // Bands returns the share → rating bands in use.
 func (f *Framework) Bands() sai.RatingBands { return f.bands }

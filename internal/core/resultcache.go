@@ -140,13 +140,14 @@ func (c *QueryCache) Len() int {
 //
 // When invalidation forces a re-drain, the new slice inherits the
 // previous memo's features for every post both listings hold, matched
-// by *social.Post pointer (posts are immutable and the store is
-// append-only), so only posts new to the listing are tokenized. The
-// graph follows one rule: a listing that is a superset of the previous
-// one gets the previous graph plus the added posts' observations
-// (integer counts, so exact); any other listing — a post dropped by the
-// poisoning defence, a federated page that lost a backend, or fresh
-// pointers from a remote drain — rebuilds it from scratch.
+// by post ID (posts are immutable, and a listing — a federated one
+// included — holds each ID once), so only posts new to the listing are
+// tokenized, whether the previous memo was built in this process or
+// restored from persisted state. The graph follows one rule: a listing
+// that is a superset of the previous one gets the previous graph plus
+// the added posts' observations (integer counts, so exact); any other
+// listing — a post dropped by the poisoning defence, or a federated
+// page that lost a backend — rebuilds it from scratch.
 type querySlice struct {
 	fill     *cacheFill // nil on uncached runs
 	posts    []*social.Post
@@ -171,10 +172,12 @@ type threatMemo struct {
 // matched the query — which is exactly the condition under which the
 // slice's inputs, and therefore its derivations, are provably
 // identical. A memo whose fill was invalidated still lends its per-post
-// features (and, for a superset listing, its co-occurrence graph) to
-// the re-drain, so a delta costs tokenizing the posts new to each
-// re-drained listing plus arithmetic over the listing. Features live
-// only inside slice memos and are freed when the sweep drops a slice.
+// features (by post ID) and, for a superset listing, its co-occurrence
+// graph to the re-drain, so a delta costs tokenizing the posts new to
+// each re-drained listing plus arithmetic over the listing. Features
+// and graphs live inside slice memos and are freed when the sweep drops
+// a slice; ExportMemos and ImportFills carry them across a restart
+// next to the fills, so a restored cache is as warm as the saved one.
 type ResultCache struct {
 	qc      *QueryCache
 	mu      sync.Mutex
@@ -186,9 +189,10 @@ type ResultCache struct {
 	usedKeys    map[string]bool
 	usedSigs    map[string]bool
 	usedThreats map[string]bool
-	// analyzed counts the posts tokenized into features, over the
-	// cache's lifetime — the incremental cost model's unit of work.
-	analyzed atomic.Int64
+	// tokenized counts the posts tokenized over the cache's lifetime,
+	// into features or into a rebuilt co-occurrence graph — the
+	// incremental cost model's unit of work.
+	tokenized atomic.Int64
 }
 
 // NewResultCache builds a result cache over a platform backend. Pass it

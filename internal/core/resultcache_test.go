@@ -277,7 +277,7 @@ func TestRunSocialDeltaAnalyzesOnlyNewPosts(t *testing.T) {
 		listed += len(qs.posts)
 		before[sig] = qs
 	}
-	cold := rc.analyzed.Load()
+	cold := rc.tokenized.Load()
 	if cold != int64(listed) {
 		t.Fatalf("cold run analyzed %d posts, want the %d listed", cold, listed)
 	}
@@ -317,7 +317,7 @@ func TestRunSocialDeltaAnalyzesOnlyNewPosts(t *testing.T) {
 			}
 		}
 	}
-	got := rc.analyzed.Load() - cold
+	got := rc.tokenized.Load() - cold
 	if redrained == 0 || want == 0 {
 		t.Fatalf("delta re-drained %d listings with %d new posts; test is vacuous", redrained, want)
 	}

@@ -93,7 +93,7 @@ func (f *Framework) RunSocial(ctx context.Context, in SocialInput) (*SocialResul
 // ingest. After rc.Invalidate(newPosts), only the slices a new post can
 // actually match are re-drained, and a re-drained slice re-analyzes only
 // the posts new to its listing: every post it held before keeps its
-// memoized SAI features (matched by pointer), and its co-occurrence
+// memoized SAI features (matched by post ID), and its co-occurrence
 // graph is the previous graph plus the added posts when the new listing
 // is a superset of the old one, rebuilt from scratch otherwise. A steady
 // trickle of posts therefore costs tokenizing the delta plus arithmetic
@@ -355,6 +355,7 @@ func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc
 		if fresh {
 			if withGraph && prev.graph == nil {
 				prev.graph = sai.BuildGroupGraph(prev.posts)
+				rc.tokenized.Add(int64(len(prev.posts)))
 			}
 			return prev, nil
 		}
@@ -371,9 +372,9 @@ func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc
 		}
 		qs.posts, qs.filtered = reportOut.Clean, len(reportOut.Flagged)
 	}
-	analyzed := f.analyzeSlice(qs, prev, withGraph)
+	tokenized := f.analyzeSlice(qs, prev, withGraph)
 	if rc != nil {
-		rc.analyzed.Add(int64(analyzed))
+		rc.tokenized.Add(int64(tokenized))
 		qs.fill = rc.qc.lookup(key)
 		rc.storeSlice(sig, qs)
 	}
@@ -382,16 +383,15 @@ func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc
 
 // analyzeSlice fills a freshly drained slice's features — and its
 // co-occurrence graph when withGraph — reusing prev's features for the
-// posts prev already held. It returns the number of posts analyzed.
-// Each post is tokenized at most once: new posts for their features
-// and hashtags together, reused posts only when the graph must be
-// rebuilt.
+// posts prev already held, matched by ID. It returns the number of
+// posts tokenized: each at most once, new posts for their features and
+// hashtags together, reused posts only when the graph must be rebuilt.
 func (f *Framework) analyzeSlice(qs, prev *querySlice, withGraph bool) int {
-	var known map[*social.Post]int
+	var known map[string]int
 	if prev != nil && len(prev.posts) > 0 {
-		known = make(map[*social.Post]int, len(prev.posts))
+		known = make(map[string]int, len(prev.posts))
 		for i, p := range prev.posts {
-			known[p] = i
+			known[p.ID] = i
 		}
 	}
 	rebuild := false
@@ -400,7 +400,7 @@ func (f *Framework) analyzeSlice(qs, prev *querySlice, withGraph bool) int {
 		// every previous post is found again.
 		kept := 0
 		for _, p := range qs.posts {
-			if _, ok := known[p]; ok {
+			if _, ok := known[p.ID]; ok {
 				kept++
 			}
 		}
@@ -412,9 +412,9 @@ func (f *Framework) analyzeSlice(qs, prev *querySlice, withGraph bool) int {
 		}
 	}
 	qs.features = make([]sai.PostFeatures, len(qs.posts))
-	analyzed := 0
+	tokenized := 0
 	for i, p := range qs.posts {
-		j, ok := known[p]
+		j, ok := known[p.ID]
 		if ok {
 			qs.features[i] = prev.features[j]
 			if !rebuild {
@@ -422,15 +422,15 @@ func (f *Framework) analyzeSlice(qs, prev *querySlice, withGraph bool) int {
 			}
 		}
 		tokens := nlp.Tokenize(p.Text)
+		tokenized++
 		if !ok {
 			qs.features[i] = f.builder.AnalyzeTokens(p, tokens)
-			analyzed++
 		}
 		if qs.graph != nil {
 			qs.graph.Observe(nlp.Hashtags(tokens))
 		}
 	}
-	return analyzed
+	return tokenized
 }
 
 // TopicTrend computes the quarterly attraction trend of a tag set under

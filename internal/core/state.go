@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/psp-framework/psp/internal/nlp"
 	"github.com/psp-framework/psp/internal/sai"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
@@ -13,10 +14,14 @@ import (
 // The cache export/import surface: everything the continuous-monitoring
 // daemon must persist to restart warm. A SocialResult round-trips
 // through ResultState (a plain-JSON wire form — attack vectors and
-// feasibility ratings travel by name, threat scenarios by ID), and the
-// listing cache round-trips through FillStates that store post IDs
-// only: the posts themselves are durable in the store, so a fill
-// rehydrates by lookup instead of duplicating the corpus on disk.
+// feasibility ratings travel by name, threat scenarios by ID). The
+// result cache round-trips through FillStates, which store post IDs
+// only — the posts themselves are durable in the store, so a fill
+// rehydrates by lookup instead of duplicating the corpus on disk — and
+// MemoStates, which store each slice's per-post features and
+// co-occurrence graph, so a restored cache re-analyzes nothing it had
+// analyzed before. Both have a compact binary form (AppendFills,
+// AppendMemos) for the monitor's state file.
 
 // ResultState is the JSON-serializable form of a SocialResult.
 type ResultState struct {
@@ -250,8 +255,29 @@ func RestoreResult(st *ResultState, threats []*tara.ThreatScenario) (*SocialResu
 // plus its result's post IDs in listing order. Posts rehydrate from the
 // durable store by ID.
 type FillState struct {
-	Query   social.Query `json:"query"`
-	PostIDs []string     `json:"post_ids"`
+	Query   social.Query
+	PostIDs []string
+}
+
+// MemoState is one serialized slice memo: the derivations of one
+// query's posts, bound to the fill they were computed from.
+type MemoState struct {
+	// Sig is the memo signature: the fill key plus the
+	// poisoning-defence flag.
+	Sig string
+	// Key is the cache key of the fill the memo derives from.
+	Key string
+	// Kept holds the ascending positions, in the fill's listing, of the
+	// posts the memo holds — the poisoning defence's survivors. Nil
+	// means the memo holds the whole listing.
+	Kept []int
+	// Features describes the memo's posts in listing order.
+	Features []sai.PostFeatures
+	// Filtered is the poisoning defence's drop count.
+	Filtered int
+	// Graph is the keyword group's co-occurrence graph; nil when the
+	// slice never built one.
+	Graph *nlp.CooccurrenceGraph
 }
 
 // ExportFills serializes the listing cache, sorted by cache key so the
@@ -277,34 +303,103 @@ func (rc *ResultCache) ExportFills() []FillState {
 	return out
 }
 
-// ImportFills rehydrates persisted listings into the cache, resolving
-// post IDs through lookup (typically Store.Post over the recovered
-// durable store). A fill with any unresolvable post is dropped — the
-// next run re-drains that one query — and the count of fills actually
-// restored is returned. Must not run concurrently with workflow runs,
-// like Invalidate.
-func (rc *ResultCache) ImportFills(fills []FillState, lookup func(id string) *social.Post) int {
-	c := rc.qc
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	restored := 0
+// ExportMemos serializes the slice memos whose fills are current,
+// sorted by signature. The states share the memos' features and
+// graphs, which are never modified once stored. Like ExportFills, it
+// must not run concurrently with a workflow run.
+func (rc *ResultCache) ExportMemos() []MemoState {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	sigs := make([]string, 0, len(rc.slices))
+	for sig := range rc.slices {
+		sigs = append(sigs, sig)
+	}
+	sort.Strings(sigs)
+	out := make([]MemoState, 0, len(sigs))
+	for _, sig := range sigs {
+		qs := rc.slices[sig]
+		if qs.fill == nil {
+			continue
+		}
+		key := cacheKey(qs.fill.query)
+		if rc.qc.lookup(key) != qs.fill {
+			continue // invalidated: the next run re-drains it anyway
+		}
+		ms := MemoState{Sig: sig, Key: key, Features: qs.features, Filtered: qs.filtered, Graph: qs.graph}
+		if len(qs.posts) != len(qs.fill.posts) {
+			// The poisoning defence keeps a subsequence of the listing.
+			ms.Kept = make([]int, 0, len(qs.posts))
+			for i, p := range qs.fill.posts {
+				if n := len(ms.Kept); n < len(qs.posts) && qs.posts[n].ID == p.ID {
+					ms.Kept = append(ms.Kept, i)
+				}
+			}
+			if len(ms.Kept) != len(qs.posts) {
+				continue
+			}
+		}
+		out = append(out, ms)
+	}
+	return out
+}
+
+// ImportFills rehydrates persisted listings and their slice memos into
+// the cache, resolving post IDs through lookup (typically Store.Post
+// over the recovered durable store). A fill with any unresolvable post
+// is dropped — the next run re-drains that one query — and so is every
+// memo of it; the count of fills actually restored is returned. An
+// imported memo is bound to its imported fill, so a run that finds the
+// fill untouched reuses the memo outright, and one that re-drains it
+// reuses its features by post ID and extends its graph. Must not run
+// concurrently with workflow runs, like Invalidate.
+func (rc *ResultCache) ImportFills(fills []FillState, memos []MemoState, lookup func(id string) *social.Post) int {
+	imported := make(map[string]*cacheFill, len(fills))
 	for _, fs := range fills {
 		canon := fs.Query.Canonical()
 		posts := make([]*social.Post, 0, len(fs.PostIDs))
-		ok := true
 		for _, id := range fs.PostIDs {
 			p := lookup(id)
 			if p == nil {
-				ok = false
 				break
 			}
 			posts = append(posts, p)
 		}
-		if !ok {
+		if len(posts) != len(fs.PostIDs) {
 			continue
 		}
-		c.fills[cacheKey(canon)] = &cacheFill{query: canon, matcher: canon.Matcher(), posts: posts}
-		restored++
+		imported[cacheKey(canon)] = &cacheFill{query: canon, matcher: canon.Matcher(), posts: posts}
 	}
-	return restored
+	c := rc.qc
+	c.mu.Lock()
+	for key, fill := range imported {
+		c.fills[key] = fill
+	}
+	c.mu.Unlock()
+
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	for _, ms := range memos {
+		fill := imported[ms.Key]
+		if fill == nil {
+			continue
+		}
+		posts := fill.posts
+		if ms.Kept != nil {
+			posts = make([]*social.Post, 0, len(ms.Kept))
+			for _, i := range ms.Kept {
+				if i < 0 || i >= len(fill.posts) {
+					break
+				}
+				posts = append(posts, fill.posts[i])
+			}
+			if len(posts) != len(ms.Kept) {
+				continue
+			}
+		}
+		if len(posts) != len(ms.Features) {
+			continue
+		}
+		rc.slices[ms.Sig] = &querySlice{fill: fill, posts: posts, features: ms.Features, filtered: ms.Filtered, graph: ms.Graph}
+	}
+	return len(imported)
 }

@@ -183,6 +183,71 @@ func BenchmarkIncrementalDelta64k(b *testing.B) {
 	}
 }
 
+// BenchmarkRestoredDelta64k measures a warm restart's first step over
+// the 64k corpus: decode the saved result cache — fills and slice memos
+// in their binary forms — import it into a fresh cache, then ingest a
+// 1k-post delta (100 topical posts, 900 of background chatter),
+// invalidate and re-assess. The restored memos make this cost what
+// BenchmarkIncrementalDelta64k's in-process step costs, plus the decode
+// and import. Each iteration restores the state saved after the
+// previous one, untimed, as a restarted monitor does after every
+// publication.
+func BenchmarkRestoredDelta64k(b *testing.B) {
+	store := newBench64kStore(b)
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := benchInput()
+	ctx := context.Background()
+	rc := core.NewResultCache(store)
+	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
+		b.Fatal(err)
+	}
+	save := func(rc *core.ResultCache) (fills, memos []byte) {
+		return core.AppendFills(nil, rc.ExportFills()), core.AppendMemos(nil, rc.ExportMemos())
+	}
+	fillBytes, memoBytes := save(rc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		delta := benchDelta(i)
+		for j := 0; j < 900; j++ {
+			p := *delta[j%len(delta)]
+			p.ID = fmt.Sprintf("%s-chatter-%03d", delta[0].ID, j)
+			p.Text = "idle #fillerchatter about the weather"
+			delta = append(delta, &p)
+		}
+		b.StartTimer()
+		fills, err := core.DecodeFills(fillBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		memos, err := core.DecodeMemos(memoBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rc := core.NewResultCache(store)
+		if n := rc.ImportFills(fills, memos, store.Post); n != len(fills) {
+			b.Fatalf("restored %d of %d fills", n, len(fills))
+		}
+		if err := store.Add(delta...); err != nil {
+			b.Fatal(err)
+		}
+		rc.Invalidate(delta...)
+		res, err := fw.RunSocialDelta(ctx, in, rc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Index.Entries) == 0 {
+			b.Fatal("empty index")
+		}
+		b.StopTimer()
+		fillBytes, memoBytes = save(rc)
+		b.StartTimer()
+	}
+}
+
 // BenchmarkIncrementalDelta64kRemote repeats the comparison in the
 // remote deployment shape (HTTP platform with a simulated 5 ms round
 // trip): the cache also eliminates the paged drains, so the incremental

@@ -37,17 +37,26 @@
 //
 // With Config.State set (FileStateStore behind pspd's -data-dir), the
 // monitor persists a State after every publication: the assessment
-// serialized through core's export surface, the listing cache's fill
-// identities as post IDs, and the watched durable store's WAL cursor,
-// all replaced atomically. The next Run restores it — provided the
-// input signature still matches and the cursor is still within the
-// WAL's truncation horizon — publishes the restored Assessment
-// immediately (Restored=true, the persisted generation, zero platform
-// queries), and asks the store for PostsSince(cursor): the posts the
-// persisted state never saw. A non-empty catch-up delta runs through
-// the normal incremental flush; an empty one keeps the restored
-// generation alive, so pollers' cached ETags stay valid across the
-// restart. Any mismatch falls back to a cold initial run.
+// serialized through core's export surface, the result cache — its
+// listing fills as post IDs and its slice memos as per-post SAI
+// features and keyword-group co-occurrence graphs — and the watched
+// durable store's WAL cursor. The file is a magic and three sections
+// (result, fills, memos), each framed by its length and CRC-32C like
+// every other snapshot the system writes, and it is replaced
+// atomically. The next Run restores it — provided the signature of the
+// input and of the framework's analysis configuration still matches
+// and the cursor is still within the WAL's truncation horizon —
+// publishes the restored Assessment immediately (Restored=true, the
+// persisted generation, zero platform queries), and asks the store for
+// PostsSince(cursor): the posts the persisted state never saw. A
+// non-empty catch-up delta runs through the normal incremental flush,
+// and because the memos came back bound to their fills, that flush
+// costs what it would have cost the process that saved the state: an
+// untouched listing does no work, and a re-drained one tokenizes only
+// its new posts. An empty delta keeps the restored generation alive,
+// so pollers' cached ETags stay valid across the restart. Any mismatch
+// or damage — a failed checksum, a file from an older build — falls
+// back to a cold initial run, whose first save replaces the file.
 //
 // # Multi-tenant TARA
 //

@@ -36,13 +36,14 @@ type Config struct {
 	// Now stamps assessments; nil uses time.Now. Injectable for tests.
 	Now func() time.Time
 	// State, when set, persists the monitor's warm-restart image (the
-	// assessment, the listing-cache fill identities and the watched
-	// store's durable cursor) after every publication, and restores it
-	// at the next Run: a restarted monitor serves its last assessment
-	// immediately and catches up with one incremental delta run instead
-	// of a cold full workflow. Warm restore requires Store to be
-	// durable (social.OpenStoreDir) — without a durable cursor the
-	// state is saved with a nil cursor and ignored at restore time.
+	// assessment, the result cache's fills and slice memos, and the
+	// watched store's durable cursor) after every publication, and
+	// restores it at the next Run: a restarted monitor serves its last
+	// assessment immediately and catches up with one incremental delta
+	// run, as warm as the process that saved it, instead of a cold full
+	// workflow. Warm restore requires Store to be durable
+	// (social.OpenStoreDir) — without a durable cursor the state is
+	// saved with a nil cursor and ignored at restore time.
 	State StateStore
 	// Metrics, when set, records publication counts, debounce-to-publish
 	// latency and delta sizes (see NewMetrics); gauge-valued readings
@@ -348,10 +349,16 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 		return nil, false
 	}
 	st, err := m.cfg.State.Load()
-	if err != nil || st == nil || st.Result == nil || st.Cursor == nil {
+	if err != nil {
+		// Damaged, or written by an older build: the first save
+		// replaces it.
+		m.cfg.Logger.Warn("persisted state unusable, running cold", slog.Any("error", err))
 		return nil, false
 	}
-	if st.InputSig != inputSignature(m.cfg.Input) {
+	if st == nil || st.Result == nil || st.Cursor == nil {
+		return nil, false
+	}
+	if st.InputSig != stateSignature(m.cfg.Framework, m.cfg.Input) {
 		return nil, false
 	}
 	delta, err := m.cfg.Store.PostsSince(st.Cursor)
@@ -362,7 +369,7 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if m.rc.ImportFills(st.Fills, m.cfg.Store.Post) != len(st.Fills) {
+	if m.rc.ImportFills(st.Fills, st.Memos, m.cfg.Store.Post) != len(st.Fills) {
 		// A partially restored cache would make the "delta invalidated
 		// nothing" shortcut unsound: a post matching a missing fill
 		// would drop nothing yet change the true result. (Fills hold
@@ -396,7 +403,7 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 	return delta, true
 }
 
-// persistState saves the current assessment, fills and cursor through
+// persistState saves the current assessment, cache and cursor through
 // the configured state store. Persistence failures are recorded like
 // re-assessment failures (LastError / healthz) — the monitor keeps
 // serving, it just will not restart warm.
@@ -412,13 +419,14 @@ func (m *Monitor) persistState(cursor social.DurableCursor) {
 	if err == nil {
 		err = m.cfg.State.Save(&State{
 			SavedAt:    m.cfg.Now(),
-			InputSig:   inputSignature(m.cfg.Input),
+			InputSig:   stateSignature(m.cfg.Framework, m.cfg.Input),
 			Generation: cur.Generation,
 			UpdatedAt:  cur.UpdatedAt,
 			CorpusSize: cur.CorpusSize,
 			Cursor:     cursor,
 			Result:     rs,
 			Fills:      m.rc.ExportFills(),
+			Memos:      m.rc.ExportMemos(),
 		})
 	}
 	m.mu.Lock()

@@ -1,0 +1,236 @@
+package monitor
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"github.com/psp-framework/psp/internal/core"
+	"github.com/psp-framework/psp/internal/social"
+	"github.com/psp-framework/psp/internal/tara"
+)
+
+// openSmallDurableStore is openSeededDurableStore over every tenth post
+// of the reference corpus: every topic stays populated, and the state
+// file stays small enough to damage at every offset.
+func openSmallDurableStore(t *testing.T, dir string) *social.Store {
+	t.Helper()
+	store, err := social.OpenStoreDir(dir, social.DurableOptions{Shards: 4, CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Len() == 0 {
+		posts, err := social.Generate(social.DefaultCorpusSpec(42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(posts); i += 10 {
+			if err := store.Add(posts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return store
+}
+
+// persistedLife runs a monitor over store until it has published a
+// recomputed delta generation and saved it, and returns the saved
+// state file's bytes.
+func persistedLife(t *testing.T, store *social.Store, in core.SocialInput, statePath string) []byte {
+	t.Helper()
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, stop := runMonitor(t, Config{
+		Framework: fw,
+		Store:     store,
+		Input:     in,
+		Debounce:  20 * time.Millisecond,
+		State:     NewFileStateStore(statePath),
+	})
+	first := waitGen(t, m, 1)
+	if err := store.Add(deltaPost(1, "hot new #chiptuning stage1 file")); err != nil {
+		t.Fatal(err)
+	}
+	waitGen(t, m, first.Generation+1)
+	stop()
+	data, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// restoredView is what a restore serves and what it restores the cache
+// to, rendered for comparison.
+type restoredView struct {
+	assessment []byte
+	fills      []core.FillState
+	memos      []core.MemoState
+}
+
+// probeRestore runs only the restore step of a new monitor over cfg and
+// reports what it restored, or ok=false when it fell back to cold.
+func probeRestore(t *testing.T, cfg Config) (view restoredView, ok bool) {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.tryRestore(); !ok {
+		if m.Assessment() != nil || m.rc.Queries().Len() != 0 {
+			t.Fatal("a failed restore left an assessment or cache behind")
+		}
+		return view, false
+	}
+	assessment, err := json.Marshal(renderAssessment(m.Assessment()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return restoredView{assessment, m.rc.ExportFills(), m.rc.ExportMemos()}, true
+}
+
+// TestRestoreDamagedStateFile: a state file cut at every offset, or with
+// every 7th byte flipped, either restores exactly what the undamaged file
+// restores — the assessment and the result cache, fills and memos — or
+// leaves the monitor to run cold. It never serves anything else.
+func TestRestoreDamagedStateFile(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	store := openSmallDurableStore(t, filepath.Join(dir, "store"))
+	defer store.Close()
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	full := persistedLife(t, store, in, statePath)
+	t.Logf("state file: %d bytes", len(full))
+
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Framework: fw, Store: store, Input: in, State: NewFileStateStore(statePath)}
+	want, ok := probeRestore(t, cfg)
+	if !ok {
+		t.Fatal("the undamaged state file did not restore")
+	}
+	if len(want.memos) == 0 {
+		t.Fatal("the undamaged state restored no memos; the test is vacuous")
+	}
+
+	check := func(what string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(statePath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := probeRestore(t, cfg)
+		if !ok {
+			return // cold
+		}
+		if !bytes.Equal(got.assessment, want.assessment) ||
+			!reflect.DeepEqual(got.fills, want.fills) || !reflect.DeepEqual(got.memos, want.memos) {
+			t.Fatalf("%s: restored state differs from the undamaged restore", what)
+		}
+	}
+	for cut := 0; cut < len(full); cut++ {
+		check("cut", full[:cut])
+	}
+	for off := 0; off < len(full); off += 7 {
+		bad := append([]byte(nil), full...)
+		bad[off] ^= 0x40
+		check("flip", bad)
+	}
+}
+
+// legacyState is the monitor state file of the previous build: one
+// indented JSON document, fills as query plus post IDs.
+type legacyState struct {
+	SavedAt    time.Time            `json:"saved_at"`
+	InputSig   string               `json:"input_sig"`
+	Generation uint64               `json:"generation"`
+	UpdatedAt  time.Time            `json:"updated_at"`
+	CorpusSize int                  `json:"corpus_size"`
+	Cursor     social.DurableCursor `json:"cursor"`
+	Result     *core.ResultState    `json:"result"`
+	Fills      []legacyFill         `json:"fills,omitempty"`
+}
+
+type legacyFill struct {
+	Query   social.Query `json:"query"`
+	PostIDs []string     `json:"post_ids"`
+}
+
+// TestRestoreLegacyJSONState: a state file in the previous build's JSON
+// layout — one the previous build would have restored, with its input
+// signature, a current cursor and resolvable fills — runs cold, and the
+// first save replaces it with a state the next start restores.
+func TestRestoreLegacyJSONState(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.json")
+	store := openSmallDurableStore(t, filepath.Join(dir, "store"))
+	defer store.Close()
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	persistedLife(t, store, in, statePath)
+	st, err := NewFileStateStore(statePath).Load()
+	if err != nil || st == nil {
+		t.Fatalf("load the saved state: %v", err)
+	}
+	sig, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := legacyState{
+		SavedAt: st.SavedAt, InputSig: string(sig), Generation: st.Generation, UpdatedAt: st.UpdatedAt,
+		CorpusSize: st.CorpusSize, Cursor: st.Cursor, Result: st.Result,
+	}
+	for _, f := range st.Fills {
+		legacy.Fills = append(legacy.Fills, legacyFill{Query: f.Query, PostIDs: f.PostIDs})
+	}
+	data, err := json.MarshalIndent(legacy, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(statePath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := NewFileStateStore(statePath).Load(); err == nil || st != nil {
+		t.Fatalf("a JSON state file loaded: %+v, %v", st, err)
+	}
+
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Framework: fw, Store: store, Input: in, Debounce: 20 * time.Millisecond, State: NewFileStateStore(statePath)}
+	m, stop := runMonitor(t, cfg)
+	first := waitGen(t, m, 1)
+	if first.Restored || !first.FullRun {
+		t.Fatalf("the legacy JSON state was restored: %+v", first)
+	}
+	stop()
+	// The cold run's save replaced the file; the next start is warm and
+	// serves what the cold run published.
+	view, ok := probeRestore(t, cfg)
+	if !ok {
+		t.Fatal("the state saved over the legacy file does not restore")
+	}
+	coldView, err := json.Marshal(renderAssessment(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b assessmentResponse
+	if err := json.Unmarshal(view.assessment, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(coldView, &b); err != nil {
+		t.Fatal(err)
+	}
+	// Only the provenance flags differ.
+	a.Restored, a.FullRun, a.Recomputed = b.Restored, b.FullRun, b.Recomputed
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("the restored assessment differs from the cold run that saved it")
+	}
+}

@@ -13,18 +13,22 @@ import (
 )
 
 // State is a monitor's persisted warm-restart image: the published
-// assessment (serialized through the core export surface), the listing
-// cache's fill identities, and the durable store cursor the state was
+// assessment (serialized through the core export surface), the result
+// cache — its fills as post IDs, its slice memos as per-post features
+// and co-occurrence graphs — and the durable store cursor the state was
 // taken at. A restarted daemon that loads a State serves its assessment
 // immediately and catches up with PostsSince(Cursor) — an incremental
-// delta run — instead of a cold full workflow.
+// delta run that re-analyzes only posts the saved cache never saw —
+// instead of a cold full workflow.
 type State struct {
 	// SavedAt is the persistence instant.
 	SavedAt time.Time `json:"saved_at"`
 	// InputSig fingerprints the monitored input (application, region,
-	// window, threat scenarios, flags). A state whose signature does not
-	// match the configured input is discarded: it describes a different
-	// monitoring question.
+	// window, threat scenarios, flags) and the framework's analysis
+	// configuration (weights, rating bands, learning cap, keyword
+	// database). A state whose signature does not match is discarded:
+	// it answers a different monitoring question, or answers it
+	// differently.
 	InputSig string `json:"input_sig"`
 	// Generation, UpdatedAt and CorpusSize mirror the persisted
 	// assessment's metadata, so the restored snapshot reports the same
@@ -39,7 +43,9 @@ type State struct {
 	// Result is the serialized assessment payload.
 	Result *core.ResultState `json:"result"`
 	// Fills are the listing cache's entries, by post ID.
-	Fills []core.FillState `json:"fills,omitempty"`
+	Fills []core.FillState `json:"-"`
+	// Memos are the result cache's slice memos, bound to Fills by key.
+	Memos []core.MemoState `json:"-"`
 }
 
 // StateStore persists monitor state. Load returns (nil, nil) when no
@@ -51,12 +57,27 @@ type StateStore interface {
 	Save(*State) error
 }
 
-// FileStateStore keeps the state in one JSON file, replaced atomically
-// on every save so a crash mid-save can never leave a torn state for
-// the next start to trip over.
+// FileStateStore keeps the state in one binary file, replaced
+// atomically on every save so a crash mid-save can never leave a torn
+// state for the next start to trip over. The file is a magic followed
+// by three framed sections (durable.AppendSection), each with its own
+// length and CRC-32C:
+//
+//	offset 0  8-byte magic "PSPMONS1"
+//	then      result section: the State's JSON fields (metadata and
+//	          the serialized assessment)
+//	then      fills section: core.AppendFills
+//	then      memos section: core.AppendMemos, ending the file
+//
+// The state is a cache derived from the store, so any damage — a bad
+// magic, a failed checksum, a short or undecodable section, a file
+// from an older build — loads as no usable state, and the monitor runs
+// cold and overwrites it at its first save.
 type FileStateStore struct {
 	Path string
 }
+
+const stateMagic = "PSPMONS1"
 
 // NewFileStateStore persists monitor state at path.
 func NewFileStateStore(path string) *FileStateStore { return &FileStateStore{Path: path} }
@@ -70,32 +91,78 @@ func (f *FileStateStore) Load() (*State, error) {
 		}
 		return nil, fmt.Errorf("monitor: read state: %w", err)
 	}
-	var st State
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("monitor: parse state %s: %w", f.Path, err)
+	st, err := decodeState(data)
+	if err != nil {
+		return nil, fmt.Errorf("monitor: state %s: %w", f.Path, err)
 	}
-	return &st, nil
+	return st, nil
 }
 
 // Save atomically replaces the state file.
 func (f *FileStateStore) Save(st *State) error {
+	data, err := encodeState(st)
+	if err != nil {
+		return err
+	}
 	return durable.WriteFileAtomic(f.Path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(st)
+		_, err := w.Write(data)
+		return err
 	})
 }
 
-// inputSignature fingerprints the monitored input. JSON over a
-// normalized struct: threat scenarios serialize whole, so editing a
-// scenario's keywords (which changes its platform queries) invalidates
-// persisted state just like changing the application filter does.
-func inputSignature(in core.SocialInput) string {
+func encodeState(st *State) ([]byte, error) {
+	result, err := json.Marshal(st)
+	if err != nil {
+		return nil, fmt.Errorf("monitor: encode state: %w", err)
+	}
+	buf := durable.AppendSection([]byte(stateMagic), func(b []byte) []byte { return append(b, result...) })
+	buf = durable.AppendSection(buf, func(b []byte) []byte { return core.AppendFills(b, st.Fills) })
+	return durable.AppendSection(buf, func(b []byte) []byte { return core.AppendMemos(b, st.Memos) }), nil
+}
+
+func decodeState(data []byte) (*State, error) {
+	if len(data) < len(stateMagic) || string(data[:len(stateMagic)]) != stateMagic {
+		return nil, fmt.Errorf("bad magic (not a %q file)", stateMagic)
+	}
+	result, rest, err := durable.ReadSection(data[len(stateMagic):], "result")
+	if err != nil {
+		return nil, err
+	}
+	fills, rest, err := durable.ReadSection(rest, "fills")
+	if err != nil {
+		return nil, err
+	}
+	memos, rest, err := durable.ReadSection(rest, "memos")
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes after the memos section", len(rest))
+	}
+	var st State
+	if err := json.Unmarshal(result, &st); err != nil {
+		return nil, fmt.Errorf("result section: %w", err)
+	}
+	if st.Fills, err = core.DecodeFills(fills); err != nil {
+		return nil, err
+	}
+	if st.Memos, err = core.DecodeMemos(memos); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+// stateSignature fingerprints the monitored input and the framework's
+// analysis configuration. JSON over a normalized struct: threat
+// scenarios serialize whole, so editing a scenario's keywords (which
+// changes its platform queries) invalidates persisted state just like
+// changing the application filter or the attraction weights does.
+func stateSignature(fw *core.Framework, in core.SocialInput) string {
 	data, err := json.Marshal(in)
 	if err != nil {
 		// SocialInput is plain data; an unmarshalable value still yields
 		// a stable non-matching signature.
 		return fmt.Sprintf("unmarshalable: %v", err)
 	}
-	return string(data)
+	return string(data) + "|" + fw.AnalysisSignature()
 }

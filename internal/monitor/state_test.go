@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/psp-framework/psp/internal/core"
+	"github.com/psp-framework/psp/internal/sai"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
 )
@@ -97,7 +98,7 @@ func waitGen(t *testing.T, m *Monitor, gen uint64) *Assessment {
 // over the merged corpus.
 func TestMonitorWarmRestart(t *testing.T) {
 	dir := t.TempDir()
-	statePath := filepath.Join(dir, "monitor.json")
+	statePath := filepath.Join(dir, "monitor.state")
 	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
 
 	// First life: cold run, one incremental delta, state persisted.
@@ -233,7 +234,7 @@ func TestMonitorWarmRestart(t *testing.T) {
 // rather than serving an answer to the wrong question.
 func TestMonitorStateInputMismatch(t *testing.T) {
 	dir := t.TempDir()
-	statePath := filepath.Join(dir, "monitor.json")
+	statePath := filepath.Join(dir, "monitor.state")
 	store := openSeededDurableStore(t, filepath.Join(dir, "store"))
 	defer store.Close()
 	fw, err := core.New(core.Config{Searcher: store})
@@ -263,6 +264,60 @@ func TestMonitorStateInputMismatch(t *testing.T) {
 	first := waitGen(t, m2, 1)
 	if first.Restored || !first.FullRun {
 		t.Fatalf("mismatched input restored stale state: %+v", first)
+	}
+}
+
+// TestMonitorStateConfigMismatch: persisted state computed under a
+// different analysis configuration — here the attraction weights — is
+// discarded too. Its scores, and the per-post features it carries,
+// answer the monitoring question with another model; the restarted
+// monitor runs cold.
+func TestMonitorStateConfigMismatch(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	store := openSeededDurableStore(t, filepath.Join(dir, "store"))
+	defer store.Close()
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, stop1 := runMonitor(t, Config{
+		Framework: fw,
+		Store:     store,
+		Input:     in,
+		Debounce:  20 * time.Millisecond,
+		State:     NewFileStateStore(statePath),
+	})
+	waitGen(t, m1, 1)
+	stop1()
+	if st, err := NewFileStateStore(statePath).Load(); err != nil || st == nil {
+		t.Fatalf("no persisted state to mismatch against (err %v)", err)
+	}
+
+	weights := sai.DefaultWeights()
+	weights.SentimentGate, weights.Popularity = false, 1
+	reweighted, err := core.New(core.Config{Searcher: store, Weights: weights})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := runMonitor(t, Config{
+		Framework: reweighted,
+		Store:     store,
+		Input:     in,
+		Debounce:  20 * time.Millisecond,
+		State:     NewFileStateStore(statePath),
+	})
+	first := waitGen(t, m2, 1)
+	if first.Restored || !first.FullRun {
+		t.Fatalf("state saved under other weights restored as current: %+v", first)
+	}
+	cold, err := reweighted.RunSocial(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Result, cold) {
+		t.Fatal("assessment under the new weights differs from a cold run under them")
 	}
 }
 

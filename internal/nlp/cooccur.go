@@ -54,6 +54,20 @@ func (g *CooccurrenceGraph) Observe(tags []string) {
 	}
 }
 
+// Counts exposes the graph's raw counts for persistence: the number of
+// observed documents, each tag's document frequency and each tag's
+// co-occurrence row (present only for tags that co-occurred with
+// another). The maps are the graph's own; callers must not modify them.
+func (g *CooccurrenceGraph) Counts() (docs int, docFreq map[string]int, counts map[string]map[string]int) {
+	return g.docs, g.docFreq, g.counts
+}
+
+// GraphFromCounts rebuilds a graph from the counts Counts exposed,
+// taking ownership of the maps, which must be non-nil.
+func GraphFromCounts(docs int, docFreq map[string]int, counts map[string]map[string]int) *CooccurrenceGraph {
+	return &CooccurrenceGraph{counts: counts, docFreq: docFreq, docs: docs}
+}
+
 // Docs returns the number of observed documents.
 func (g *CooccurrenceGraph) Docs() int { return g.docs }
 

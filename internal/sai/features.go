@@ -1,6 +1,10 @@
 package sai
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+
 	"github.com/psp-framework/psp/internal/nlp"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
@@ -28,6 +32,42 @@ type PostFeatures struct {
 // vocabulary was found.
 func (f PostFeatures) Vector() (tara.AttackVector, bool) {
 	return tara.AttackVector(f.vector), f.classified
+}
+
+// FeaturesLen is the byte length of a persisted PostFeatures.
+const FeaturesLen = 9
+
+// AppendFeatures appends f's persisted form: the attraction's IEEE 754
+// bits, little-endian, then one byte holding the vector (bits 2 and up),
+// the insider flag (bit 1) and the classified flag (bit 0).
+func AppendFeatures(b []byte, f PostFeatures) []byte {
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Attraction))
+	meta := byte(f.vector) << 2
+	if f.Insider {
+		meta |= 2
+	}
+	if f.classified {
+		meta |= 1
+	}
+	return append(b, meta)
+}
+
+// DecodeFeatures decodes the FeaturesLen bytes AppendFeatures wrote.
+func DecodeFeatures(b []byte) (PostFeatures, error) {
+	if len(b) != FeaturesLen {
+		return PostFeatures{}, fmt.Errorf("sai: persisted features are %d bytes, want %d", len(b), FeaturesLen)
+	}
+	meta := b[8]
+	v := tara.AttackVector(meta >> 2)
+	if v > tara.VectorNetwork || (meta&1 == 0 && v != 0) {
+		return PostFeatures{}, fmt.Errorf("sai: persisted features hold invalid vector byte %#x", meta)
+	}
+	return PostFeatures{
+		Attraction: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		vector:     int8(v),
+		classified: meta&1 != 0,
+		Insider:    meta&2 != 0,
+	}, nil
 }
 
 // AnalyzeTokens derives a post's features from its tokens (which must

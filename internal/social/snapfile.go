@@ -3,7 +3,6 @@ package social
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sort"
 	"time"
@@ -42,11 +41,8 @@ import (
 //	offset 8   posts section
 //	then       postings section, ending the file
 //
-// Each section:
-//
-//	uint32  payload length
-//	uint32  CRC-32C (Castagnoli) of the payload
-//	payload
+// Each section is framed by its payload length and CRC-32C
+// (durable.AppendSection).
 //
 // Posts payload:
 //
@@ -72,13 +68,7 @@ import (
 //	  postings as uvarint positions into the post order above,
 //	  delta-encoded: first position absolute, every later one the gap
 //	  to its predecessor (> 0 — positions ascend strictly)
-var snapTable = crc32.MakeTable(crc32.Castagnoli)
-
-const (
-	snapMagic     = "PSPSNAP1"
-	sectionHdrLen = 8       // payload length + CRC
-	maxSectionLen = 1 << 30 // refuse absurd payload lengths before allocating
-)
+const snapMagic = "PSPSNAP1"
 
 func snapErrf(format string, args ...any) error {
 	return fmt.Errorf("social: stripe snapshot: %s", fmt.Sprintf(format, args...))
@@ -87,14 +77,14 @@ func snapErrf(format string, args ...any) error {
 // encodeSnapshot renders one stripe generation as a snapshot file.
 func encodeSnapshot(g *shardGen) ([]byte, error) {
 	buf := append(make([]byte, 0, 4096), snapMagic...)
-	buf = appendSection(buf, func(b []byte) []byte {
+	buf = durable.AppendSection(buf, func(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(len(g.byTime)))
 		for _, p := range g.byTime {
 			_, off := p.CreatedAt.Zone()
-			b = appendString(b, p.ID)
-			b = appendString(b, p.Author)
-			b = appendString(b, p.Text)
-			b = appendString(b, string(p.Region))
+			b = durable.AppendString(b, p.ID)
+			b = durable.AppendString(b, p.Author)
+			b = durable.AppendString(b, p.Text)
+			b = durable.AppendString(b, string(p.Region))
 			b = binary.AppendVarint(b, p.CreatedAt.Unix())
 			b = binary.AppendUvarint(b, uint64(p.CreatedAt.Nanosecond()))
 			b = binary.AppendVarint(b, int64(off))
@@ -110,7 +100,7 @@ func encodeSnapshot(g *shardGen) ([]byte, error) {
 		pos[p] = i
 	}
 	var err error
-	buf = appendSection(buf, func(b []byte) []byte {
+	buf = durable.AppendSection(buf, func(b []byte) []byte {
 		for _, m := range []map[string][]*Post{g.byTag, g.byTerm} {
 			keys := make([]string, 0, len(m))
 			for k := range m {
@@ -121,7 +111,7 @@ func encodeSnapshot(g *shardGen) ([]byte, error) {
 			sort.Strings(keys)
 			b = binary.AppendUvarint(b, uint64(len(keys)))
 			for _, k := range keys {
-				b = appendString(b, k)
+				b = durable.AppendString(b, k)
 				b = binary.AppendUvarint(b, uint64(len(m[k])))
 				prev := 0
 				for j, p := range m[k] {
@@ -144,20 +134,6 @@ func encodeSnapshot(g *shardGen) ([]byte, error) {
 	return buf, err
 }
 
-// appendSection appends one framed section whose payload body appends.
-func appendSection(buf []byte, body func([]byte) []byte) []byte {
-	start := len(buf)
-	buf = body(append(buf, make([]byte, sectionHdrLen)...))
-	payload := buf[start+sectionHdrLen:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, snapTable))
-	return buf
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
 // writeSnapshotFile atomically writes the snapshot file for one stripe
 // generation, returning the bytes written.
 func writeSnapshotFile(path string, g *shardGen) (int64, error) {
@@ -175,21 +151,14 @@ func writeSnapshotFile(path string, g *shardGen) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// readSection splits one framed section off data, verifying its length
-// and checksum.
+// readSection is durable.ReadSection with the error naming the stripe
+// snapshot format.
 func readSection(data []byte, name string) (payload, rest []byte, err error) {
-	if len(data) < sectionHdrLen {
-		return nil, nil, snapErrf("%s section header truncated to %d bytes", name, len(data))
+	payload, rest, err = durable.ReadSection(data, name)
+	if err != nil {
+		return nil, nil, snapErrf("%v", err)
 	}
-	n := binary.LittleEndian.Uint32(data)
-	if n > maxSectionLen || int(n) > len(data)-sectionHdrLen {
-		return nil, nil, snapErrf("%s section length %d exceeds the %d bytes left", name, n, len(data)-sectionHdrLen)
-	}
-	payload = data[sectionHdrLen : sectionHdrLen+int(n)]
-	if got, want := crc32.Checksum(payload, snapTable), binary.LittleEndian.Uint32(data[4:]); got != want {
-		return nil, nil, snapErrf("%s section checksum %08x, want %08x", name, got, want)
-	}
-	return payload, data[sectionHdrLen+int(n):], nil
+	return payload, rest, nil
 }
 
 // decodeSnapshotPosts verifies a snapshot file's header and posts
@@ -204,15 +173,13 @@ func decodeSnapshotPosts(data []byte) (posts []*Post, postings []byte, err error
 	if err != nil {
 		return nil, nil, err
 	}
-	r := &sliceReader{b: payload, s: string(payload)}
-	n := r.uvarint()
-	if r.err != nil {
-		return nil, nil, r.err
-	}
+	r := durable.NewReader(payload, "social: stripe snapshot")
 	// Every post costs well over one payload byte, so a count beyond the
-	// remaining payload is corruption — catch it before the allocation.
-	if n > uint64(len(r.b)-r.off) {
-		return nil, nil, snapErrf("post count %d exceeds remaining payload", n)
+	// remaining payload is corruption — Count catches it before the
+	// allocation.
+	n := r.Count()
+	if r.Err() != nil {
+		return nil, nil, r.Err()
 	}
 	// One block for every Post struct: the stripe's posts live and die
 	// together, and 72k individual allocations are what they would
@@ -221,19 +188,19 @@ func decodeSnapshotPosts(data []byte) (posts []*Post, postings []byte, err error
 	posts = make([]*Post, n)
 	for i := range posts {
 		p := &block[i]
-		p.ID = r.string()
-		p.Author = r.string()
-		p.Text = r.string()
-		p.Region = Region(r.string())
-		sec := r.varint()
-		nsec := r.uvarint()
-		off := r.varint()
-		p.Metrics.Views = int(r.uvarint())
-		p.Metrics.Likes = int(r.uvarint())
-		p.Metrics.Reposts = int(r.uvarint())
-		p.Metrics.Replies = int(r.uvarint())
-		if r.err != nil {
-			return nil, nil, r.err
+		p.ID = r.Str()
+		p.Author = r.Str()
+		p.Text = r.Str()
+		p.Region = Region(r.Str())
+		sec := r.Varint()
+		nsec := r.Uvarint()
+		off := r.Varint()
+		p.Metrics.Views = int(r.Uvarint())
+		p.Metrics.Likes = int(r.Uvarint())
+		p.Metrics.Reposts = int(r.Uvarint())
+		p.Metrics.Replies = int(r.Uvarint())
+		if r.Err() != nil {
+			return nil, nil, r.Err()
 		}
 		if nsec >= 1e9 {
 			return nil, nil, snapErrf("post %d: %d nanoseconds out of range", i, nsec)
@@ -244,8 +211,8 @@ func decodeSnapshotPosts(data []byte) (posts []*Post, postings []byte, err error
 		}
 		posts[i] = p
 	}
-	if r.off != len(payload) {
-		return nil, nil, snapErrf("%d trailing bytes after the posts", len(payload)-r.off)
+	if r.Remaining() != 0 {
+		return nil, nil, snapErrf("%d trailing bytes after the posts", r.Remaining())
 	}
 	return posts, postings, nil
 }
@@ -274,87 +241,18 @@ func decodePostings(data []byte, posts []*Post) (*shardGen, error) {
 	if len(rest) != 0 {
 		return nil, snapErrf("%d trailing bytes after the postings section", len(rest))
 	}
-	r := &sliceReader{b: payload, s: string(payload)}
+	r := durable.NewReader(payload, "social: stripe snapshot")
 	g := &shardGen{byTime: posts}
 	arena := &postArena{}
 	g.byTag = decodeKeys(r, posts, arena)
 	g.byTerm = decodeKeys(r, posts, arena)
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if r.off != len(payload) {
-		return nil, snapErrf("%d trailing bytes after the term map", len(payload)-r.off)
+	if r.Remaining() != 0 {
+		return nil, snapErrf("%d trailing bytes after the term map", r.Remaining())
 	}
 	return g, nil
-}
-
-// sliceReader is a bounds-checked cursor over a section payload. All
-// reads after the first failure keep failing, so decode loops need no
-// per-read error checks — one err test at each structural boundary.
-// The s field is one string copy of the whole payload, made up front:
-// every decoded string is a substring of it, so a 72k-post stripe pays
-// one allocation for all its IDs, authors, texts and keys instead of
-// four per post — the difference between a warm open gated by GC and
-// one gated by the file read.
-type sliceReader struct {
-	b   []byte
-	s   string
-	off int
-	err error
-}
-
-func (r *sliceReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = snapErrf(format, args...)
-	}
-}
-
-func (r *sliceReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	// Single-byte values dominate (posting gaps, small lengths); the
-	// fast path skips binary.Uvarint's loop for them.
-	if r.off < len(r.b) {
-		if b := r.b[r.off]; b < 0x80 {
-			r.off++
-			return uint64(b)
-		}
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *sliceReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("truncated varint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *sliceReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("%d string bytes wanted at offset %d, %d remain", n, r.off, len(r.b)-r.off)
-		return ""
-	}
-	out := r.s[r.off : r.off+int(n)]
-	r.off += int(n)
-	return out
 }
 
 // postArena hands out posting-list slices from shared blocks, so a
@@ -379,53 +277,49 @@ func (a *postArena) alloc(n int) []*Post {
 // decodeKeys decodes one sorted key→postings map against the posts
 // order, validating sortedness, strict position ascent and bounds as it
 // goes.
-func decodeKeys(r *sliceReader, posts []*Post, arena *postArena) map[string][]*Post {
-	n := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
+func decodeKeys(r *durable.Reader, posts []*Post, arena *postArena) map[string][]*Post {
 	// Every key costs at least three payload bytes (length, one key
-	// byte, posting count), so a count beyond that is corruption — catch
-	// it before the allocation, not by crawling to the truncation point.
-	if n > uint64(len(r.b)-r.off) {
-		r.fail("key count %d exceeds remaining payload", n)
+	// byte, posting count), so Count catches a damaged count before the
+	// allocation, not by crawling to the truncation point.
+	n := r.Count()
+	if r.Err() != nil {
 		return nil
 	}
 	m := make(map[string][]*Post, n)
 	prevKey := ""
-	for i := uint64(0); i < n; i++ {
-		key := r.string()
-		cnt := r.uvarint()
-		if r.err != nil {
+	for i := 0; i < n; i++ {
+		key := r.Str()
+		cnt := r.Uvarint()
+		if r.Err() != nil {
 			return nil
 		}
 		if key == "" || (i > 0 && key <= prevKey) {
-			r.fail("keys out of order at %q", key)
+			r.Fail("keys out of order at %q", key)
 			return nil
 		}
 		prevKey = key
 		if cnt == 0 || cnt > uint64(len(posts)) {
-			r.fail("key %q posting count %d with %d posts", key, cnt, len(posts))
+			r.Fail("key %q posting count %d with %d posts", key, cnt, len(posts))
 			return nil
 		}
 		plist := arena.alloc(int(cnt))
 		pos := 0
 		for j := range plist {
-			d := r.uvarint()
-			if r.err != nil {
+			d := r.Uvarint()
+			if r.Err() != nil {
 				return nil
 			}
 			if j == 0 {
 				pos = int(d)
 			} else {
 				if d == 0 {
-					r.fail("key %q postings not strictly ascending", key)
+					r.Fail("key %q postings not strictly ascending", key)
 					return nil
 				}
 				pos += int(d)
 			}
 			if pos < 0 || pos >= len(posts) {
-				r.fail("key %q posting position %d with %d posts", key, pos, len(posts))
+				r.Fail("key %q posting position %d with %d posts", key, pos, len(posts))
 				return nil
 			}
 			plist[j] = posts[pos]

@@ -178,7 +178,7 @@ func TestDurableSidecarCorruptionFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The postings section starts after the magic and the framed posts.
-	postings := len(snapMagic) + sectionHdrLen + int(binary.LittleEndian.Uint32(full[len(snapMagic):]))
+	postings := len(snapMagic) + durable.SectionHeaderLen + int(binary.LittleEndian.Uint32(full[len(snapMagic):]))
 	if postings >= len(full) {
 		t.Fatalf("postings section offset %d outside the %d-byte file", postings, len(full))
 	}

@@ -94,8 +94,8 @@ type (
 	// health).
 	MonitorAPI = monitor.API
 	// MonitorState is a monitor's persisted warm-restart image: the
-	// serialized assessment, the listing cache's fill identities, and
-	// the durable store cursor the image was taken at.
+	// serialized assessment, the result cache's fills and slice memos,
+	// and the durable store cursor the image was taken at.
 	MonitorState = monitor.State
 	// MonitorStateStore persists and restores MonitorState
 	// (MonitorConfig.State).
@@ -129,11 +129,14 @@ func NewMonitorAPI(m *Monitor) *MonitorAPI { return monitor.NewAPI(m) }
 // drive it with Run and read tenants through the registry.
 func NewTARAMonitor(cfg TARAMonitorConfig) (*TARAMonitor, error) { return monitor.NewTARAMonitor(cfg) }
 
-// NewMonitorFileState persists monitor state in one JSON file, replaced
-// atomically on every save. Give it to MonitorConfig.State (over a
-// store opened with OpenSocialStore) and a restarted monitor serves its
-// previous assessment immediately, then catches up with an incremental
-// delta run instead of a cold full workflow.
+// NewMonitorFileState persists monitor state in one binary file of
+// CRC-framed sections, replaced atomically on every save. Give it to
+// MonitorConfig.State (over a store opened with OpenSocialStore) and a
+// restarted monitor serves its previous assessment immediately, then
+// catches up with an incremental delta run as warm as the process that
+// saved the state, instead of a cold full workflow. A damaged file, or
+// one from an older build, restores nothing: the monitor runs cold and
+// replaces it.
 func NewMonitorFileState(path string) MonitorStateStore { return monitor.NewFileStateStore(path) }
 
 // ListenAndServeGraceful runs an HTTP server until ctx is cancelled,
