@@ -466,29 +466,43 @@ func TestDaemonObservabilityEndpoints(t *testing.T) {
 	waitTenant(t, base, "ECM", ecm.Version+1)
 
 	// Span names are collected before the exposition is read: a span
-	// reaches its series before it reaches the ring.
-	resp, err = http.Get(base + "/v1/trace?limit=4096")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var trace struct {
-		Spans []struct {
-			Name string `json:"name"`
-		} `json:"spans"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	// reaches its series before it reaches the ring. A span reaches the
+	// ring only when it ends — the flush and rating spans after their
+	// publication, a server span after its response — so poll for them.
+	stages := []string{"store.add", "wal.append", "store.search", "monitor.flush", "tara.rate",
+		"http.server /v1/posts", "http.server /v1/assessment", "http.server /v1/tara/{tenant}"}
 	spanNames := map[string]bool{}
-	for _, sp := range trace.Spans {
-		spanNames[sp.Name] = true
-	}
-	for _, stage := range []string{"store.add", "wal.append", "store.search", "monitor.flush", "tara.rate",
-		"http.server /v1/posts", "http.server /v1/assessment", "http.server /v1/tara/{tenant}"} {
-		if !spanNames[stage] {
-			t.Fatalf("no %q span recorded; names: %v", stage, spanNames)
+	missing := ""
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err = http.Get(base + "/v1/trace?limit=4096")
+		if err != nil {
+			t.Fatal(err)
 		}
+		var trace struct {
+			Spans []struct {
+				Name string `json:"name"`
+			} `json:"spans"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&trace); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		for _, sp := range trace.Spans {
+			spanNames[sp.Name] = true
+		}
+		missing = ""
+		for _, stage := range stages {
+			if !spanNames[stage] {
+				missing = stage
+				break
+			}
+		}
+		if missing == "" || time.Now().After(deadline) {
+			break
+		}
+	}
+	if missing != "" {
+		t.Fatalf("no %q span recorded; names: %v", missing, spanNames)
 	}
 
 	// The exposition covers every stage family with live values.

@@ -63,8 +63,8 @@
 // ISO/SAE 21434 Clause 8 frames risk assessment as an ongoing
 // activity, and the monitoring subsystem makes the batch workflow
 // continuous: SocialStore.Watch exposes a changefeed of ingested
-// posts, a Monitor (NewMonitor) tails it, debounces, classifies the
-// delta into the affected keyword topics and threats (DirtySet), and
+// posts, a Monitor (NewMonitor) tails it, classifies each delta into
+// the affected keyword topics and threats (DirtySet), and
 // re-runs just the dirty slice of the workflow through a ResultCache —
 // cached listings with exact invalidation plus memoized per-topic
 // co-occurrence graphs, SAI entries, threat tunings and per-post SAI
@@ -75,7 +75,12 @@
 // arithmetic) — summing memoized features over the touched listings —
 // rather than re-analyzing every listed post. Incremental refreshes
 // are provably identical to a cold RunSocial over the merged corpus
-// (see Framework.RunSocialDelta).
+// (see Framework.RunSocialDelta). An isolated delta — one arriving at
+// an idle monitor, at least the debounce interval after the last
+// refresh ended — is assessed the moment it lands; a burst waits for
+// the debounce interval of quiet and is assessed once, with MaxLag
+// bounding a continuous stream. The TARAMonitor schedules re-rating
+// the same way.
 // The pspd daemon serves the resulting Assessment over HTTP — ingest,
 // cached SAI/TARA results with freshness metadata, health — with
 // graceful shutdown via ListenAndServeGraceful. GET /v1/assessment
@@ -95,8 +100,9 @@
 // compare-and-set on the model version (ErrTenantVersionMismatch), and
 // each rating pass publishes an immutable TenantAssessment snapshot
 // lock-free. A TARAMonitor (NewTARAMonitor) keeps the whole fleet
-// fresh: it debounces tenant mutations and social assessment
-// generations, re-rates only dirty tenants on the shared worker pool,
+// fresh: it rates an isolated tenant mutation or social assessment
+// generation at once and debounces bursts of them, re-rates only dirty
+// tenants on the shared worker pool,
 // and applies social threat tunings tenant-selectively. pspd serves it
 // under /v1/tara — tenant directory, per-tenant assessments with
 // ETag/304 polling, JSON op mutations with expect_version → 409, PUT/

@@ -8,10 +8,14 @@
 //
 //   - the Monitor tails a social.Store changefeed (Store.Watch), so
 //     every ingested post is observed exactly once;
-//   - incoming posts are debounced, matched against the keyword
-//     database and threat scenarios to summarize the dirty slice
-//     (core.DirtySet), and fed to the result cache's exact
-//     invalidation;
+//   - incoming posts are scheduled on a leading edge: an isolated
+//     delta — one reaching an idle monitor, at least Config.Debounce
+//     after the last flush ended — runs at once, while a burst
+//     coalesces until Config.Debounce of quiet (bounded by
+//     Config.MaxLag);
+//   - each delta is matched against the keyword database and threat
+//     scenarios to summarize the dirty slice (core.DirtySet), and fed
+//     to the result cache's exact invalidation;
 //   - the scheduler re-runs the social workflow through the result
 //     cache (core.Framework.RunSocialDelta), which recomputes only the
 //     invalidated slices — a delta matching one keyword topic re-drains
@@ -62,7 +66,9 @@
 //
 // TARAMonitor runs assessment-as-a-service over a tara.Registry: it
 // tails tenant change notifications plus the social Monitor's
-// assessment stream, debounces, and re-rates only the dirty tenants —
+// assessment stream on the same leading-edge schedule (an isolated
+// change is rated at once, a burst after TARAConfig.Debounce), and
+// re-rates only the dirty tenants —
 // and within each tenant, only the dirty threats — on the shared worker
 // pool. Social threat tunings are bridged tenant-selectively: a new
 // assessment generation mutates exactly the tenants whose analyses

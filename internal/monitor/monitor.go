@@ -28,10 +28,15 @@ type Config struct {
 	// region, window, threat scenarios).
 	Input core.SocialInput
 	// Debounce is the quiet period after the last ingested batch before
-	// re-assessment (default 200ms).
+	// re-assessment (default 200ms). It is also the idle threshold: a
+	// batch arriving when nothing is pending, no retry is scheduled and
+	// at least Debounce has passed since the last flush ended is an
+	// isolated delta and runs at once; a burst waits for Debounce of
+	// quiet after its last batch.
 	Debounce time.Duration
 	// MaxLag bounds how long a continuous ingest stream may defer
-	// re-assessment (default 10× Debounce).
+	// re-assessment (default 10× Debounce); it never delays an isolated
+	// delta, which runs at once.
 	MaxLag time.Duration
 	// Now stamps assessments; nil uses time.Now. Injectable for tests.
 	Now func() time.Time
@@ -176,18 +181,21 @@ func (m *Monitor) Run(ctx context.Context) error {
 		m.persistState(cursor)
 	}
 
-	// Debounce: a quiet period of cfg.Debounce after the last batch
-	// triggers the flush, while cfg.MaxLag bounds deferral under a
+	// Leading edge: a batch reaching an idle loop (see idle) flushes at
+	// once. Otherwise a quiet period of cfg.Debounce after the last
+	// batch triggers the flush, while cfg.MaxLag bounds deferral under a
 	// continuous stream. Nil timer channels block their select cases.
 	var (
 		pending []*social.Post
 		// pendingSince marks when the current flush window opened (first
 		// batch after a flush) — the start point of the published
-		// debounce-to-publish latency. Zero on retry wake-ups.
+		// debounce-to-publish latency. Zero on a retry wake-up no batch
+		// joined.
 		pendingSince time.Time
 		debounceC    <-chan time.Time
 		lagC         <-chan time.Time
 		failStreak   uint
+		lastEnd      time.Time // when the last flush ended; zero before the first
 	)
 	// A failed warm-restart catch-up must retry like any failed flush:
 	// without this arm the loop would wait for the next ingested batch
@@ -206,11 +214,20 @@ func (m *Monitor) Run(ctx context.Context) error {
 				return ctx.Err()
 			}
 			if len(pending) == 0 {
-				lagC = time.After(m.cfg.MaxLag)
 				pendingSince = time.Now()
 			}
 			pending = append(pending, batch...)
-			debounceC = time.After(m.cfg.Debounce)
+			if idle(debounceC != nil || lagC != nil, lastEnd, m.cfg.Debounce) {
+				fired = true
+			} else if failStreak == 0 {
+				if lagC == nil {
+					lagC = time.After(m.cfg.MaxLag)
+				}
+				debounceC = time.After(m.cfg.Debounce)
+			}
+			// During a failure streak the retry backoff stays armed and
+			// the batch joins the retry flush: re-arming here would let
+			// steady ingest retry a platform outage at debounce cadence.
 		case <-debounceC:
 			fired = true
 		case <-lagC:
@@ -220,6 +237,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 			// A timer firing with empty pending is a retry wake-up:
 			// flush re-runs the workflow even with no new posts.
 			m.flush(ctx, pending, pendingSince)
+			lastEnd = time.Now()
 			pending = nil
 			pendingSince = time.Time{}
 			debounceC, lagC = nil, nil
@@ -238,6 +256,16 @@ func (m *Monitor) Run(ctx context.Context) error {
 			}
 		}
 	}
+}
+
+// idle reports whether work arriving at a scheduling loop may run at
+// once — the leading edge. That holds when no timer is armed (no
+// trailing debounce, no retry backoff, and so nothing pending) and at
+// least debounce has passed since the last pass ended (zero before the
+// first). An isolated delta is then assessed the moment it lands, while
+// a burst still coalesces behind the trailing debounce.
+func idle(timerArmed bool, lastEnd time.Time, debounce time.Duration) bool {
+	return !timerArmed && (lastEnd.IsZero() || time.Since(lastEnd) >= debounce)
 }
 
 // retryDelay doubles the debounce per consecutive failure, capped at

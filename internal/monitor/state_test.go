@@ -118,12 +118,19 @@ func TestMonitorWarmRestart(t *testing.T) {
 	if !first.FullRun || first.Restored {
 		t.Fatalf("first life should start cold: %+v", first)
 	}
-	for i := 0; i < 10; i++ {
+	const posts = 10
+	for i := 0; i < posts; i++ {
 		if err := store1.Add(deltaPost(i, "hot new #chiptuning stage1 file")); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The first post may flush on its own (the leading edge) and the
+	// rest coalesce into a later generation: wait for the one that
+	// covers every post, which is the last state saved.
 	persisted := waitGen(t, m1, first.Generation+1)
+	for persisted.Ingested < posts {
+		persisted = waitGen(t, m1, persisted.Generation+1)
+	}
 	stop1()
 	if err := store1.Close(); err != nil {
 		t.Fatal(err)

@@ -25,8 +25,12 @@ type TARAConfig struct {
 	// generation's ThreatTuning deltas are applied to all tenants,
 	// marking exactly the affected threat IDs dirty.
 	Social *Monitor
-	// Debounce batches dirty-tenant signals before a rating pass.
-	// Defaults to 100ms.
+	// Debounce batches dirty-tenant signals before a rating pass
+	// (default 100ms). It is also the idle threshold: a signal arriving
+	// when no pass is scheduled, no retry is backing off and at least
+	// Debounce has passed since the last pass ended is an isolated
+	// change and is rated at once; a burst waits out Debounce after its
+	// first signal.
 	Debounce time.Duration
 	// Now overrides the clock for tests.
 	Now func() time.Time
@@ -45,11 +49,11 @@ type TARAConfig struct {
 }
 
 // TARAMonitor continuously re-rates the dirty tenants of a registry: it
-// tails the registry's dirty signal (debounced) and, when bridged, the
-// social monitor's assessment stream, so a product line of vehicle
-// variants is re-assessed within one debounce interval of a model
-// mutation or threat-feed change — re-rating only the dirty threats of
-// the dirty tenants.
+// tails the registry's dirty signal and, when bridged, the social
+// monitor's assessment stream, so a product line of vehicle variants is
+// re-assessed at once after an isolated model mutation or threat-feed
+// change, and within one debounce interval during a burst — re-rating
+// only the dirty threats of the dirty tenants.
 type TARAMonitor struct {
 	cfg TARAConfig
 
@@ -98,9 +102,10 @@ func (tm *TARAMonitor) LastError() error {
 }
 
 // Run drives the rating loop until the context is cancelled: an initial
-// pass over every tenant, then debounced incremental passes over dirty
-// tenants. Failed tenants are re-marked dirty and retried with the
-// monitor's exponential backoff.
+// pass over every tenant, then incremental passes over dirty tenants —
+// at once for an isolated change, debounced for a burst (see
+// TARAConfig.Debounce). Failed tenants are re-marked dirty and retried
+// with the monitor's exponential backoff.
 func (tm *TARAMonitor) Run(ctx context.Context) error {
 	if tm.cfg.Social != nil {
 		go tm.tailSocial(ctx)
@@ -108,27 +113,50 @@ func (tm *TARAMonitor) Run(ctx context.Context) error {
 	// Initial pass: every tenant present at startup. Dirty marks are
 	// deliberately not drained here — re-rating a clean tenant is a
 	// no-op (its published assessment is kept), so a concurrent mark is
-	// never lost and a duplicate one costs nothing.
-	tm.ratePass(ctx, tm.cfg.Registry.Names())
+	// never lost and a duplicate one costs nothing. The pending signal
+	// is consumed, though: every mark raised before the pass belongs to
+	// a tenant the pass rates, and one raised during it signals again,
+	// so the loop starts idle instead of with a no-op pass.
+	select {
+	case <-tm.cfg.Registry.Notify():
+	default:
+	}
+	var (
+		debounceC  <-chan time.Time
+		failStreak uint
+		lastEnd    time.Time // when the last loop pass ended; zero before the first
+	)
+	if !tm.ratePass(ctx, tm.cfg.Registry.Names()) {
+		// The failed tenants are re-marked dirty: retry them after the
+		// debounce, not at once.
+		debounceC = time.After(tm.cfg.Debounce)
+	}
 	tm.initialDone.Store(true)
 
-	var debounceC <-chan time.Time
-	var failStreak uint
 	for {
+		fired := false
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tm.cfg.Registry.Notify():
-			if debounceC == nil {
+			// A failure streak counts as an armed timer even before the
+			// re-marked tenants' notify arms the backoff.
+			if idle(debounceC != nil || failStreak > 0, lastEnd, tm.cfg.Debounce) {
+				fired = true
+			} else if debounceC == nil {
 				debounceC = time.After(retryDelay(tm.cfg.Debounce, failStreak))
 			}
 		case <-debounceC:
+			fired = true
+		}
+		if fired {
 			debounceC = nil
 			if ok := tm.ratePass(ctx, tm.cfg.Registry.TakeDirty()); ok {
 				failStreak = 0
 			} else if failStreak < 16 {
 				failStreak++
 			}
+			lastEnd = time.Now()
 		}
 	}
 }

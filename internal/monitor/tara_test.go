@@ -19,16 +19,21 @@ import (
 // ends and waits for every pre-registered tenant's first assessment.
 func startTARAMonitor(t *testing.T, reg *tara.Registry, soc *Monitor) *TARAMonitor {
 	t.Helper()
-	fw, err := core.New(core.Config{Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
+	return runTARAMonitor(t, TARAConfig{Registry: reg, Social: soc, Debounce: 10 * time.Millisecond})
+}
+
+// runTARAMonitor is startTARAMonitor for any configuration; a nil
+// Framework gets a fresh one.
+func runTARAMonitor(t *testing.T, cfg TARAConfig) *TARAMonitor {
+	t.Helper()
+	if cfg.Framework == nil {
+		fw, err := core.New(core.Config{Concurrency: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Framework = fw
 	}
-	tm, err := NewTARAMonitor(TARAConfig{
-		Framework: fw,
-		Registry:  reg,
-		Social:    soc,
-		Debounce:  10 * time.Millisecond,
-	})
+	tm, err := NewTARAMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +50,7 @@ func startTARAMonitor(t *testing.T, reg *tara.Registry, soc *Monitor) *TARAMonit
 	})
 	waitCtx, waitCancel := context.WithTimeout(ctx, 30*time.Second)
 	defer waitCancel()
-	for _, name := range reg.Names() {
+	for _, name := range cfg.Registry.Names() {
 		if _, err := tm.WaitForTenant(waitCtx, name, 1); err != nil {
 			t.Fatalf("initial assessment of tenant %s: %v", name, err)
 		}

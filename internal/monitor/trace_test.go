@@ -174,12 +174,15 @@ func TestTARARateSpansAttributeCost(t *testing.T) {
 		}
 	}
 
-	// rateSpan returns the latest tara.rate span whose attributes
-	// satisfy match.
+	// rateSpan returns the earliest-started tara.rate span whose
+	// attributes satisfy match. For a tenant that is its initial-pass
+	// span, not a later no-op one: the tenants' creation marks stay in
+	// the dirty set through the initial pass, so the next pass re-rates
+	// them as no-ops.
 	rateSpan := func(match func(attrs map[string]string) bool) *obs.Span {
 		return pollSpan(waitCtx, func() (found *obs.Span) {
 			for _, s := range tr.Spans(0) {
-				if s.Name == "tara.rate" && match(attrMap(s)) {
+				if s.Name == "tara.rate" && match(attrMap(s)) && (found == nil || s.Start.Before(found.Start)) {
 					found = s
 				}
 			}

@@ -476,6 +476,13 @@ func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error
 		st.mu.Unlock()
 		batch = append(batch, p)
 	}
+	if len(batch) > 0 {
+		// Before insertBatch publishes the batch: a changefeed consumer
+		// that reads LastIngestTrace on receipt must see this ingest.
+		// The deferred call runs after span.End below.
+		ended := s.noteIngest(span)
+		defer ended()
+	}
 	inserted, walErr := s.insertBatch(ctx, batch)
 	if walErr != nil {
 		err = walErr
@@ -486,7 +493,6 @@ func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error
 	span.SetInt("inserted", int64(inserted))
 	span.Fail(err)
 	span.End()
-	s.noteIngest(span)
 	return inserted, err
 }
 

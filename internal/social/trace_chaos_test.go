@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/psp-framework/psp/internal/fault"
 	"github.com/psp-framework/psp/internal/obs"
 )
 
@@ -277,5 +278,78 @@ func TestTraceDurableIngestAndSearchCost(t *testing.T) {
 	}
 	if got["stripes"] != "2" {
 		t.Fatalf("store.search visited %s stripes, want 2", got["stripes"])
+	}
+}
+
+// TestTraceIngestLinkLeadsChangefeed: the ingest link is published
+// before the batch reaches the changefeed, so a consumer that reads
+// LastIngestTrace the moment it receives a batch — as the monitor's
+// flush does — sees that batch's store.add span, never the previous
+// ingest's.
+func TestTraceIngestLinkLeadsChangefeed(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
+	s := NewStore()
+	s.SetTracer(tr)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := s.Watch(ctx, WatchOptions{})
+	type link struct{ traceID, spanID string }
+	seen := make(chan link)
+	go func() {
+		for range feed {
+			traceID, spanID := s.LastIngestTrace()
+			seen <- link{traceID, spanID}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		ictx, root := tr.Start(context.Background(), "test.ingest")
+		if _, err := s.AddCountContext(ictx, backfillPost(i, i%60)); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		got := <-seen
+		add := findSpan(t, tr.TraceSpans(root.TraceID), "store.add")
+		if got.traceID != root.TraceID || got.spanID != add.SpanID {
+			t.Fatalf("ingest %d: consumer saw link (%s,%s), want its own store.add (%s,%s)",
+				i, got.traceID, got.spanID, root.TraceID, add.SpanID)
+		}
+	}
+}
+
+// TestTraceIngestLinkWaitsForSpanEnd: the link is published before the
+// ingest's batch, so a reader can find it while the ingest is still in
+// flight — here held up in a slow WAL sync. LastIngestTrace returns it
+// only once the store.add span has ended, so a span linked under it
+// never starts inside its parent.
+func TestTraceIngestLinkWaitsForSpanEnd(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
+	fs := &fault.FS{Sync: fault.New(fault.Config{Latency: 50 * time.Millisecond})}
+	s, err := OpenStoreDir(t.TempDir(), DurableOptions{Shards: 1, CompactEvery: -1, CompactRecords: -1, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetTracer(tr)
+
+	ctx, root := tr.Start(context.Background(), "test.ingest")
+	defer root.End()
+	added := make(chan error, 1)
+	go func() {
+		_, err := s.AddCountContext(ctx, backfillPost(0, 0))
+		added <- err
+	}()
+	for s.lastIngest.Load() == nil {
+		time.Sleep(time.Millisecond)
+	}
+	traceID, spanID := s.LastIngestTrace()
+	ended := false
+	for _, sp := range tr.TraceSpans(traceID) {
+		ended = ended || (sp.Name == "store.add" && sp.SpanID == spanID)
+	}
+	if traceID != root.TraceID || !ended {
+		t.Fatalf("LastIngestTrace = (%s,%s) before the store.add span of trace %s ended", traceID, spanID, root.TraceID)
+	}
+	if err := <-added; err != nil {
+		t.Fatal(err)
 	}
 }

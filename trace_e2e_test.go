@@ -44,6 +44,23 @@ func getTrace(t *testing.T, url string) wireTrace {
 	return out
 }
 
+// pollTrace re-reads url until done accepts the trace, failing the test
+// after 10 s. A span reaches the ring when it ends, which can be after
+// the response or publication a test waited for: the monitor publishes
+// before its flush span ends, and a server span ends after the client
+// has its response.
+func pollTrace(t *testing.T, url string, done func(wireTrace) bool) wireTrace {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		tr := getTrace(t, url)
+		if done(tr) || time.Now().After(deadline) {
+			return tr
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // newTracedBackend stands up a sociald-shaped backend: a small corpus
 // behind the HTTP search API, instrumented middleware with its own
 // tracer, and GET /v1/trace mounted — the daemon wiring in miniature.
@@ -164,35 +181,49 @@ func TestEndToEndDistributedTrace(t *testing.T) {
 	}
 
 	// Find the ingest trace: the one holding the store.add span.
-	list := getTrace(t, front.URL+"/v1/trace?limit=500")
 	var traceID string
-	for _, s := range list.Spans {
-		if s.Name == "store.add" {
-			traceID = s.TraceID
-			break
+	list := pollTrace(t, front.URL+"/v1/trace?limit=500", func(list wireTrace) bool {
+		for _, s := range list.Spans {
+			if s.Name == "store.add" {
+				traceID = s.TraceID
+				return true
+			}
 		}
-	}
+		return false
+	})
 	if traceID == "" {
 		t.Fatalf("no store.add span among %d recorded spans", list.Count)
 	}
 
-	trace := getTrace(t, front.URL+"/v1/trace?trace_id="+traceID)
-	byName := map[string][]int{}
-	for i, s := range trace.Spans {
-		byName[s.Name] = append(byName[s.Name], i)
+	// The flush span ends after the publication waited for above, and
+	// the server span after the response: poll until the trace holds
+	// every stage.
+	wantNames := []string{"store.add", "wal.append", "monitor.flush", "multi.search", "multi.backend"}
+	var byName map[string][]int
+	var serverSpan bool
+	trace := pollTrace(t, front.URL+"/v1/trace?trace_id="+traceID, func(trace wireTrace) bool {
+		byName, serverSpan = map[string][]int{}, false
+		for i, s := range trace.Spans {
+			byName[s.Name] = append(byName[s.Name], i)
+			if strings.HasPrefix(s.Name, "http.server ") {
+				serverSpan = true
+			}
+		}
+		for _, want := range wantNames {
+			if len(byName[want]) == 0 {
+				return false
+			}
+		}
+		return serverSpan
+	})
+	for _, s := range trace.Spans {
 		if s.TraceID != traceID {
 			t.Fatalf("span %s leaked into trace %s", s.Name, traceID)
 		}
 	}
-	for _, want := range []string{"store.add", "wal.append", "monitor.flush", "multi.search", "multi.backend"} {
+	for _, want := range wantNames {
 		if len(byName[want]) == 0 {
 			t.Fatalf("trace %s missing %q span; has %v", traceID, want, byName)
-		}
-	}
-	var serverSpan bool
-	for name := range byName {
-		if strings.HasPrefix(name, "http.server ") {
-			serverSpan = true
 		}
 	}
 	if !serverSpan {
@@ -247,7 +278,7 @@ func TestEndToEndDistributedTrace(t *testing.T) {
 	// Across the wire: each sociald backend recorded a server span in
 	// the SAME trace, retrievable from its own /v1/trace endpoint.
 	for _, backend := range []string{alphaURL, betaURL} {
-		remote := getTrace(t, backend+"/v1/trace?trace_id="+traceID)
+		remote := pollTrace(t, backend+"/v1/trace?trace_id="+traceID, func(tr wireTrace) bool { return tr.Count > 0 })
 		if remote.Count == 0 {
 			t.Fatalf("backend %s recorded no span for trace %s", backend, traceID)
 		}
