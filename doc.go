@@ -62,8 +62,10 @@
 //
 // ISO/SAE 21434 Clause 8 frames risk assessment as an ongoing
 // activity, and the monitoring subsystem makes the batch workflow
-// continuous: SocialStore.Watch exposes a changefeed of ingested
-// posts, a Monitor (NewMonitor) tails it, classifies each delta into
+// continuous: SocialStore.Watch exposes a live changefeed of ingested
+// posts (the catch-up after a restart is SocialStore.DurableCursor and
+// PostsSince, not the feed), a Monitor (NewMonitor) tails it,
+// classifies each delta into
 // the affected keyword topics and threats (DirtySet), and
 // re-runs just the dirty slice of the workflow through a ResultCache —
 // cached listings with exact invalidation plus memoized per-topic
@@ -80,7 +82,7 @@
 // refresh ended — is assessed the moment it lands; a burst waits for
 // the debounce interval of quiet and is assessed once, with MaxLag
 // bounding a continuous stream. The TARAMonitor schedules re-rating
-// the same way.
+// with the same policy, its burst bound being one debounce interval.
 // The pspd daemon serves the resulting Assessment over HTTP — ingest,
 // cached SAI/TARA results with freshness metadata, health — with
 // graceful shutdown via ListenAndServeGraceful. GET /v1/assessment

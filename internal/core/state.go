@@ -28,7 +28,7 @@ type ResultState struct {
 	Index               []EntryState        `json:"index"`
 	Learned             map[string][]string `json:"learned,omitempty"`
 	Keywords            []GroupState        `json:"keywords"`
-	OutsiderTable       TableState          `json:"outsider_table"`
+	OutsiderTable       *tara.VectorTable   `json:"outsider_table"`
 	Tunings             []TuningState       `json:"tunings"`
 	InauthenticFiltered int                 `json:"inauthentic_filtered"`
 	Since               time.Time           `json:"since,omitempty"`
@@ -54,13 +54,6 @@ type GroupState struct {
 	Learned []string `json:"learned,omitempty"`
 }
 
-// TableState is a serialized feasibility table: vector name → rating
-// name.
-type TableState struct {
-	Name    string            `json:"name"`
-	Ratings map[string]string `json:"ratings"`
-}
-
 // TuningState is one serialized per-threat tuning. The scenario itself
 // travels by ID: a restore resolves it against the monitored input's
 // live scenario list, so a changed threat configuration invalidates the
@@ -71,7 +64,7 @@ type TuningState struct {
 	Posts        int                `json:"posts"`
 	VectorShares map[string]float64 `json:"vector_shares,omitempty"`
 	Factors      map[string]float64 `json:"factors,omitempty"`
-	Table        TableState         `json:"table"`
+	Table        *tara.VectorTable  `json:"table"`
 }
 
 // exportShares renders a vector-keyed map by vector name.
@@ -101,30 +94,6 @@ func restoreShares(shares map[string]float64) (map[tara.AttackVector]float64, er
 	return out, nil
 }
 
-func exportTable(t *tara.VectorTable) TableState {
-	st := TableState{Name: t.Name, Ratings: make(map[string]string, 4)}
-	for v, r := range t.Ratings() {
-		st.Ratings[v.String()] = r.String()
-	}
-	return st
-}
-
-func restoreTable(st TableState) (*tara.VectorTable, error) {
-	ratings := make(map[tara.AttackVector]tara.FeasibilityRating, len(st.Ratings))
-	for vn, rn := range st.Ratings {
-		v, err := tara.ParseVector(vn)
-		if err != nil {
-			return nil, err
-		}
-		r, err := tara.ParseFeasibility(rn)
-		if err != nil {
-			return nil, err
-		}
-		ratings[v] = r
-	}
-	return tara.NewVectorTable(st.Name, ratings)
-}
-
 // ExportResult serializes a workflow result for persistence.
 func ExportResult(r *SocialResult) (*ResultState, error) {
 	if r == nil || r.Index == nil || r.Keywords == nil || r.OutsiderTable == nil {
@@ -132,7 +101,7 @@ func ExportResult(r *SocialResult) (*ResultState, error) {
 	}
 	st := &ResultState{
 		Learned:             r.Learned,
-		OutsiderTable:       exportTable(r.OutsiderTable),
+		OutsiderTable:       r.OutsiderTable,
 		InauthenticFiltered: r.InauthenticFiltered,
 		Since:               r.Since,
 		Until:               r.Until,
@@ -158,7 +127,7 @@ func ExportResult(r *SocialResult) (*ResultState, error) {
 			Posts:        tuning.Posts,
 			VectorShares: exportShares(tuning.VectorShares),
 			Factors:      exportShares(tuning.Factors),
-			Table:        exportTable(tuning.Table),
+			Table:        tuning.Table,
 		})
 	}
 	return st, nil
@@ -194,15 +163,14 @@ func RestoreResult(st *ResultState, threats []*tara.ThreatScenario) (*SocialResu
 			return nil, fmt.Errorf("core: restore learned tags: %w", err)
 		}
 	}
-	outsider, err := restoreTable(st.OutsiderTable)
-	if err != nil {
-		return nil, fmt.Errorf("core: restore outsider table: %w", err)
+	if st.OutsiderTable == nil {
+		return nil, fmt.Errorf("core: result state without outsider table")
 	}
 	res := &SocialResult{
 		Index:               &sai.Index{},
 		Learned:             st.Learned,
 		Keywords:            db,
-		OutsiderTable:       outsider,
+		OutsiderTable:       st.OutsiderTable,
 		InauthenticFiltered: st.InauthenticFiltered,
 		Since:               st.Since,
 		Until:               st.Until,
@@ -235,9 +203,8 @@ func RestoreResult(st *ResultState, threats []*tara.ThreatScenario) (*SocialResu
 		if err != nil {
 			return nil, fmt.Errorf("core: restore tuning %s: %w", ts.ThreatID, err)
 		}
-		table, err := restoreTable(ts.Table)
-		if err != nil {
-			return nil, fmt.Errorf("core: restore tuning %s: %w", ts.ThreatID, err)
+		if ts.Table == nil {
+			return nil, fmt.Errorf("core: persisted tuning %s without table", ts.ThreatID)
 		}
 		res.Tunings = append(res.Tunings, &ThreatTuning{
 			Threat:       threat,
@@ -245,7 +212,7 @@ func RestoreResult(st *ResultState, threats []*tara.ThreatScenario) (*SocialResu
 			Posts:        ts.Posts,
 			VectorShares: shares,
 			Factors:      factors,
-			Table:        table,
+			Table:        ts.Table,
 		})
 	}
 	return res, nil

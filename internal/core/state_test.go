@@ -240,3 +240,38 @@ func TestRestoreDecodersSurviveDamage(t *testing.T) {
 		}
 	}
 }
+
+// TestResultStateDecodesSavedFormat: a result state in the saved JSON
+// form (vectors and ratings by display name, tables as {name, ratings})
+// restores and re-exports to the same bytes, so monitor.state files
+// written before tables had their own JSON methods keep restoring warm.
+func TestResultStateDecodesSavedFormat(t *testing.T) {
+	const saved = `{"index":[{"topic":"chiptuning","tags":["chiptuning","remap"],"posts":12,"score":3.5,"probability":0.75,"insider":true,"vector_shares":{"Local":0.25,"Physical":0.75}}],` +
+		`"keywords":[{"topic":"chiptuning","tags":["chiptuning","remap"]}],` +
+		`"outsider_table":{"name":"ISO/SAE 21434 G.9 (attack vector-based)","ratings":{"Adjacent":"Medium","Local":"Low","Network":"High","Physical":"Very Low"}},` +
+		`"tunings":[{"threat_id":"TS-ECM-01","insider":true,"posts":12,"vector_shares":{"Local":0.25,"Physical":0.75},"factors":{"Local":1,"Physical":3},` +
+		`"table":{"name":"PSP insider","ratings":{"Adjacent":"Very Low","Local":"Medium","Network":"Low","Physical":"High"}}}],` +
+		`"inauthentic_filtered":0,"since":"2022-01-01T00:00:00Z","until":"2023-01-01T00:00:00Z"}`
+	var st ResultState
+	if err := json.Unmarshal([]byte(saved), &st); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RestoreResult(&st, []*tara.ThreatScenario{stateThreat()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := res.Tunings[0].Table.Rating(tara.VectorPhysical); r != tara.FeasibilityHigh {
+		t.Fatalf("restored tuning rates Physical %v, want High", r)
+	}
+	again, err := ExportResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := json.Marshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wire) != saved {
+		t.Fatalf("re-exported state differs from the saved form:\n got %s\nwant %s", wire, saved)
+	}
+}

@@ -7,12 +7,15 @@
 // The pipeline is changefeed → scheduler → cached assessment:
 //
 //   - the Monitor tails a social.Store changefeed (Store.Watch), so
-//     every ingested post is observed exactly once;
+//     every post ingested after it subscribes is observed exactly once
+//     (the feed is live-only; a warm restart reads what it missed
+//     through the store's durable cursor);
 //   - incoming posts are scheduled on a leading edge: an isolated
 //     delta — one reaching an idle monitor, at least Config.Debounce
 //     after the last flush ended — runs at once, while a burst
 //     coalesces until Config.Debounce of quiet (bounded by
-//     Config.MaxLag);
+//     Config.MaxLag), and a failed flush retries with exponential
+//     backoff;
 //   - each delta is matched against the keyword database and threat
 //     scenarios to summarize the dirty slice (core.DirtySet), and fed
 //     to the result cache's exact invalidation;
@@ -66,8 +69,8 @@
 //
 // TARAMonitor runs assessment-as-a-service over a tara.Registry: it
 // tails tenant change notifications plus the social Monitor's
-// assessment stream on the same leading-edge schedule (an isolated
-// change is rated at once, a burst after TARAConfig.Debounce), and
+// assessment stream on the same schedule (an isolated change is rated
+// at once, a burst within TARAConfig.Debounce of its first signal), and
 // re-rates only the dirty tenants —
 // and within each tenant, only the dirty threats — on the shared worker
 // pool. Social threat tunings are bridged tenant-selectively: a new

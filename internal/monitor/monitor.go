@@ -157,11 +157,13 @@ func New(cfg Config) (*Monitor, error) {
 // and retried on the next delta; Run only returns on context
 // cancellation or if the initial assessment fails.
 func (m *Monitor) Run(ctx context.Context) error {
-	// Subscribe before computing the restart delta: a post committed
-	// after the subscription arrives live, one committed before it is
-	// in the durable log the delta scan reads — either way it is seen
-	// (possibly twice; invalidation is idempotent).
-	feed := m.cfg.Store.Watch(ctx, social.WatchOptions{})
+	// Subscribe before computing the restart delta. The feed is
+	// live-only: a post whose Add begins after Watch returns arrives on
+	// it, and every earlier one not yet applied when the persisted
+	// cursor was taken is in the durable log the delta scan reads —
+	// either way it is seen (possibly twice; invalidation is
+	// idempotent).
+	feed := m.cfg.Store.Watch(ctx)
 
 	if delta, ok := m.tryRestore(); ok {
 		// Served warm. Catch up on whatever the persisted state had not
@@ -181,10 +183,12 @@ func (m *Monitor) Run(ctx context.Context) error {
 		m.persistState(cursor)
 	}
 
-	// Leading edge: a batch reaching an idle loop (see idle) flushes at
-	// once. Otherwise a quiet period of cfg.Debounce after the last
-	// batch triggers the flush, while cfg.MaxLag bounds deferral under a
-	// continuous stream. Nil timer channels block their select cases.
+	// The schedule (see schedule) decides when pending batches flush:
+	// at once on the leading edge, else after a trailing debounce
+	// bounded by MaxLag, or after a retry backoff. Its last pass end
+	// stays zero through the initial or restored pass, so the first
+	// delta after startup is leading-edge.
+	sched := schedule{debounce: m.cfg.Debounce, maxLag: m.cfg.MaxLag}
 	var (
 		pending []*social.Post
 		// pendingSince marks when the current flush window opened (first
@@ -192,17 +196,12 @@ func (m *Monitor) Run(ctx context.Context) error {
 		// debounce-to-publish latency. Zero on a retry wake-up no batch
 		// joined.
 		pendingSince time.Time
-		debounceC    <-chan time.Time
-		lagC         <-chan time.Time
-		failStreak   uint
-		lastEnd      time.Time // when the last flush ended; zero before the first
 	)
 	// A failed warm-restart catch-up must retry like any failed flush:
 	// without this arm the loop would wait for the next ingested batch
 	// while serving the stale restored assessment.
 	if m.workflowError() != nil {
-		debounceC = time.After(retryDelay(m.cfg.Debounce, 0))
-		failStreak = 1
+		sched.fail()
 	}
 	for {
 		fired := false
@@ -217,69 +216,24 @@ func (m *Monitor) Run(ctx context.Context) error {
 				pendingSince = time.Now()
 			}
 			pending = append(pending, batch...)
-			if idle(debounceC != nil || lagC != nil, lastEnd, m.cfg.Debounce) {
-				fired = true
-			} else if failStreak == 0 {
-				if lagC == nil {
-					lagC = time.After(m.cfg.MaxLag)
-				}
-				debounceC = time.After(m.cfg.Debounce)
-			}
-			// During a failure streak the retry backoff stays armed and
-			// the batch joins the retry flush: re-arming here would let
-			// steady ingest retry a platform outage at debounce cadence.
-		case <-debounceC:
-			fired = true
-		case <-lagC:
+			fired = sched.arrive()
+		case <-sched.timer:
 			fired = true
 		}
 		if fired {
 			// A timer firing with empty pending is a retry wake-up:
 			// flush re-runs the workflow even with no new posts.
 			m.flush(ctx, pending, pendingSince)
-			lastEnd = time.Now()
 			pending = nil
 			pendingSince = time.Time{}
-			debounceC, lagC = nil, nil
-			if m.workflowError() != nil && ctx.Err() == nil {
-				// The workflow failed after its invalidations landed;
-				// retry without waiting for the next delta, backing off
-				// exponentially so a persistent platform outage is not
-				// hammered on the bare debounce cadence. (Persist-only
-				// failures do NOT arm this: re-running the workflow
-				// cannot fix a disk error, and the generation churn
-				// would invalidate every poller's ETag for nothing.)
-				debounceC = time.After(retryDelay(m.cfg.Debounce, failStreak))
-				failStreak++
-			} else {
-				failStreak = 0
-			}
+			// A workflow failure (its invalidations already landed)
+			// retries without waiting for the next delta. Persist-only
+			// failures do NOT count: re-running the workflow cannot fix
+			// a disk error, and the generation churn would invalidate
+			// every poller's ETag for nothing.
+			sched.ran(m.workflowError() != nil && ctx.Err() == nil)
 		}
 	}
-}
-
-// idle reports whether work arriving at a scheduling loop may run at
-// once — the leading edge. That holds when no timer is armed (no
-// trailing debounce, no retry backoff, and so nothing pending) and at
-// least debounce has passed since the last pass ended (zero before the
-// first). An isolated delta is then assessed the moment it lands, while
-// a burst still coalesces behind the trailing debounce.
-func idle(timerArmed bool, lastEnd time.Time, debounce time.Duration) bool {
-	return !timerArmed && (lastEnd.IsZero() || time.Since(lastEnd) >= debounce)
-}
-
-// retryDelay doubles the debounce per consecutive failure, capped at
-// 30 s.
-func retryDelay(debounce time.Duration, failStreak uint) time.Duration {
-	const maxDelay = 30 * time.Second
-	delay := debounce
-	for i := uint(0); i < failStreak && delay < maxDelay; i++ {
-		delay *= 2
-	}
-	if delay > maxDelay {
-		delay = maxDelay
-	}
-	return delay
 }
 
 // flush runs one incremental re-assessment over the pending delta.

@@ -226,7 +226,7 @@ func TestMonitorRetriesBackOffUnderSteadyIngest(t *testing.T) {
 	joined := false
 	for i := 1; i < attempts; i++ {
 		gap := failed[i].Start.Sub(failed[i-1].Start)
-		if want := retryDelay(debounce, uint(i-1)); gap < want {
+		if want := (&schedule{debounce: debounce, failStreak: uint(i - 1)}).retryDelay(); gap < want {
 			t.Fatalf("failed flush %d came %v after the previous one, want ≥ %v (backoff cut short by ingest)", i, gap, want)
 		}
 		joined = joined || attrMap(failed[i])["delta_posts"] != "0"

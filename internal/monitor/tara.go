@@ -121,15 +121,13 @@ func (tm *TARAMonitor) Run(ctx context.Context) error {
 	case <-tm.cfg.Registry.Notify():
 	default:
 	}
-	var (
-		debounceC  <-chan time.Time
-		failStreak uint
-		lastEnd    time.Time // when the last loop pass ended; zero before the first
-	)
+	// A pass is due within one Debounce of the first signal of a
+	// burst: maxLag = Debounce.
+	sched := schedule{debounce: tm.cfg.Debounce, maxLag: tm.cfg.Debounce}
 	if !tm.ratePass(ctx, tm.cfg.Registry.Names()) {
 		// The failed tenants are re-marked dirty: retry them after the
-		// debounce, not at once.
-		debounceC = time.After(tm.cfg.Debounce)
+		// backoff, not at once.
+		sched.fail()
 	}
 	tm.initialDone.Store(true)
 
@@ -139,24 +137,12 @@ func (tm *TARAMonitor) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tm.cfg.Registry.Notify():
-			// A failure streak counts as an armed timer even before the
-			// re-marked tenants' notify arms the backoff.
-			if idle(debounceC != nil || failStreak > 0, lastEnd, tm.cfg.Debounce) {
-				fired = true
-			} else if debounceC == nil {
-				debounceC = time.After(retryDelay(tm.cfg.Debounce, failStreak))
-			}
-		case <-debounceC:
+			fired = sched.arrive()
+		case <-sched.timer:
 			fired = true
 		}
 		if fired {
-			debounceC = nil
-			if ok := tm.ratePass(ctx, tm.cfg.Registry.TakeDirty()); ok {
-				failStreak = 0
-			} else if failStreak < 16 {
-				failStreak++
-			}
-			lastEnd = time.Now()
+			sched.ran(!tm.ratePass(ctx, tm.cfg.Registry.TakeDirty()))
 		}
 	}
 }

@@ -46,8 +46,9 @@ type Span struct {
 	Err      string
 
 	tracer  *Tracer
-	sampled bool // head-based decision, constant across the trace
-	forced  bool // record regardless of sampling (degraded/interesting)
+	seq     uint64 // ring write index, set when the span is recorded
+	sampled bool   // head-based decision, constant across the trace
+	forced  bool   // record regardless of sampling (degraded/interesting)
 	ended   atomic.Bool
 }
 
@@ -398,6 +399,7 @@ func (t *Tracer) finish(s *Span) {
 	}
 	t.recorded.Inc()
 	idx := t.widx.Add(1) - 1
+	s.seq = idx
 	t.ring[idx&t.mask].Store(s)
 	if s.Err != "" || slow {
 		level := slog.LevelWarn
@@ -425,16 +427,19 @@ func (t *Tracer) Spans(limit int) []*Span {
 	if limit <= 0 || limit > n {
 		limit = n
 	}
+	// Walk backwards from the most recent write index, over the slots
+	// written before the walk began. A slot is listed only if it still
+	// holds the span of the index being walked: a writer that claimed
+	// the index but has not stored yet leaves an older span (or nil)
+	// there, and a write during the walk may reuse an old slot for a
+	// newer span. Skipping both keeps the listing newest first.
 	head := t.widx.Load()
 	out := make([]*Span, 0, limit)
-	for i := uint64(0); i < uint64(n) && len(out) < limit; i++ {
-		// Walk backwards from the most recent slot.
-		slot := (head - 1 - i) & t.mask
-		s := t.ring[slot].Load()
-		if s == nil {
-			continue
+	for i := uint64(0); i < min(head, uint64(n)) && len(out) < limit; i++ {
+		idx := head - 1 - i
+		if s := t.ring[idx&t.mask].Load(); s != nil && s.seq == idx {
+			out = append(out, s)
 		}
-		out = append(out, s)
 	}
 	return out
 }

@@ -125,6 +125,59 @@ func TestRingWrapNewestFirst(t *testing.T) {
 	}
 }
 
+// TestSpansNewestFirstUnderConcurrentWrites reads the ring while other
+// goroutines finish spans, both while the ring fills and once it has
+// wrapped. Each writer numbers its spans, so its spans must be listed
+// with strictly falling numbers: a span finished during the read must
+// never be listed after older ones.
+func TestSpansNewestFirstUnderConcurrentWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		perGo    int // spans per writer; 0 writes until the reads end
+	}{
+		{"filling", 1 << 14, 4000},
+		{"wrapped", 1 << 10, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewTracer(TracerOptions{Capacity: tc.capacity, SampleRate: 1})
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			const writers = 3
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; tc.perGo == 0 || i < tc.perGo; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						_, s := tr.Start(context.Background(), "w"+strconv.Itoa(g))
+						s.SetInt("n", int64(i))
+						s.End()
+					}
+				}(g)
+			}
+			for r := 0; r < 100; r++ {
+				last := map[string]int{}
+				for k, s := range tr.Spans(0) {
+					n, _ := strconv.Atoi(s.Attrs[0].Value)
+					if prev, ok := last[s.Name]; ok && n >= prev {
+						close(stop)
+						wg.Wait()
+						t.Fatalf("read %d: %s span %d listed at %d, after its span %d", r, s.Name, n, k, prev)
+					}
+					last[s.Name] = n
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
+	}
+}
+
 func TestNilTracerAndNilSpanAreNoOps(t *testing.T) {
 	var tr *Tracer
 	ctx, s := tr.Start(context.Background(), "x")

@@ -74,18 +74,19 @@
 // stale whenever a write landed before the position. Parsing one now
 // returns a deprecation error.
 //
-// Changefeed: Store.Watch delivers every batch accepted by Add to each
-// subscriber exactly once, in insertion order, optionally replaying the
-// stored listing after a keyset cursor first. A store-level sequencer
-// orders batches across shards: Add publishes while still holding its
-// shard writer locks — after its snapshot swaps, so the sequencer
-// observes post-commit state — and Watch registration briefly takes
-// every shard writer lock plus the sequencer to read the published
-// snapshots and register atomically. The feed therefore has no gap or
-// overlap even with writers landing on different shards concurrently,
-// while lock-free readers are never involved. The continuous monitoring
-// subsystem (internal/monitor) tails this feed to re-assess only the
-// affected keyword topics as new posts arrive.
+// Changefeed: Store.Watch is a live-only feed. Every batch whose Add
+// begins after the subscription is delivered to the subscriber exactly
+// once and whole, posts in (CreatedAt, ID) order. Add publishes while
+// still holding its shard writer locks — after its snapshot swaps — so
+// batches whose stripe sets overlap arrive in commit order; publication
+// loads the copy-on-write subscriber set atomically, and registration
+// swaps that set under a registry mutex without touching writers or
+// lock-free readers. The feed never replays stored posts: catch-up
+// after a restart is the durable cursor's job (DurableCursor, then
+// Watch, then PostsSince, which covers every post the feed did not).
+// The continuous monitoring subsystem (internal/monitor) tails this
+// feed to re-assess only the affected keyword topics as new posts
+// arrive.
 //
 // Federation: Multi fans a query out to every platform backend
 // concurrently. Each federated page fetches one bounded slice per

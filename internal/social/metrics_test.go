@@ -30,7 +30,7 @@ func TestStoreMetricsRecording(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	feed := s.Watch(ctx, WatchOptions{})
+	feed := s.Watch(ctx)
 
 	for i := 0; i < 10; i++ {
 		if err := s.Add(durPost(i, i%3)); err != nil {

@@ -57,11 +57,14 @@ func ReadPosts(r io.Reader) ([]*Post, error) {
 // owned by the caller; the posts it points at are shared and must not
 // be mutated.
 func (s *Store) SnapshotPosts() []*Post {
-	var lists [][]*Post
-	for _, sh := range s.shards {
-		lists = sh.view().genLists(lists, func(g *shardGen) []*Post { return g.byTime })
+	iters := make([]*shardIter, len(s.shards))
+	total := 0
+	for i, sh := range s.shards {
+		sn := sh.view()
+		iters[i] = sn.matchIter(&Query{}, nil, nil, nil)
+		total += len(sn.base.byTime) + len(sn.delta.byTime)
 	}
-	return mergeOwned(lists)
+	return mergeShardStreams(iters, total)
 }
 
 // WriteStore streams the store's current contents to w as JSON Lines —

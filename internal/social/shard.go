@@ -265,7 +265,7 @@ func timeBounds(plist []*Post, since, until time.Time) (lo, hi int) {
 // ID) order, strictly after the seek cursor. It is the streaming half
 // of the sharded search: the store pulls MaxResults+1 posts off the
 // merged shard streams and stops, so producing a page costs
-// O(page + seek) rather than O(matches). Sources reuse store.go's
+// O(page + seek) rather than O(matches). Sources sit on store.go's
 // mergeSource/mergeHeap posting-list heap, with each source's plist
 // pre-narrowed to the query window. The iterator reads only the
 // immutable snapshot it was built from — no lock is held or needed
@@ -383,8 +383,8 @@ func (sn *shardSnapshot) matchIter(q *Query, tags, must []string, cur *Cursor) *
 	switch len(srcs) {
 	case 0: // zero-valued single source is already exhausted
 	case 1:
-		// Like mergeKSorted's single-list fast path: one source needs
-		// no heap, the narrowed list is streamed directly.
+		// One source needs no heap: the narrowed list is streamed
+		// directly.
 		it.single = srcs[0]
 	default:
 		it.h = mergeHeap(srcs)

@@ -169,10 +169,11 @@ func TestSearchShardCountEquivalence(t *testing.T) {
 
 // TestWatchExactlyOnceAcrossShards floods a striped store from writers
 // that each target a different time bucket (= a different stripe), with
-// one subscriber replaying from the zero cursor and a second attaching
-// mid-flood: every post must reach the first subscriber exactly once,
-// and the late subscriber's replay snapshot must not overlap its live
-// stream. Run with -race.
+// one subscriber registered before the writers start and a second
+// attaching mid-flood: the first must get every flood post exactly
+// once, the late one no duplicate and every post whose Add began after
+// its Watch returned, and neither any post stored before the writers
+// started. Run with -race.
 func TestWatchExactlyOnceAcrossShards(t *testing.T) {
 	s := NewStoreShards(8)
 	for i := 0; i < 40; i++ {
@@ -182,8 +183,8 @@ func TestWatchExactlyOnceAcrossShards(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	zero := Cursor{}
-	feed := s.Watch(ctx, WatchOptions{After: &zero, Buffer: 2})
+	f := newLiveFlood(s)
+	feed := f.watch(ctx)
 
 	const writers, perWriter = 8, 60
 	var wg sync.WaitGroup
@@ -195,50 +196,34 @@ func TestWatchExactlyOnceAcrossShards(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				// Writer w stays inside day-bucket w (mod stripe count):
 				// concurrent Adds always land on distinct shards.
-				p := &Post{
-					ID:        fmt.Sprintf("w%d-%03d", w, i),
-					Author:    fmt.Sprintf("writer%d", w),
-					Text:      "flood #dpfdelete",
-					CreatedAt: time.Date(2023, 5, 1+w, i/60, i%60, 0, 0, time.UTC),
-					Metrics:   Metrics{Views: 1},
-				}
-				if err := s.Add(p); err != nil {
-					t.Error(err)
+				key := fmt.Sprintf("w%d-%03d", w, i)
+				if !f.add(t, key, floodPost(key, time.Date(2023, 5, 1+w, i/60, i%60, 0, 0, time.UTC))) {
 					return
 				}
 				if w == 0 && i == perWriter/2 {
-					lateFeeds <- s.Watch(ctx, WatchOptions{After: &zero, Buffer: 2})
+					lateFeeds <- f.watch(ctx)
 				}
 			}
 		}(w)
 	}
 	late := <-lateFeeds
 	wg.Wait()
+	f.finish(t)
 
-	want := 40 + writers*perWriter
-	for name, f := range map[string]<-chan []*Post{"registered-first": feed, "registered-mid-flood": late} {
-		got := collectFeed(t, f, want)
-		seen := make(map[string]bool, len(got))
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("%s subscriber: post %s delivered twice", name, id)
-			}
-			seen[id] = true
-		}
-		if len(seen) != want {
-			t.Errorf("%s subscriber: %d distinct posts, want %d", name, len(seen), want)
-		}
+	if n := f.check(t, "registered-first", 0, feed); n != writers*perWriter+1 {
+		t.Errorf("registered-first subscriber: %d posts, want %d", n, writers*perWriter+1)
 	}
+	f.check(t, "registered-mid-flood", 1, late)
 }
 
-// TestWatchMultiShardBatchAtomic pins the sequencer contract: one Add
+// TestWatchMultiShardBatchAtomic pins the batch contract: one Add
 // whose posts span several stripes arrives at the changefeed as one
 // batch, in (CreatedAt, ID) order.
 func TestWatchMultiShardBatchAtomic(t *testing.T) {
 	s := NewStoreShards(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	feed := s.Watch(ctx, WatchOptions{})
+	feed := s.Watch(ctx)
 
 	batch := make([]*Post, 6)
 	for i := range batch {

@@ -363,16 +363,18 @@ func TestCompactionEquivalence(t *testing.T) {
 // TestWatchExactlyOnceAcrossCOWCommits floods a striped store with
 // multi-stripe batches (each spans four day buckets) under a lowered
 // compaction threshold, with one subscriber registered up front and one
-// attaching mid-flood: every post must arrive exactly once at both, and
-// each batch must arrive as one unit even though its snapshot swaps
-// land stripe by stripe. Run with -race.
+// attaching mid-flood. Each batch must arrive as one unit even though
+// its snapshot swaps land stripe by stripe: the first subscriber gets
+// every post exactly once, the late one no duplicate, no partial batch
+// and every batch whose Add began after its Watch returned. Run with
+// -race.
 func TestWatchExactlyOnceAcrossCOWCommits(t *testing.T) {
 	lowerCompactThreshold(t, 16)
 	s := NewStoreShards(8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	zero := Cursor{}
-	feed := s.Watch(ctx, WatchOptions{After: &zero, Buffer: 2})
+	f := newLiveFlood(s)
+	feed := f.watch(ctx)
 
 	const writers, burstsPerWriter, burstLen = 6, 30, 4
 	var wg sync.WaitGroup
@@ -382,43 +384,29 @@ func TestWatchExactlyOnceAcrossCOWCommits(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < burstsPerWriter; i++ {
+				key := fmt.Sprintf("cow-w%d-%03d", w, i)
 				batch := make([]*Post, burstLen)
 				for j := range batch {
-					batch[j] = &Post{
-						ID:        fmt.Sprintf("cow-w%d-%03d-%d", w, i, j),
-						Author:    fmt.Sprintf("writer%d", w),
-						Text:      "flood #dpfdelete",
-						CreatedAt: time.Date(2023, 5, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, (w*burstsPerWriter+i+j)%32),
-						Metrics:   Metrics{Views: 1},
-					}
+					batch[j] = floodPost(fmt.Sprintf("%s-%d", key, j),
+						time.Date(2023, 5, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, (w*burstsPerWriter+i+j)%32))
 				}
-				if err := s.Add(batch...); err != nil {
-					t.Error(err)
+				if !f.add(t, key, batch...) {
 					return
 				}
 				if w == 0 && i == burstsPerWriter/2 {
-					lateFeeds <- s.Watch(ctx, WatchOptions{After: &zero, Buffer: 2})
+					lateFeeds <- f.watch(ctx)
 				}
 			}
 		}(w)
 	}
 	late := <-lateFeeds
 	wg.Wait()
+	f.finish(t)
 
-	want := writers * burstsPerWriter * burstLen
-	for name, f := range map[string]<-chan []*Post{"registered-first": feed, "registered-mid-flood": late} {
-		got := collectFeed(t, f, want)
-		seen := make(map[string]bool, len(got))
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("%s subscriber: post %s delivered twice", name, id)
-			}
-			seen[id] = true
-		}
-		if len(seen) != want {
-			t.Errorf("%s subscriber: %d distinct posts, want %d", name, len(seen), want)
-		}
+	if n := f.check(t, "registered-first", 0, feed); n != writers*burstsPerWriter*burstLen+1 {
+		t.Errorf("registered-first subscriber: %d posts, want %d", n, writers*burstsPerWriter*burstLen+1)
 	}
+	f.check(t, "registered-mid-flood", 1, late)
 }
 
 // TestSkipTotal pins the SkipTotal contract across Store, server/client

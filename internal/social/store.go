@@ -244,15 +244,14 @@ var (
 // behind an atomic pointer, Search loads one snapshot per stripe and
 // streams it, so an in-flight page never delays a writer and a
 // committing writer never stalls a reader. Writers contend only with
-// writers of the same stripe (the shard mutex is writer–writer only)
-// plus, batch-wide, the changefeed sequencer.
+// writers of the same stripe (the shard mutex is writer–writer only).
 //
 // Lock order (nested acquisitions always follow it): shard writer locks
-// in ascending stripe index, then the subscriber-registry mutex submu,
-// then a subscriber's own lock. ID-registry stripe locks nest inside
-// nothing. Changefeed publication takes no store-level lock at all — it
-// atomically loads the subscriber set and enqueues under each
-// subscriber's own lock.
+// in ascending stripe index, then a subscriber's own lock. The
+// subscriber-registry mutex submu and the ID-registry stripe locks
+// nest inside nothing. Changefeed publication takes no store-level lock
+// at all — it atomically loads the subscriber set and enqueues under
+// each subscriber's own lock.
 type Store struct {
 	shards []*shard
 
@@ -263,10 +262,10 @@ type Store struct {
 
 	// subs is the changefeed subscriber registry behind an atomic
 	// pointer to an immutable set: publication is a lock-free load plus
-	// per-subscriber enqueue, so commits on disjoint stripe sets no
-	// longer serialize store-wide through a sequencer mutex. submu
-	// serializes only registry mutations (Watch registration, delivery
-	// teardown), which copy-on-write a replacement set.
+	// per-subscriber enqueue, so commits on disjoint stripe sets never
+	// serialize store-wide. submu serializes only registry mutations
+	// (Watch registration, delivery teardown), which copy-on-write a
+	// replacement set.
 	submu sync.Mutex
 	subs  atomic.Pointer[subscriberSet]
 
@@ -376,23 +375,6 @@ func (s *Store) stripesFor(since, until time.Time) []int {
 	// Consecutive buckets hit distinct stripes until wrapping, so the
 	// run contains no duplicates by construction (its length is < n).
 	return stripes
-}
-
-// lockWriters acquires every shard writer lock in ascending stripe
-// order — the store's lock order, shared with Add's write-side
-// acquisition. Only Watch registration takes the full set: it freezes
-// commits store-wide for the duration of its snapshot. Readers never
-// lock.
-func (s *Store) lockWriters() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-}
-
-func (s *Store) unlockWriters() {
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
 }
 
 // postLess orders posts by (CreatedAt, ID).
@@ -601,14 +583,11 @@ func (s *Store) insertBatch(ctx context.Context, batch []*Post) (int, error) {
 // commitParts distributes a partitioned batch across its time-bucket
 // shards and publishes it to the changefeed. The batch commits one
 // snapshot swap per touched shard under the shards' writer locks
-// (acquired in ascending stripe order), with the publication inside
-// that window, so changefeed registrations — which hold every writer
-// lock while they snapshot and register — observe the batch atomically,
-// never a torn prefix, while readers are never involved in the critical
-// section at all. Publication itself is lock-free against other
-// commits: batches whose stripe sets overlap still serialize on the
-// shared shard locks, but commits on disjoint stripes publish
-// concurrently (see Watch for the resulting ordering contract).
+// (acquired in ascending stripe order) and publishes inside that
+// window, so batches whose stripe sets overlap reach every subscriber
+// in commit order, while readers are never involved in the critical
+// section at all. Commits on disjoint stripes publish concurrently (see
+// Watch for the resulting ordering contract).
 func (s *Store) commitParts(parts []*stripePart, batch []*Post) {
 	for _, part := range parts {
 		s.shards[part.stripe].mu.Lock()
@@ -616,7 +595,7 @@ func (s *Store) commitParts(parts []*stripePart, batch []*Post) {
 	for _, part := range parts {
 		s.shards[part.stripe].commit(part.posts, part.tags, part.terms)
 	}
-	s.publishSequenced(batch)
+	s.publish(batch)
 	for i := len(parts) - 1; i >= 0; i-- {
 		s.shards[parts[i].stripe].mu.Unlock()
 	}
@@ -633,9 +612,9 @@ func (s *Store) unregister(batch []*Post) {
 	}
 }
 
-// mergeHeap orders posting-list heads by (CreatedAt, ID) for the k-way
-// merge of tag unions. Each element is a posting list with a read
-// position.
+// mergeHeap orders posting-list heads by (CreatedAt, ID) for the lazy
+// k-way merge of tag unions (shardIter). Each element is a posting list
+// with a read position.
 type mergeHeap []mergeSource
 
 type mergeSource struct {
@@ -650,42 +629,6 @@ func (h mergeHeap) Less(i, j int) bool {
 func (h mergeHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
 func (h *mergeHeap) Push(x any)     { *h = append(*h, x.(mergeSource)) }
 func (h *mergeHeap) Pop() (out any) { old := *h; n := len(old); out = old[n-1]; *h = old[:n-1]; return }
-
-// mergeKSorted merges k (CreatedAt, ID)-sorted posting lists into one
-// sorted, duplicate-free union. Posts carrying several of the queried
-// tags appear in multiple lists; equal heads are deduplicated by key
-// during the merge, so the union costs O(total postings · log k) with no
-// query-time sort.
-func mergeKSorted(lists [][]*Post) []*Post {
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	h := make(mergeHeap, 0, len(lists))
-	total := 0
-	for _, plist := range lists {
-		total += len(plist)
-		h = append(h, mergeSource{plist: plist})
-	}
-	heap.Init(&h)
-	out := make([]*Post, 0, total)
-	for h.Len() > 0 {
-		src := h[0]
-		p := src.plist[src.pos]
-		if n := len(out); n == 0 || out[n-1] != p {
-			out = append(out, p)
-		}
-		if src.pos+1 < len(src.plist) {
-			h[0].pos++
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
-}
 
 // mergeSorted merges two (CreatedAt, ID)-sorted slices into one. Inputs
 // are never mutated; when one side is empty the other is returned as

@@ -292,7 +292,7 @@ func TestTraceIngestLinkLeadsChangefeed(t *testing.T) {
 	s.SetTracer(tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	feed := s.Watch(ctx, WatchOptions{})
+	feed := s.Watch(ctx)
 	type link struct{ traceID, spanID string }
 	seen := make(chan link)
 	go func() {

@@ -2,21 +2,8 @@ package social
 
 import (
 	"context"
-	"sort"
 	"sync"
 )
-
-// WatchOptions configures a Store changefeed subscription.
-type WatchOptions struct {
-	// After resumes the feed from a keyset position: stored posts with
-	// keys strictly after the cursor are replayed first, in
-	// (CreatedAt, ID) order, before live batches. Nil skips replay and
-	// delivers only posts added after the subscription (the zero Cursor
-	// replays the whole store).
-	After *Cursor
-	// Buffer is the delivery channel capacity in batches (default 16).
-	Buffer int
-}
 
 // subscriber is one live changefeed consumer. Inserted batches are
 // queued under the subscriber's own lock inside the store's insert
@@ -69,24 +56,21 @@ func (sub *subscriber) enqueue(posts []*Post) {
 	}
 }
 
-// publishSequenced hands an inserted batch (already (CreatedAt, ID)-
-// sorted) to every subscriber. The caller still holds the batch's shard
-// writer locks — its snapshot swaps are already visible to lock-free
-// readers, i.e. the batch is post-commit — so relative to any Watch
-// registration, which holds every shard writer lock while it snapshots
-// and registers, the commit and its publication are one atomic event:
-// registration snapshots stay gap- and overlap-free.
+// publish hands an inserted batch (already (CreatedAt, ID)-sorted) to
+// every subscriber. The caller still holds the batch's shard writer
+// locks, so its snapshot swaps are already visible to lock-free
+// readers: the batch is published post-commit.
 //
-// The subscriber set is read with one atomic load, no store-level lock:
-// a batch acquiring its shard locks after a registration released them
-// observes the new set (the lock hand-off orders the pointer load), and
-// a batch that published before the registration window is fully inside
-// the registration's replay snapshot. Between batches the only ordering
-// left is the shard locks themselves — batches with overlapping stripe
-// sets deliver in commit order, batches on disjoint stripe sets may
-// interleave differently per subscriber (they carry disjoint time
-// buckets, so any (CreatedAt, ID)-merging consumer is unaffected).
-func (s *Store) publishSequenced(batch []*Post) {
+// The subscriber set is read with one atomic load, no store-level lock,
+// and each subscriber receives the whole batch in one enqueue: a
+// subscriber gets a batch entirely or not at all, never twice. A batch
+// whose Add began after Watch returned loads a set that holds the new
+// subscriber. Between batches the only ordering is the shard locks
+// themselves — batches with overlapping stripe sets deliver in commit
+// order, batches on disjoint stripe sets may interleave differently per
+// subscriber (they carry disjoint time buckets, so any (CreatedAt,
+// ID)-merging consumer is unaffected).
+func (s *Store) publish(batch []*Post) {
 	for _, sub := range s.subs.Load().subs {
 		sub.enqueue(batch)
 	}
@@ -109,80 +93,30 @@ func (s *Store) ChangefeedBacklog() int {
 	return total
 }
 
-// mergeOwned k-way merges sorted, disjoint posting-list suffixes into
-// one slice the caller owns. (mergeKSorted's single-list fast path
-// returns an alias into snapshot memory; snapshots are immutable, so
-// aliasing is safe, but the subscriber queue appends to its pending
-// slice and must own the backing array — hence the explicit copy.)
-func mergeOwned(lists [][]*Post) []*Post {
-	if len(lists) == 0 {
-		return nil
-	}
-	if len(lists) == 1 {
-		return append([]*Post(nil), lists[0]...)
-	}
-	return mergeKSorted(lists)
-}
+// watchBuffer is a changefeed channel's capacity in batches.
+const watchBuffer = 16
 
 // Watch subscribes to the store's changefeed: every batch of posts
-// accepted by Add after the subscription is delivered exactly once,
-// with posts inside a batch in (CreatedAt, ID) order. Batches whose
-// stripe sets overlap are delivered in commit order; concurrent batches
-// on disjoint stripe sets carry disjoint time buckets and may
-// interleave differently per subscriber. With Options.After set, stored
-// posts after the cursor are replayed ahead of live traffic; the replay
-// snapshot and the live subscription are taken atomically, so no post
-// is missed or duplicated even under concurrent Add.
+// whose Add begins after Watch returns is delivered exactly once, with
+// posts inside a batch in (CreatedAt, ID) order. A batch that was
+// committing while Watch registered is delivered whole or not at all.
+// Batches whose stripe sets overlap are delivered in commit order;
+// concurrent batches on disjoint stripe sets carry disjoint time
+// buckets and may interleave differently per subscriber. The feed is
+// live-only: to catch up on posts accepted before the subscription,
+// read them from the store (on a durable store, PostsSince of a
+// DurableCursor taken before Watch).
 //
 // The returned channel is closed when ctx is cancelled. Pending batches
 // queue in memory without bound while the consumer lags; consume
 // promptly or cancel the subscription.
-func (s *Store) Watch(ctx context.Context, opts WatchOptions) <-chan []*Post {
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 16
-	}
-	out := make(chan []*Post, buffer)
+func (s *Store) Watch(ctx context.Context) <-chan []*Post {
+	out := make(chan []*Post, watchBuffer)
 	sub := &subscriber{notify: make(chan struct{}, 1)}
-
-	// Atomic snapshot + registration across all stripes: hold every
-	// shard writer lock (ascending, the store's lock order) while
-	// snapshotting and publishing the enlarged subscriber set. Lock-free
-	// readers are untouched, but no commit can land inside this window.
-	// Because Add publishes while still holding its shard writer locks —
-	// after its snapshot swaps — any batch either committed before this
-	// window (its posts are in the replayed snapshots and it loaded a
-	// subscriber set without this subscriber) or starts after it (it
-	// observes the new set and reaches this subscriber live) — never
-	// both, at any shard count.
-	s.lockWriters()
-	if opts.After != nil {
-		c := *opts.After
-		var suffixes [][]*Post
-		for _, sh := range s.shards {
-			for _, plist := range sh.view().genLists(nil, func(g *shardGen) []*Post { return g.byTime }) {
-				i := sort.Search(len(plist), func(i int) bool { return c.Before(plist[i]) })
-				if i < len(plist) {
-					suffixes = append(suffixes, plist[i:])
-				}
-			}
-		}
-		sub.pending = mergeOwned(suffixes)
-	}
 	s.submu.Lock()
 	next, id := s.subs.Load().withSub(sub)
 	s.subs.Store(next)
 	s.submu.Unlock()
-	s.unlockWriters()
-
-	// Unconditional non-blocking kick: concurrent Adds may already have
-	// filled the capacity-1 notify channel (and appended to pending), so
-	// neither block on it nor inspect pending without its lock. A
-	// spurious wake-up on an empty queue is harmless.
-	select {
-	case sub.notify <- struct{}{}:
-	default:
-	}
 	go s.deliver(ctx, id, sub, out)
 	return out
 }

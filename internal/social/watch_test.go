@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -145,7 +146,7 @@ func TestWatchDeliversLiveBatches(t *testing.T) {
 	s := newTestStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	feed := s.Watch(ctx, WatchOptions{})
+	feed := s.Watch(ctx)
 
 	batch := []*Post{
 		{ID: "w1", Author: "a", Text: "one #dpfdelete", CreatedAt: ts(2023, 2, 1), Metrics: Metrics{Views: 1}},
@@ -174,28 +175,12 @@ func TestWatchDeliversLiveBatches(t *testing.T) {
 	}
 }
 
-func TestWatchReplayAfterCursor(t *testing.T) {
-	s := newTestStore(t) // p1..p4 seeded
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Resume after p2: replay delivers p3, p4, then live traffic follows.
-	after := CursorOf(s.Post("p2"))
-	feed := s.Watch(ctx, WatchOptions{After: &after})
-	if err := s.Add(&Post{ID: "w3", Author: "a", Text: "new #dpfdelete", CreatedAt: ts(2023, 3, 1), Metrics: Metrics{Views: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	got := collectFeed(t, feed, 3)
-	if got[0] != "p3" || got[1] != "p4" || got[2] != "w3" {
-		t.Errorf("replayed feed = %v, want [p3 p4 w3]", got)
-	}
-}
-
 // TestWatchNoLossNoDupUnderConcurrentAdd floods the store from several
-// writers while one subscriber replays from the zero cursor: every post
-// must arrive exactly once.
+// writers with one subscriber registered before they start: every
+// flood post must arrive exactly once, and none of the posts stored
+// before the subscription (the feed is live-only).
 func TestWatchNoLossNoDupUnderConcurrentAdd(t *testing.T) {
 	s := NewStore()
-	// Pre-populate so replay and live delivery overlap.
 	for i := 0; i < 50; i++ {
 		if err := s.Add(backfillPost(i, i%60)); err != nil {
 			t.Fatal(err)
@@ -203,8 +188,8 @@ func TestWatchNoLossNoDupUnderConcurrentAdd(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	zero := Cursor{}
-	feed := s.Watch(ctx, WatchOptions{After: &zero, Buffer: 4})
+	f := newLiveFlood(s)
+	feed := f.watch(ctx)
 
 	const writers, perWriter = 4, 100
 	var wg sync.WaitGroup
@@ -213,33 +198,17 @@ func TestWatchNoLossNoDupUnderConcurrentAdd(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				p := &Post{
-					ID:        fmt.Sprintf("w%d-%03d", w, i),
-					Author:    fmt.Sprintf("writer%d", w),
-					Text:      "flood #dpfdelete",
-					CreatedAt: time.Date(2022, 3, 1+w, 0, i/60, i%60, 0, time.UTC),
-					Metrics:   Metrics{Views: 1},
-				}
-				if err := s.Add(p); err != nil {
-					t.Error(err)
+				key := fmt.Sprintf("w%d-%03d", w, i)
+				if !f.add(t, key, floodPost(key, time.Date(2022, 3, 1+w, 0, i/60, i%60, 0, time.UTC))) {
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-
-	want := 50 + writers*perWriter
-	got := collectFeed(t, feed, want)
-	seen := make(map[string]bool, len(got))
-	for _, id := range got {
-		if seen[id] {
-			t.Fatalf("post %s delivered twice", id)
-		}
-		seen[id] = true
-	}
-	if len(seen) != want {
-		t.Errorf("delivered %d distinct posts, want %d", len(seen), want)
+	f.finish(t)
+	if n := f.check(t, "registered-first", 0, feed); n != writers*perWriter+1 {
+		t.Errorf("delivered %d posts, want %d", n, writers*perWriter+1)
 	}
 }
 
@@ -268,15 +237,16 @@ func collectFeed(t *testing.T, feed <-chan []*Post, n int) []string {
 }
 
 // TestWatchSubscribeDuringConcurrentAdd registers subscribers while
-// writers commit to disjoint stripes. Registration copy-on-writes the
-// subscriber set inside the all-writers lock window, so every
-// subscriber must see each post exactly once — either in its replay
-// snapshot or live, never both, never neither — even though publication
-// itself takes no store-level lock.
+// writers commit two-stripe batches. Registration copy-on-writes the
+// subscriber set without touching the writers, so a batch committing
+// during a registration may or may not reach the new subscriber — but
+// each subscriber gets no post twice, no part of a batch without the
+// rest, and every batch whose Add began after its Watch returned.
 func TestWatchSubscribeDuringConcurrentAdd(t *testing.T) {
 	s := NewStoreShards(8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	f := newLiveFlood(s)
 
 	const writers, perWriter, watchers = 4, 80, 4
 	var wg sync.WaitGroup
@@ -285,15 +255,10 @@ func TestWatchSubscribeDuringConcurrentAdd(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				p := &Post{
-					ID:        fmt.Sprintf("mid-w%d-%03d", w, i),
-					Author:    fmt.Sprintf("writer%d", w),
-					Text:      "flood #chiptuning",
-					CreatedAt: time.Date(2022, 6, 1+w, 0, i/60, i%60, 0, time.UTC),
-					Metrics:   Metrics{Views: 1},
-				}
-				if err := s.Add(p); err != nil {
-					t.Error(err)
+				key := fmt.Sprintf("mid-w%d-%03d", w, i)
+				at := time.Date(2022, 6, 1+w, 0, i/60, i%60, 0, time.UTC)
+				// Days w and w+4 sit on different stripes of eight.
+				if !f.add(t, key, floodPost(key+"-a", at), floodPost(key+"-b", at.AddDate(0, 0, 4))) {
 					return
 				}
 			}
@@ -302,23 +267,115 @@ func TestWatchSubscribeDuringConcurrentAdd(t *testing.T) {
 
 	feeds := make([]<-chan []*Post, watchers)
 	for i := range feeds {
-		zero := Cursor{}
-		feeds[i] = s.Watch(ctx, WatchOptions{After: &zero, Buffer: 4})
+		feeds[i] = f.watch(ctx)
 	}
 	wg.Wait()
-
-	want := writers * perWriter
+	f.finish(t)
 	for i, feed := range feeds {
-		got := collectFeed(t, feed, want)
-		seen := make(map[string]bool, len(got))
-		for _, id := range got {
-			if seen[id] {
-				t.Fatalf("watcher %d: post %s delivered twice", i, id)
+		f.check(t, fmt.Sprintf("watcher %d", i), i, feed)
+	}
+}
+
+// liveFlood drives a changefeed test's writers and checks each
+// subscriber against the live-only contract. Every Add batch is
+// recorded with the number of subscriptions whose Watch had returned
+// when the Add began: those subscribers are owed the whole batch. Calls
+// to watch must not run concurrently with each other.
+type liveFlood struct {
+	s       *Store
+	watches atomic.Int32
+	mu      sync.Mutex
+	batches map[string][]string // batch key → post IDs
+	owed    map[string]int32    // batch key → subscriptions owed the batch
+}
+
+func newLiveFlood(s *Store) *liveFlood {
+	return &liveFlood{s: s, batches: make(map[string][]string), owed: make(map[string]int32)}
+}
+
+// watch subscribes; the subscription counts once Watch has returned.
+func (f *liveFlood) watch(ctx context.Context) <-chan []*Post {
+	feed := f.s.Watch(ctx)
+	f.watches.Add(1)
+	return feed
+}
+
+// add commits one batch under key, reporting failures through t.
+func (f *liveFlood) add(t *testing.T, key string, batch ...*Post) bool {
+	owed := f.watches.Load()
+	ids := make([]string, len(batch))
+	for i, p := range batch {
+		ids[i] = p.ID
+	}
+	f.mu.Lock()
+	f.batches[key], f.owed[key] = ids, owed
+	f.mu.Unlock()
+	if err := f.s.Add(batch...); err != nil {
+		t.Error(err)
+		return false
+	}
+	return true
+}
+
+// finish adds the sentinel batch once every writer is done: every
+// subscriber is owed it, and it is queued behind every earlier batch.
+func (f *liveFlood) finish(t *testing.T) {
+	t.Helper()
+	if !f.add(t, sentinelID, floodPost(sentinelID, time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))) {
+		t.FailNow()
+	}
+}
+
+const sentinelID = "flood-sentinel"
+
+// check drains the k-th subscription (0-based, in watch order) up to
+// the sentinel and asserts no duplicate, no partial batch, no post from
+// outside the flood and every owed batch. It returns the number of
+// posts delivered.
+func (f *liveFlood) check(t *testing.T, name string, k int, feed <-chan []*Post) int {
+	t.Helper()
+	got := make(map[string]int)
+	deadline := time.After(10 * time.Second)
+	for got[sentinelID] == 0 {
+		select {
+		case batch, ok := <-feed:
+			if !ok {
+				t.Fatalf("%s: feed closed before the sentinel", name)
 			}
-			seen[id] = true
-		}
-		if len(seen) != want {
-			t.Errorf("watcher %d: %d distinct posts, want %d", i, len(seen), want)
+			for _, p := range batch {
+				got[p.ID]++
+			}
+		case <-deadline:
+			t.Fatalf("%s: no sentinel after %d posts", name, len(got))
 		}
 	}
+	delivered := 0
+	for key, ids := range f.batches {
+		n := 0
+		for _, id := range ids {
+			if got[id] > 1 {
+				t.Errorf("%s: post %s delivered %d times", name, id, got[id])
+			}
+			if got[id] > 0 {
+				n++
+			}
+			delete(got, id)
+		}
+		if n > 0 && n < len(ids) {
+			t.Errorf("%s: batch %s arrived partially (%d of %d posts)", name, key, n, len(ids))
+		}
+		if n == 0 && int(f.owed[key]) > k {
+			t.Errorf("%s: batch %s, added after the subscription, never arrived", name, key)
+		}
+		delivered += n
+	}
+	for id := range got {
+		t.Errorf("%s: post %s is not from the flood (stored before the subscription?)", name, id)
+	}
+	return delivered
+}
+
+// floodPost builds one writer post.
+func floodPost(id string, at time.Time) *Post {
+	return &Post{ID: id, Author: "writer", Text: "flood #dpfdelete", CreatedAt: at, Metrics: Metrics{Views: 1}}
 }

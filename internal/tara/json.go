@@ -21,10 +21,10 @@ type analysisDoc struct {
 	// Models: only the vector table is serialized (the PSP-tunable
 	// part); potential weights, risk matrix and CAL table deserialize to
 	// the standard defaults and can be overridden programmatically.
-	VectorModel *vectorTableDoc `json:"vector_model,omitempty"`
+	VectorModel *VectorTable `json:"vector_model,omitempty"`
 	// ThreatTables carries the per-threat vector table overrides learned
 	// by the social loop.
-	ThreatTables map[string]*vectorTableDoc `json:"threat_tables,omitempty"`
+	ThreatTables map[string]*VectorTable `json:"threat_tables,omitempty"`
 }
 
 type itemDoc struct {
@@ -81,11 +81,6 @@ type potentialDoc struct {
 	Equipment int `json:"equipment"`
 }
 
-type vectorTableDoc struct {
-	Name    string            `json:"name"`
-	Ratings map[string]string `json:"ratings"`
-}
-
 // WriteJSON serializes the analysis as an indented JSON document. The
 // analysis is validated first: invalid work products must not circulate.
 func (a *Analysis) WriteJSON(w io.Writer) error {
@@ -103,16 +98,16 @@ func (a *Analysis) WriteJSON(w io.Writer) error {
 		doc.Paths = append(doc.Paths, encodePath(p))
 	}
 	if a.VectorModel != nil && !a.VectorModel.Equal(StandardVectorTable()) {
-		doc.VectorModel = encodeVectorTable(a.VectorModel)
+		doc.VectorModel = a.VectorModel
 	}
 	for id, tbl := range a.ThreatTables {
 		if tbl == nil {
 			continue
 		}
 		if doc.ThreatTables == nil {
-			doc.ThreatTables = make(map[string]*vectorTableDoc)
+			doc.ThreatTables = make(map[string]*VectorTable)
 		}
-		doc.ThreatTables[id] = encodeVectorTable(tbl)
+		doc.ThreatTables[id] = tbl
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -156,21 +151,10 @@ func ReadJSON(r io.Reader) (*Analysis, error) {
 		a.AddPath(dec)
 	}
 	if doc.VectorModel != nil {
-		tbl, err := decodeVectorTable(doc.VectorModel)
-		if err != nil {
-			return nil, err
-		}
-		a.VectorModel = tbl
+		a.VectorModel = doc.VectorModel
 	}
-	for id, td := range doc.ThreatTables {
-		tbl, err := decodeVectorTable(td)
-		if err != nil {
-			return nil, fmt.Errorf("threat table %s: %w", id, err)
-		}
-		if a.ThreatTables == nil {
-			a.ThreatTables = make(map[string]*VectorTable)
-		}
-		a.ThreatTables[id] = tbl
+	if len(doc.ThreatTables) > 0 {
+		a.ThreatTables = doc.ThreatTables
 	}
 	if err := a.Validate(); err != nil {
 		return nil, fmt.Errorf("tara: decoded analysis invalid: %w", err)
@@ -336,28 +320,49 @@ func decodePath(doc *pathDoc) (*AttackPath, error) {
 	return p, nil
 }
 
-func encodeVectorTable(t *VectorTable) *vectorTableDoc {
-	ratings := make(map[string]string, 4)
-	for v, r := range t.Ratings() {
-		ratings[v.String()] = r.String()
-	}
-	return &vectorTableDoc{Name: t.Name, Ratings: ratings}
+// vectorTableJSON is the wire form of a VectorTable: vector name →
+// rating name.
+type vectorTableJSON struct {
+	Name    string            `json:"name"`
+	Ratings map[string]string `json:"ratings"`
 }
 
-func decodeVectorTable(doc *vectorTableDoc) (*VectorTable, error) {
+// MarshalJSON encodes the table as {"name":…,"ratings":{vector:rating}},
+// vectors and ratings by display name. TARA documents, op batches and
+// the monitor's persisted result all carry tables in this form.
+func (t *VectorTable) MarshalJSON() ([]byte, error) {
+	doc := vectorTableJSON{Name: t.Name, Ratings: make(map[string]string, len(t.ratings))}
+	for v, r := range t.ratings {
+		doc.Ratings[v.String()] = r.String()
+	}
+	return json.Marshal(doc)
+}
+
+// UnmarshalJSON decodes the MarshalJSON form, validating it through
+// NewVectorTable.
+func (t *VectorTable) UnmarshalJSON(data []byte) error {
+	var doc vectorTableJSON
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return err
+	}
 	ratings := make(map[AttackVector]FeasibilityRating, len(doc.Ratings))
 	for vs, rs := range doc.Ratings {
 		v, err := ParseVector(vs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r, err := ParseFeasibility(rs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ratings[v] = r
 	}
-	return NewVectorTable(doc.Name, ratings)
+	tbl, err := NewVectorTable(doc.Name, ratings)
+	if err != nil {
+		return err
+	}
+	*t = *tbl
+	return nil
 }
 
 // Name-based parsers for the enumerations that only had String methods.

@@ -2,6 +2,7 @@ package tara
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -143,6 +144,67 @@ func TestEnumNameParsers(t *testing.T) {
 	for _, bad := range []string{"", "quantum"} {
 		if _, err := parseProperty(bad); err == nil {
 			t.Errorf("parseProperty(%q) accepted", bad)
+		}
+	}
+}
+
+// TestVectorTableWireFormat: op batches and analysis documents carry
+// vector tables as {"name":…,"ratings":{vector:rating}}; a literal in
+// that form decodes and re-encodes byte for byte.
+func TestVectorTableWireFormat(t *testing.T) {
+	const ops = `[{"op":"set_threat_table","id":"TS-TAMPER","table":{"name":"field","ratings":{"Adjacent":"Low","Local":"High","Network":"Very Low","Physical":"High"}}}]`
+	decoded, err := DecodeOps(strings.NewReader(ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := decoded[0].Table.Rating(VectorNetwork); r != FeasibilityVeryLow {
+		t.Fatalf("decoded table rates Network %v, want Very Low", r)
+	}
+	wire, err := json.Marshal(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wire) != ops {
+		t.Fatalf("re-encoded ops differ:\n got %s\nwant %s", wire, ops)
+	}
+
+	a := ecmAnalysis()
+	a.ThreatTables = map[string]*VectorTable{a.Threats[0].ID: decoded[0].Table}
+	var buf bytes.Buffer
+	if err := a.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const table = `"` + `threat_tables": {
+    "TS-01": {
+      "name": "field",
+      "ratings": {
+        "Adjacent": "Low",
+        "Local": "High",
+        "Network": "Very Low",
+        "Physical": "High"
+      }
+    }
+  }`
+	if !strings.Contains(buf.String(), table) {
+		t.Fatalf("analysis document lacks the threat table in its wire form:\n%s", buf.String())
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.ThreatTables[a.Threats[0].ID].Equal(decoded[0].Table) {
+		t.Fatal("threat table changed in the document round trip")
+	}
+
+	// Decoding validates like NewVectorTable.
+	for _, bad := range []string{
+		`{"name":"partial","ratings":{"Physical":"High"}}`,
+		`{"name":"odd","ratings":{"Adjacent":"Low","Local":"High","Network":"Extreme","Physical":"High"}}`,
+		`{"name":"odd","ratings":{"Adjacent":"Low","Local":"High","Orbital":"Low","Physical":"High"}}`,
+	} {
+		var tbl VectorTable
+		if err := json.Unmarshal([]byte(bad), &tbl); err == nil {
+			t.Errorf("invalid table %s decoded", bad)
 		}
 	}
 }

@@ -45,13 +45,13 @@ const (
 
 // opDoc is the wire form of an Op.
 type opDoc struct {
-	Op     string          `json:"op"`
-	Asset  *assetDoc       `json:"asset,omitempty"`
-	Damage *damageDoc      `json:"damage,omitempty"`
-	Threat *threatDoc      `json:"threat,omitempty"`
-	Path   *pathDoc        `json:"path,omitempty"`
-	ID     string          `json:"id,omitempty"`
-	Table  *vectorTableDoc `json:"table,omitempty"`
+	Op     string       `json:"op"`
+	Asset  *assetDoc    `json:"asset,omitempty"`
+	Damage *damageDoc   `json:"damage,omitempty"`
+	Threat *threatDoc   `json:"threat,omitempty"`
+	Path   *pathDoc     `json:"path,omitempty"`
+	ID     string       `json:"id,omitempty"`
+	Table  *VectorTable `json:"table,omitempty"`
 }
 
 // MarshalJSON serializes the op in its wire form.
@@ -69,9 +69,7 @@ func (o Op) MarshalJSON() ([]byte, error) {
 	if o.Path != nil {
 		doc.Path = encodePath(o.Path)
 	}
-	if o.Table != nil {
-		doc.Table = encodeVectorTable(o.Table)
-	}
+	doc.Table = o.Table
 	return json.Marshal(doc)
 }
 
@@ -81,7 +79,7 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
 	}
-	out := Op{Kind: OpKind(doc.Op), ID: doc.ID}
+	out := Op{Kind: OpKind(doc.Op), ID: doc.ID, Table: doc.Table}
 	if doc.Asset != nil {
 		as, err := decodeAsset(doc.Asset)
 		if err != nil {
@@ -109,13 +107,6 @@ func (o *Op) UnmarshalJSON(data []byte) error {
 			return err
 		}
 		out.Path = p
-	}
-	if doc.Table != nil {
-		tbl, err := decodeVectorTable(doc.Table)
-		if err != nil {
-			return err
-		}
-		out.Table = tbl
 	}
 	*o = out
 	return nil

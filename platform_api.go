@@ -39,9 +39,6 @@ type (
 	// concurrent ingest (the offset tokens of earlier releases are
 	// retired).
 	SocialCursor = social.Cursor
-	// WatchOptions configures a store changefeed subscription
-	// (SocialStore.Watch).
-	WatchOptions = social.WatchOptions
 	// SocialDurableOptions tunes a durable store's write-ahead log and
 	// snapshot compaction (OpenSocialStore).
 	SocialDurableOptions = social.DurableOptions
