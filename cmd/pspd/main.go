@@ -83,7 +83,8 @@
 //	               (records per fsync), segment rolls
 //	psp_monitor_*  assessment generation, publish latency (first batch
 //	               of a flush window to publication: ~0 wait for an
-//	               isolated delta, the debounce for a burst), delta
+//	               isolated delta or one that owes no work, the
+//	               debounce for a burst), delta
 //	               sizes, error age
 //	psp_tara_*     fleet size, dirty backlog, cumulative engine rating
 //	               calls, threats re-rated per pass
@@ -149,7 +150,7 @@ func main() {
 	flag.StringVar(&opts.addr, "addr", ":8484", "listen address")
 	flag.StringVar(&opts.application, "application", "", "target application filter (e.g. excavator)")
 	flag.StringVar(&opts.region, "region", "", "region filter (EU, NA, APAC, OTHER)")
-	flag.DurationVar(&opts.debounce, "debounce", 200*time.Millisecond, "quiet period that ends a burst before re-assessment; a delta arriving after this long idle is assessed at once")
+	flag.DurationVar(&opts.debounce, "debounce", 200*time.Millisecond, "quiet period that ends a burst before re-assessment; a delta arriving after this long idle is assessed at once, and one that owes no work publishes at once regardless")
 	flag.DurationVar(&opts.drain, "drain", 5*time.Second, "shutdown drain timeout")
 	flag.IntVar(&opts.concurrency, "concurrency", 0, "workflow query fan-out (0 = GOMAXPROCS)")
 	flag.BoolVar(&opts.taraFleet, "tara", true, "serve the multi-tenant TARA fleet on /v1/tara")

@@ -77,10 +77,13 @@
 // arithmetic) — summing memoized features over the touched listings —
 // rather than re-analyzing every listed post. Incremental refreshes
 // are provably identical to a cold RunSocial over the merged corpus
-// (see Framework.RunSocialDelta). An isolated delta — one arriving at
-// an idle monitor, at least the debounce interval after the last
-// refresh ended — is assessed the moment it lands; a burst waits for
-// the debounce interval of quiet and is assessed once, with MaxLag
+// (see Framework.RunSocialDelta). A delta that owes no work — it
+// matches no cached listing — publishes a metadata-only assessment at
+// once, whatever the debounce: the debounce coalesces workflow re-runs
+// only. An isolated delta that does owe work — one arriving at an idle
+// monitor, at least the debounce interval after the last refresh
+// ended — is assessed the moment it lands; a burst waits for the
+// debounce interval of quiet and is assessed once, with MaxLag
 // bounding a continuous stream. The TARAMonitor schedules re-rating
 // with the same policy, its burst bound being one debounce interval.
 // The pspd daemon serves the resulting Assessment over HTTP — ingest,
@@ -105,7 +108,8 @@
 // fresh: it rates an isolated tenant mutation or social assessment
 // generation at once and debounces bursts of them, re-rates only dirty
 // tenants on the shared worker pool,
-// and applies social threat tunings tenant-selectively. pspd serves it
+// and applies social threat tunings tenant-selectively, once per social
+// result (a metadata-only generation brings none new). pspd serves it
 // under /v1/tara — tenant directory, per-tenant assessments with
 // ETag/304 polling, JSON op mutations with expect_version → 409, PUT/
 // DELETE tenant lifecycle — and boots a reference fleet derived from

@@ -10,15 +10,20 @@
 //     every post ingested after it subscribes is observed exactly once
 //     (the feed is live-only; a warm restart reads what it missed
 //     through the store's durable cursor);
-//   - incoming posts are scheduled on a leading edge: an isolated
+//   - each batch is classified once, on arrival: tokenized, matched
+//     against the keyword database and threat scenarios to summarize
+//     the dirty slice (core.DirtySet), and fed to the result cache's
+//     exact invalidation. A dropped fill means work is owed until the
+//     next successful workflow run;
+//   - a batch that owes no work, arriving when nothing is owed or
+//     pending and no retry is scheduled, publishes at once, whatever
+//     the debounce, and records no schedule pass;
+//   - every other batch is scheduled on a leading edge: an isolated
 //     delta — one reaching an idle monitor, at least Config.Debounce
 //     after the last flush ended — runs at once, while a burst
 //     coalesces until Config.Debounce of quiet (bounded by
 //     Config.MaxLag), and a failed flush retries with exponential
 //     backoff;
-//   - each delta is matched against the keyword database and threat
-//     scenarios to summarize the dirty slice (core.DirtySet), and fed
-//     to the result cache's exact invalidation;
 //   - the scheduler re-runs the social workflow through the result
 //     cache (core.Framework.RunSocialDelta), which recomputes only the
 //     invalidated slices — a delta matching one keyword topic re-drains
@@ -31,7 +36,8 @@
 // Incremental refreshes are provably equivalent to a cold RunSocial
 // over the merged corpus (the package tests pin byte-identical
 // results); a delta that matches no cached query publishes a
-// metadata-only generation without touching the workflow at all.
+// metadata-only generation at once, without touching the workflow or
+// waiting on the debounce — it has nothing to coalesce.
 //
 // The API type serves the assessment over HTTP — POST /v1/posts for
 // ingest, GET /v1/assessment for the current cached result (with an
@@ -43,7 +49,9 @@
 // # Warm restart
 //
 // With Config.State set (FileStateStore behind pspd's -data-dir), the
-// monitor persists a State after every publication: the assessment
+// monitor persists a State after every publication that re-ran the
+// workflow, and when it stops with metadata-only generations unsaved:
+// the assessment
 // serialized through core's export surface, the result cache — its
 // listing fills as post IDs and its slice memos as per-post SAI
 // features and keyword-group co-occurrence graphs — and the watched

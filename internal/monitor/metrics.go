@@ -16,8 +16,10 @@ type Metrics struct {
 	// previous result because the delta invalidated nothing).
 	Generations *obs.Counter
 	Recomputes  *obs.Counter
-	// PublishLatency is the debounce-to-publish latency: first pending
-	// batch of a flush window → assessment published.
+	// PublishLatency is the arrival-to-publish latency: first batch of
+	// a flush window → assessment published. A delta that owes no work
+	// publishes at once, so its observation is the classification and
+	// publication cost alone.
 	PublishLatency *obs.Histogram
 	// DeltaPosts is the per-flush delta size distribution.
 	DeltaPosts *obs.Histogram
@@ -35,7 +37,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Recomputes: reg.Counter("psp_monitor_recomputes_total",
 			"Published assessments that re-ran the workflow."),
 		PublishLatency: reg.Histogram("psp_monitor_publish_seconds",
-			"Debounce-to-publish latency: first batch of a flush window to assessment publication.",
+			"Arrival-to-publish latency: first batch of a flush window to assessment publication (a delta that owes no work publishes at once, whatever the debounce).",
 			obs.DefaultLatencyBuckets, obs.LatencyScale),
 		DeltaPosts: reg.Histogram("psp_monitor_delta_posts", "Posts per re-assessment delta.",
 			obs.DefaultSizeBuckets, 1),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,25 +29,29 @@ type Config struct {
 	// region, window, threat scenarios).
 	Input core.SocialInput
 	// Debounce is the quiet period after the last ingested batch before
-	// re-assessment (default 200ms). It is also the idle threshold: a
-	// batch arriving when nothing is pending, no retry is scheduled and
-	// at least Debounce has passed since the last flush ended is an
-	// isolated delta and runs at once; a burst waits for Debounce of
-	// quiet after its last batch.
+	// a workflow re-run (default 200ms). It coalesces work only: a batch
+	// that owes none — it drops no cached fill, while nothing is owed or
+	// pending and no retry is scheduled — publishes a metadata-only
+	// generation at once, whatever the debounce. It is also the idle
+	// threshold: a batch that owes work and arrives when nothing is
+	// pending, no retry is scheduled and at least Debounce has passed
+	// since the last flush ended is an isolated delta and runs at once;
+	// a burst waits for Debounce of quiet after its last batch.
 	Debounce time.Duration
-	// MaxLag bounds how long a continuous ingest stream may defer
-	// re-assessment (default 10× Debounce); it never delays an isolated
-	// delta, which runs at once.
+	// MaxLag bounds how long a continuous ingest stream may defer a
+	// workflow re-run (default 10× Debounce); it never delays an
+	// isolated delta, nor one that owes no work, which publish at once.
 	MaxLag time.Duration
 	// Now stamps assessments; nil uses time.Now. Injectable for tests.
 	Now func() time.Time
 	// State, when set, persists the monitor's warm-restart image (the
 	// assessment, the result cache's fills and slice memos, and the
-	// watched store's durable cursor) after every publication, and
-	// restores it at the next Run: a restarted monitor serves its last
-	// assessment immediately and catches up with one incremental delta
-	// run, as warm as the process that saved it, instead of a cold full
-	// workflow. Warm restore requires Store to be durable
+	// watched store's durable cursor) after every publication that
+	// re-ran the workflow, and when Run stops after metadata-only ones,
+	// and restores it at the next Run: a restarted monitor serves its
+	// last assessment immediately and catches up with one incremental
+	// delta run, as warm as the process that saved it, instead of a cold
+	// full workflow. Warm restore requires Store to be durable
 	// (social.OpenStoreDir) — without a durable cursor the state is
 	// saved with a nil cursor and ignored at restore time.
 	State StateStore
@@ -55,9 +60,12 @@ type Config struct {
 	// (generation, assessment age, error age) register at construction.
 	Metrics *Metrics
 	// Tracer, when set, records one "monitor.flush" span per
-	// re-assessment with the delta's cost attribution (posts, cache
-	// fills invalidated, dirty topics/threats, whether the workflow
-	// re-ran). When the watched store is traced too (Store.SetTracer),
+	// publication after the initial one, with the delta's cost
+	// attribution (posts, cache fills invalidated, dirty
+	// topics/threats, whether the workflow re-ran). Every batch is
+	// classified on arrival: inside the span of the pass it starts at
+	// once, outside any span when it waits in a debounce window. When
+	// the watched store is traced too (Store.SetTracer),
 	// the flush span links into the trace of the ingest that triggered
 	// it, so GET /v1/trace shows ingest → WAL → delta run end to end.
 	// The span is the flush's only count, failure and latency record
@@ -114,6 +122,16 @@ type Monitor struct {
 	// (workflow or persistence); zero while healthy. Feeds the
 	// last-error-age gauge and the health surface.
 	lastErrAt time.Time
+
+	// Run's own bookkeeping, touched by no other goroutine. owed is
+	// set when a classified batch drops a cached fill and cleared by
+	// the next successful workflow run. cursor is the durable cursor
+	// taken before the latest batch was classified — the one a state
+	// save records. saved is the generation of the last successful
+	// save.
+	owed   bool
+	cursor social.DurableCursor
+	saved  uint64
 }
 
 // New validates the configuration and builds a Monitor.
@@ -165,38 +183,38 @@ func (m *Monitor) Run(ctx context.Context) error {
 	// idempotent).
 	feed := m.cfg.Store.Watch(ctx)
 
+	// The cursor is taken before any post it covers is classified: the
+	// fills saved with it reflect the store at or after this point, so
+	// a restart replays at most a little extra — and invalidation is
+	// idempotent — never too little.
+	m.cursor = m.cfg.Store.DurableCursor()
+	var win window
 	if delta, ok := m.tryRestore(); ok {
 		// Served warm. Catch up on whatever the persisted state had not
-		// seen; an empty delta means the restored assessment is already
-		// exact — keeping its generation (and its pollers' ETags) alive
-		// across the restart.
+		// seen, at once; an empty delta means the restored assessment
+		// is already exact — keeping its generation (and its pollers'
+		// ETags) alive across the restart.
+		m.saved = m.Assessment().Generation
 		if len(delta) > 0 {
-			m.flush(ctx, delta, time.Time{})
+			fctx, span := m.startFlush(ctx, true)
+			m.classify(&win, delta)
+			m.flush(fctx, span, &win)
 		}
 	} else {
-		cursor := m.cfg.Store.DurableCursor()
 		res, err := m.cfg.Framework.RunSocialDelta(ctx, m.cfg.Input, m.rc)
 		if err != nil {
 			return fmt.Errorf("monitor: initial assessment: %w", err)
 		}
 		m.publish(res, core.DirtySet{}, true, true)
-		m.persistState(cursor)
+		m.persistState()
 	}
 
-	// The schedule (see schedule) decides when pending batches flush:
-	// at once on the leading edge, else after a trailing debounce
-	// bounded by MaxLag, or after a retry backoff. Its last pass end
-	// stays zero through the initial or restored pass, so the first
-	// delta after startup is leading-edge.
+	// The schedule (see schedule) decides when a window that owes work
+	// flushes: at once on the leading edge, else after a trailing
+	// debounce bounded by MaxLag, or after a retry backoff. Its last
+	// pass end stays zero through the initial or restored pass, so the
+	// first delta after startup is leading-edge.
 	sched := schedule{debounce: m.cfg.Debounce, maxLag: m.cfg.MaxLag}
-	var (
-		pending []*social.Post
-		// pendingSince marks when the current flush window opened (first
-		// batch after a flush) — the start point of the published
-		// debounce-to-publish latency. Zero on a retry wake-up no batch
-		// joined.
-		pendingSince time.Time
-	)
 	// A failed warm-restart catch-up must retry like any failed flush:
 	// without this arm the loop would wait for the next ingested batch
 	// while serving the stale restored assessment.
@@ -205,27 +223,52 @@ func (m *Monitor) Run(ctx context.Context) error {
 	}
 	for {
 		fired := false
+		// fctx and span belong to a pass that starts before its batch is
+		// classified (see below); nil until one does.
+		fctx, span := ctx, (*obs.Span)(nil)
 		select {
 		case <-ctx.Done():
+			m.saveOnStop()
 			return ctx.Err()
 		case batch, ok := <-feed:
 			if !ok {
+				m.saveOnStop()
 				return ctx.Err()
 			}
-			if len(pending) == 0 {
-				pendingSince = time.Now()
+			// With nothing owed and the schedule idle, this batch starts
+			// a pass now whatever it turns out to owe — at once if
+			// nothing, else on the leading edge (arrive reports true
+			// for an idle schedule) — so that pass times its
+			// classification too.
+			if !m.owed && sched.idle() {
+				fctx, span = m.startFlush(ctx, true)
 			}
-			pending = append(pending, batch...)
+			m.cursor = m.cfg.Store.DurableCursor()
+			m.classify(&win, batch)
+			if !m.owed {
+				// Nothing to coalesce: the previous result is exact for
+				// this batch too. (A pending window and an armed timer
+				// always owe work, so none stands.) Publish at once,
+				// outside the schedule — a pass recorded here would only
+				// delay the leading edge of the next batch that does owe
+				// work.
+				if span == nil {
+					fctx, span = m.startFlush(ctx, true)
+				}
+				m.flush(fctx, span, &win)
+				continue
+			}
 			fired = sched.arrive()
 		case <-sched.timer:
 			fired = true
 		}
 		if fired {
-			// A timer firing with empty pending is a retry wake-up:
+			// A timer firing with an empty window is a retry wake-up:
 			// flush re-runs the workflow even with no new posts.
-			m.flush(ctx, pending, pendingSince)
-			pending = nil
-			pendingSince = time.Time{}
+			if span == nil {
+				fctx, span = m.startFlush(ctx, len(win.posts) > 0)
+			}
+			m.flush(fctx, span, &win)
 			// A workflow failure (its invalidations already landed)
 			// retries without waiting for the next delta. Persist-only
 			// failures do NOT count: re-running the workflow cannot fix
@@ -236,74 +279,110 @@ func (m *Monitor) Run(ctx context.Context) error {
 	}
 }
 
-// flush runs one incremental re-assessment over the pending delta.
-// pendingSince, when non-zero, is the instant the flush window opened;
-// the publication records the window-to-publish latency from it.
-func (m *Monitor) flush(ctx context.Context, pending []*social.Post, pendingSince time.Time) {
-	var span *obs.Span
-	if m.cfg.Tracer != nil {
-		// Continue the triggering ingest's trace when there is one: the
-		// debounce coalesces batches, so the link names the last traced
-		// ingest of the flush window — the delta run still attributes to
-		// one concrete trace a /v1/trace lookup can follow end to end.
-		if traceID, spanID := m.cfg.Store.LastIngestTrace(); traceID != "" && len(pending) > 0 {
-			ctx, span = m.cfg.Tracer.StartLink(ctx, "monitor.flush", traceID, spanID)
-		} else {
-			ctx, span = m.cfg.Tracer.Start(ctx, "monitor.flush")
-		}
-		span.SetInt("delta_posts", int64(len(pending)))
-		defer span.End()
+// startFlush opens the "monitor.flush" span of a publication pass (nil
+// without a tracer). A pass over posts continues the trace of the
+// ingest that delivered them when there is one: the debounce coalesces
+// batches, so the link names the last traced ingest of the window —
+// the delta run still attributes to one concrete trace a /v1/trace
+// lookup can follow end to end.
+func (m *Monitor) startFlush(ctx context.Context, posts bool) (context.Context, *obs.Span) {
+	if m.cfg.Tracer == nil {
+		return ctx, nil
 	}
-	// The persisted cursor is captured before any cache work: the
-	// cached fills about to be (re)built reflect the store at or after
-	// this point, so a restart replays at most a little extra — and
-	// invalidation is idempotent — never too little.
-	cursor := m.cfg.Store.DurableCursor()
-
-	met := m.cfg.Metrics
-	if met != nil && len(pending) > 0 {
-		met.DeltaPosts.Observe(int64(len(pending)))
-	}
-	observePublish := func() {
-		if met != nil && !pendingSince.IsZero() {
-			met.PublishLatency.ObserveSince(pendingSince)
+	if posts {
+		if traceID, spanID := m.cfg.Store.LastIngestTrace(); traceID != "" {
+			return m.cfg.Tracer.StartLink(ctx, "monitor.flush", traceID, spanID)
 		}
 	}
+	return m.cfg.Tracer.Start(ctx, "monitor.flush")
+}
 
-	// Tokenize the delta once for both the invalidation and the
-	// dirty-set pass.
-	profiles := social.ProfilePosts(pending)
+// window is the changefeed delta gathered since the last publication,
+// classified as it arrived.
+type window struct {
+	posts []*social.Post
+	// dirty is the union of the batches' dirty slices; dropped sums the
+	// cached fills they invalidated.
+	dirty   core.DirtySet
+	dropped int
+	// since is when the first batch joined — the start point of the
+	// published arrival-to-publish latency. Zero on a retry wake-up no
+	// batch joined.
+	since time.Time
+}
+
+// classify tokenizes a batch once, drops the cached fills it can appear
+// in, adds its dirty slice to the window and records whether work is
+// now owed. Every post is classified exactly once, on arrival.
+func (m *Monitor) classify(w *window, batch []*social.Post) {
+	if len(w.posts) == 0 {
+		w.since = time.Now()
+	}
+	profiles := social.ProfilePosts(batch)
 	dropped := m.rc.InvalidateProfiles(profiles)
 	dirty := m.cfg.Framework.DirtyForProfiles(m.cfg.Input, profiles)
-	if span != nil {
-		span.SetInt("invalidated_fills", int64(dropped))
-		span.SetInt("dirty_topics", int64(len(dirty.Topics)))
-		span.SetInt("dirty_threats", int64(len(dirty.Threats)))
+	w.posts = append(w.posts, batch...)
+	w.dropped += dropped
+	w.dirty = core.DirtySet{
+		Topics:  unionSorted(w.dirty.Topics, dirty.Topics),
+		Threats: unionSorted(w.dirty.Threats, dirty.Threats),
+		Posts:   w.dirty.Posts + dirty.Posts,
+	}
+	m.owed = m.owed || dropped > 0
+}
+
+// unionSorted merges two sorted string sets.
+func unionSorted(a, b []string) []string {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := append(append(make([]string, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// flush publishes the window under span (see startFlush), ends the
+// span and empties the window. The workflow re-runs iff
+// work is owed — a fill was dropped since the last successful run,
+// which also covers a due retry, since a failed run leaves its drops
+// owed. Otherwise the delta cannot appear in any cached listing and the
+// previous result is still exact: the window publishes fresh metadata
+// without work, and the state file is not rewritten (result and fills
+// are unchanged; saveOnStop keeps the cursor current at shutdown).
+func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
+	defer span.End()
+	span.SetInt("delta_posts", int64(len(w.posts)))
+	span.SetInt("invalidated_fills", int64(w.dropped))
+	span.SetInt("dirty_topics", int64(len(w.dirty.Topics)))
+	span.SetInt("dirty_threats", int64(len(w.dirty.Threats)))
+	delta, dirty, since := w.posts, w.dirty, w.since
+	*w = window{}
+
+	met := m.cfg.Metrics
+	if met != nil && len(delta) > 0 {
+		met.DeltaPosts.Observe(int64(len(delta)))
+	}
+	observePublish := func() {
+		if met != nil && !since.IsZero() {
+			met.PublishLatency.ObserveSince(since)
+		}
 	}
 
 	m.mu.Lock()
-	m.ingested += len(pending)
+	m.ingested += len(delta)
 	prev := m.cur
-	retrying := m.lastErr != nil
 	m.mu.Unlock()
 
-	if dropped == 0 && prev != nil && !retrying {
-		// The delta cannot appear in any cached listing: the previous
-		// result is still exact. Publish fresh metadata without work.
-		// After a failed flush this shortcut is unsound — that flush's
-		// invalidations already landed, so prev may be stale even when
-		// this delta drops nothing — hence the retry guard. The state
-		// file is NOT rewritten here: result and fills are unchanged,
-		// and a restart restoring the slightly older cursor just
-		// replays a delta that invalidates nothing — cheaper than an
-		// fsync per no-work tick.
+	span.SetBool("recomputed", m.owed)
+	if !m.owed {
 		m.publish(prev.Result, dirty, false, false)
 		observePublish()
-		span.SetBool("recomputed", false)
 		return
 	}
 	res, err := m.cfg.Framework.RunSocialDelta(ctx, m.cfg.Input, m.rc)
-	span.SetBool("recomputed", true)
 	if err != nil {
 		span.Fail(err)
 		m.mu.Lock()
@@ -312,12 +391,26 @@ func (m *Monitor) flush(ctx context.Context, pending []*social.Post, pendingSinc
 			m.lastErrAt = m.cfg.Now()
 		}
 		m.mu.Unlock()
-		m.cfg.Logger.Warn("re-assessment failed", slog.Int("delta_posts", len(pending)), slog.Any("error", err))
+		m.cfg.Logger.Warn("re-assessment failed", slog.Int("delta_posts", len(delta)), slog.Any("error", err))
 		return
 	}
+	m.owed = false
 	m.publish(res, dirty, false, true)
 	observePublish()
-	m.persistState(cursor)
+	m.persistState()
+}
+
+// saveOnStop persists the last no-work generations when Run stops with
+// nothing owed (and so nothing pending): those publications never save,
+// and without this a restart would serve an older generation — or, once
+// the store has compacted its WAL past the last saved cursor, run cold.
+func (m *Monitor) saveOnStop() {
+	if m.owed {
+		return
+	}
+	if cur := m.Assessment(); cur != nil && cur.Generation > m.saved {
+		m.persistState()
+	}
 }
 
 // tryRestore loads persisted state and, when it is usable for the
@@ -385,11 +478,12 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 	return delta, true
 }
 
-// persistState saves the current assessment, cache and cursor through
-// the configured state store. Persistence failures are recorded like
-// re-assessment failures (LastError / healthz) — the monitor keeps
-// serving, it just will not restart warm.
-func (m *Monitor) persistState(cursor social.DurableCursor) {
+// persistState saves the current assessment, cache and the cursor Run
+// last took through the configured state store. Persistence failures
+// are recorded like re-assessment failures (LastError / healthz) — the
+// monitor keeps serving, it just will not restart warm.
+func (m *Monitor) persistState() {
+	cursor := m.cursor
 	if m.cfg.State == nil || cursor == nil {
 		return
 	}
@@ -419,6 +513,7 @@ func (m *Monitor) persistState(cursor social.DurableCursor) {
 		}
 	} else {
 		m.persistErr = nil
+		m.saved = cur.Generation
 		if m.lastErr == nil {
 			m.lastErrAt = time.Time{}
 		}

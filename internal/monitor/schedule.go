@@ -31,10 +31,10 @@ type schedule struct {
 // retry an outage at debounce cadence), and the trailing debounce
 // restarts, but never past maxLag after the first deferred arrival.
 func (s *schedule) arrive() bool {
-	now := time.Now()
-	if s.timer == nil && (s.lastEnd.IsZero() || now.Sub(s.lastEnd) >= s.debounce) {
+	if s.idle() {
 		return true
 	}
+	now := time.Now()
 	if s.failStreak > 0 {
 		return false
 	}
@@ -43,6 +43,13 @@ func (s *schedule) arrive() bool {
 	}
 	s.timer = time.After(min(s.debounce, s.lagAt.Sub(now)))
 	return false
+}
+
+// idle reports whether work arriving now would start a pass at once:
+// no timer is armed and the last pass ended at least debounce ago (or
+// none has ended yet).
+func (s *schedule) idle() bool {
+	return s.timer == nil && (s.lastEnd.IsZero() || time.Since(s.lastEnd) >= s.debounce)
 }
 
 // ran records the end of a loop pass; a failed pass arms the retry.

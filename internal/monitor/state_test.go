@@ -402,3 +402,105 @@ func TestAssessmentETag(t *testing.T) {
 		t.Fatal("ETag did not change with the generation")
 	}
 }
+
+// TestMonitorWarmRestartAfterNoWorkStream: a stream of deltas that owe
+// no work publishes generations that never save the state on the way,
+// so the monitor saves them when it stops. The store then compacts and
+// truncates its WAL (small segments give truncation targets), and the
+// restarted monitor must still restore — at the last generation it
+// served, without a platform query.
+func TestMonitorWarmRestartAfterNoWorkStream(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	open := func() *social.Store {
+		store, err := social.OpenStoreDir(filepath.Join(dir, "store"), social.DurableOptions{
+			Shards: 4, CompactEvery: -1, SegmentBytes: 4096,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+
+	store1 := open()
+	posts, err := social.Generate(social.DefaultCorpusSpec(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(posts); i += 10 {
+		if err := store1.Add(posts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fw1, err := core.New(core.Config{Searcher: store1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, stop1 := runMonitor(t, Config{
+		Framework: fw1,
+		Store:     store1,
+		Input:     in,
+		Debounce:  20 * time.Millisecond,
+		State:     NewFileStateStore(statePath),
+	})
+	served := waitGen(t, m1, 1)
+	const batches = 40
+	for i := 0; i < batches; i++ {
+		if err := store1.Add(fillerPost(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for served.Ingested < batches {
+		served = waitGen(t, m1, served.Generation+1)
+	}
+	if served.Generation < 2 || served.Recomputed {
+		t.Fatalf("filler stream published %+v, want metadata-only generations", served)
+	}
+	stop1()
+	if err := store1.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := open()
+	defer store2.Close()
+	tap := &tapSearcher{inner: store2}
+	fw2, err := core.New(core.Config{Searcher: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Framework: fw2,
+		Store:     store2,
+		Searcher:  tap,
+		Input:     in,
+		Debounce:  20 * time.Millisecond,
+		State:     NewFileStateStore(statePath),
+	}
+	probe, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := probe.tryRestore(); !ok {
+		t.Fatal("state saved after a no-work stream did not restore (cold fallback)")
+	}
+	restored := probe.Assessment()
+	if !restored.Restored || restored.Generation != served.Generation {
+		t.Fatalf("restored generation %d (restored=%v), want the last served generation %d",
+			restored.Generation, restored.Restored, served.Generation)
+	}
+
+	// The full Run path: restored at the served generation, and the
+	// catch-up (at most the last filler batch) costs no query either.
+	m2, _ := runMonitor(t, cfg)
+	first := waitGen(t, m2, served.Generation)
+	if first.FullRun {
+		t.Fatalf("restarted monitor ran cold: %+v", first)
+	}
+	if n := tap.calls.Load(); n != 0 {
+		t.Fatalf("restart after a no-work stream cost %d platform queries, want 0", n)
+	}
+}

@@ -222,9 +222,16 @@ func (tm *TARAMonitor) broadcast() {
 // tailSocial follows the social monitor's published assessments and
 // applies each generation's threat tunings to every tenant. Tenants
 // whose effective tables do not change stay clean — repeated identical
-// learning outcomes cause no re-rating.
+// learning outcomes cause no re-rating. A metadata-only generation
+// republishes the previous result, whose tunings every tenant already
+// holds, so only a tenant the bridge has not yet seen with that result
+// (one created since) is mutated then.
 func (tm *TARAMonitor) tailSocial(ctx context.Context) {
-	var gen uint64
+	var (
+		gen     uint64
+		result  *core.SocialResult
+		applied = map[*tara.Tenant]bool{}
+	)
 	for {
 		cur, err := tm.cfg.Social.WaitFor(ctx, gen+1)
 		if err != nil {
@@ -234,13 +241,18 @@ func (tm *TARAMonitor) tailSocial(ctx context.Context) {
 		if cur.Result == nil || len(cur.Result.Tunings) == 0 {
 			continue
 		}
+		if cur.Result != result {
+			result = cur.Result
+			clear(applied)
+		}
 		for _, name := range tm.cfg.Registry.Names() {
 			ten, found := tm.cfg.Registry.Get(name)
-			if !found {
+			if !found || applied[ten] {
 				continue
 			}
+			applied[ten] = true
 			_, err := ten.Mutate(func(a *tara.Analysis) (bool, error) {
-				changed, err := core.ApplyTunings(a, cur.Result.Tunings)
+				changed, err := core.ApplyTunings(a, result.Tunings)
 				return len(changed) > 0, err
 			})
 			if err != nil {
