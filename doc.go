@@ -108,8 +108,7 @@
 // fresh: it rates an isolated tenant mutation or social assessment
 // generation at once and debounces bursts of them, re-rates only dirty
 // tenants on the shared worker pool,
-// and applies social threat tunings tenant-selectively, once per social
-// result (a metadata-only generation brings none new). pspd serves it
+// and applies social threat tunings tenant-selectively. pspd serves it
 // under /v1/tara — tenant directory, per-tenant assessments with
 // ETag/304 polling, JSON op mutations with expect_version → 409, PUT/
 // DELETE tenant lifecycle — and boots a reference fleet derived from

@@ -26,15 +26,20 @@ import (
 //	GET  /v1/metrics    — Prometheus exposition (with WithObservability)
 //
 // Ingested posts land in the monitored store; the resulting assessment
-// refresh is asynchronous (debounced), so readers use the generation
-// and updated_at metadata to judge freshness.
+// refresh is asynchronous — at once for a batch that owes no work,
+// debounced for work — so readers use the generation and updated_at
+// metadata to judge freshness.
 //
 // GET /v1/assessment supports conditional requests: every response
 // carries an ETag keyed on the assessment generation, and a request
 // whose If-None-Match matches it is answered 304 Not Modified without
-// a body — fleet dashboards poll for free between rating changes. A
-// warm-restarted daemon resumes the persisted generation, so cached
-// ETags stay valid across the restart.
+// a body — a poller pays for a body only when a generation was
+// published since its last read. Every ingested batch that owes no
+// work publishes its own generation (fresh corpus and ingest counts
+// over the same result), so under continuous ingest nearly every poll
+// returns a body; polls between batches are free. A warm-restarted
+// daemon resumes the persisted generation, so cached ETags stay valid
+// across the restart.
 type API struct {
 	m *Monitor
 	// tara, when set via WithTARA, enables the /v1/tara tenant routes.

@@ -42,7 +42,8 @@
 // The API type serves the assessment over HTTP — POST /v1/posts for
 // ingest, GET /v1/assessment for the current cached result (with an
 // ETag keyed on the assessment generation; If-None-Match polling costs
-// a 304 and no body between rating changes), and GET /v1/healthz — and
+// a 304 and no body between publications — and every batch that owes
+// no work publishes one), and GET /v1/healthz — and
 // ListenAndServe hosts any http.Server with graceful shutdown on
 // context cancellation, shared by the pspd and sociald daemons.
 //
@@ -55,7 +56,11 @@
 // serialized through core's export surface, the result cache — its
 // listing fills as post IDs and its slice memos as per-post SAI
 // features and keyword-group co-occurrence graphs — and the watched
-// durable store's WAL cursor. The file is a magic and three sections
+// durable store's WAL cursor. That cursor comes from
+// Store.FeedCursor, so it covers only batches the loop has read and
+// classified: a batch still queued on the changefeed when the monitor
+// saves (or stops, which discards the queue) stays above it and is
+// replayed by the restart. The file is a magic and three sections
 // (result, fills, memos), each framed by its length and CRC-32C like
 // every other snapshot the system writes, and it is replaced
 // atomically. The next Run restores it — provided the signature of the

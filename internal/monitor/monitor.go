@@ -125,10 +125,9 @@ type Monitor struct {
 
 	// Run's own bookkeeping, touched by no other goroutine. owed is
 	// set when a classified batch drops a cached fill and cleared by
-	// the next successful workflow run. cursor is the durable cursor
-	// taken before the latest batch was classified — the one a state
-	// save records. saved is the generation of the last successful
-	// save.
+	// the next successful workflow run. cursor is the newest durable
+	// cursor that covers only classified posts — the one a state save
+	// records. saved is the generation of the last successful save.
 	owed   bool
 	cursor social.DurableCursor
 	saved  uint64
@@ -183,9 +182,10 @@ func (m *Monitor) Run(ctx context.Context) error {
 	// idempotent).
 	feed := m.cfg.Store.Watch(ctx)
 
-	// The cursor is taken before any post it covers is classified: the
-	// fills saved with it reflect the store at or after this point, so
-	// a restart replays at most a little extra — and invalidation is
+	// Every post this cursor covers is in the restart delta or seen by
+	// the cold run below. Later cursors come from Store.FeedCursor,
+	// which covers only batches the loop has read and classified: a
+	// restart replays at most a little extra — and invalidation is
 	// idempotent — never too little.
 	m.cursor = m.cfg.Store.DurableCursor()
 	var win window
@@ -223,8 +223,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 	}
 	for {
 		fired := false
-		// fctx and span belong to a pass that starts before its batch is
-		// classified (see below); nil until one does.
+		// fctx and span belong to the pass this wake-up may start.
 		fctx, span := ctx, (*obs.Span)(nil)
 		select {
 		case <-ctx.Done():
@@ -235,16 +234,18 @@ func (m *Monitor) Run(ctx context.Context) error {
 				m.saveOnStop()
 				return ctx.Err()
 			}
-			// With nothing owed and the schedule idle, this batch starts
-			// a pass now whatever it turns out to owe — at once if
-			// nothing, else on the leading edge (arrive reports true
-			// for an idle schedule) — so that pass times its
-			// classification too.
-			if !m.owed && sched.idle() {
+			// With nothing owed, this batch may start a pass now: at once
+			// if it owes nothing either, else on the leading edge if the
+			// schedule is idle (work owed already has its timer armed,
+			// so it never starts one). Open the span first so that pass
+			// times the classification too.
+			if !m.owed {
 				fctx, span = m.startFlush(ctx, true)
 			}
-			m.cursor = m.cfg.Store.DurableCursor()
 			m.classify(&win, batch)
+			if c, ok := m.cfg.Store.FeedCursor(feed); ok {
+				m.cursor = c
+			}
 			if !m.owed {
 				// Nothing to coalesce: the previous result is exact for
 				// this batch too. (A pending window and an armed timer
@@ -252,22 +253,21 @@ func (m *Monitor) Run(ctx context.Context) error {
 				// outside the schedule — a pass recorded here would only
 				// delay the leading edge of the next batch that does owe
 				// work.
-				if span == nil {
-					fctx, span = m.startFlush(ctx, true)
-				}
 				m.flush(fctx, span, &win)
 				continue
 			}
-			fired = sched.arrive()
+			if fired = sched.arrive(); !fired {
+				// The batch joins a debounce window, whose pass opens
+				// its own span when the timer fires.
+				span.Discard()
+			}
 		case <-sched.timer:
-			fired = true
-		}
-		if fired {
 			// A timer firing with an empty window is a retry wake-up:
 			// flush re-runs the workflow even with no new posts.
-			if span == nil {
-				fctx, span = m.startFlush(ctx, len(win.posts) > 0)
-			}
+			fired = true
+			fctx, span = m.startFlush(ctx, len(win.posts) > 0)
+		}
+		if fired {
 			m.flush(fctx, span, &win)
 			// A workflow failure (its invalidations already landed)
 			// retries without waiting for the next delta. Persist-only
@@ -351,7 +351,7 @@ func unionSorted(a, b []string) []string {
 // owed. Otherwise the delta cannot appear in any cached listing and the
 // previous result is still exact: the window publishes fresh metadata
 // without work, and the state file is not rewritten (result and fills
-// are unchanged; saveOnStop keeps the cursor current at shutdown).
+// are unchanged; saveOnStop saves the generation at shutdown).
 func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 	defer span.End()
 	span.SetInt("delta_posts", int64(len(w.posts)))
@@ -404,6 +404,9 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 // nothing owed (and so nothing pending): those publications never save,
 // and without this a restart would serve an older generation — or, once
 // the store has compacted its WAL past the last saved cursor, run cold.
+// Batches still queued on the feed are lost with the subscription, but
+// the saved cursor does not cover them (see FeedCursor), so the restart
+// replays them.
 func (m *Monitor) saveOnStop() {
 	if m.owed {
 		return
@@ -479,9 +482,9 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 }
 
 // persistState saves the current assessment, cache and the cursor Run
-// last took through the configured state store. Persistence failures
-// are recorded like re-assessment failures (LastError / healthz) — the
-// monitor keeps serving, it just will not restart warm.
+// last advanced to through the configured state store. Persistence
+// failures are recorded like re-assessment failures (LastError /
+// healthz) — the monitor keeps serving, it just will not restart warm.
 func (m *Monitor) persistState() {
 	cursor := m.cursor
 	if m.cfg.State == nil || cursor == nil {

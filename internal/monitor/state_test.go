@@ -504,3 +504,122 @@ func TestMonitorWarmRestartAfterNoWorkStream(t *testing.T) {
 		t.Fatalf("restart after a no-work stream cost %d platform queries, want 0", n)
 	}
 }
+
+// nowGate is a Config.Now that, while armed, parks each call until the
+// test releases it — a way to hold Run inside a publication.
+type nowGate struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *nowGate) now() time.Time {
+	if g.armed.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return time.Now()
+}
+
+// TestMonitorWarmRestartStopWithBatchQueued: Add queues a batch on the
+// changefeed before the store's durable cursor moves past it, so when
+// Run stops with an on-topic batch still queued, the store's cursor can
+// already cover it. The state saved at stop must not: a restart that
+// finds no work owed must serve a result exact for the whole store.
+// Run's select picks between the stop and the queued batch at random,
+// so the scenario runs several times.
+func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
+	store := openSmallDurableStore(t, t.TempDir())
+	defer store.Close()
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(p *social.Post) {
+		t.Helper()
+		if err := store.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		// Wait for the batch to leave the store's queue for the feed
+		// channel, so the next Add forms a batch of its own.
+		for deadline := time.Now().Add(10 * time.Second); store.ChangefeedBacklog() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("changefeed never drained its queue")
+			}
+		}
+	}
+	exported := func(res *core.SocialResult) []byte {
+		t.Helper()
+		rs, err := core.ExportResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	for round := 0; round < 4; round++ {
+		statePath := filepath.Join(t.TempDir(), "monitor.state")
+		gate := &nowGate{entered: make(chan struct{}), release: make(chan struct{})}
+		cfg := Config{
+			Framework: fw,
+			Store:     store,
+			Input:     in,
+			Debounce:  time.Hour,
+			MaxLag:    time.Hour,
+			State:     NewFileStateStore(statePath),
+			Now:       gate.now,
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- m.Run(ctx) }()
+		waitGen(t, m, 1)
+
+		base := 100 * (round + 1)
+		gate.armed.Store(true)
+		add(fillerPost(base)) // published at once: Run parks in Now
+		<-gate.entered
+		add(fillerPost(base + 1))
+		add(deltaPost(base+2, "queued #chiptuning stage1 remap"))
+		gate.release <- struct{}{} // Run reads the second filler and parks again
+		<-gate.entered
+		cancel() // the on-topic batch is still queued
+		gate.armed.Store(false)
+		gate.release <- struct{}{}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("monitor did not stop after cancellation")
+		}
+
+		cfg.Now = nil
+		probe, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, ok := probe.tryRestore()
+		if !ok {
+			t.Fatalf("round %d: saved state did not restore", round)
+		}
+		probe.classify(&window{}, delta)
+		if probe.owed {
+			continue // the restart re-runs the workflow over the replayed batch
+		}
+		cold, err := fw.RunSocial(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(exported(probe.Assessment().Result), exported(cold)) {
+			t.Fatalf("round %d: restart owes no work, yet its restored result misses the batch queued at stop (catch-up delta %d posts)",
+				round, len(delta))
+		}
+	}
+}

@@ -222,16 +222,9 @@ func (tm *TARAMonitor) broadcast() {
 // tailSocial follows the social monitor's published assessments and
 // applies each generation's threat tunings to every tenant. Tenants
 // whose effective tables do not change stay clean — repeated identical
-// learning outcomes cause no re-rating. A metadata-only generation
-// republishes the previous result, whose tunings every tenant already
-// holds, so only a tenant the bridge has not yet seen with that result
-// (one created since) is mutated then.
+// learning outcomes cause no re-rating.
 func (tm *TARAMonitor) tailSocial(ctx context.Context) {
-	var (
-		gen     uint64
-		result  *core.SocialResult
-		applied = map[*tara.Tenant]bool{}
-	)
+	var gen uint64
 	for {
 		cur, err := tm.cfg.Social.WaitFor(ctx, gen+1)
 		if err != nil {
@@ -241,18 +234,13 @@ func (tm *TARAMonitor) tailSocial(ctx context.Context) {
 		if cur.Result == nil || len(cur.Result.Tunings) == 0 {
 			continue
 		}
-		if cur.Result != result {
-			result = cur.Result
-			clear(applied)
-		}
 		for _, name := range tm.cfg.Registry.Names() {
 			ten, found := tm.cfg.Registry.Get(name)
-			if !found || applied[ten] {
+			if !found {
 				continue
 			}
-			applied[ten] = true
 			_, err := ten.Mutate(func(a *tara.Analysis) (bool, error) {
-				changed, err := core.ApplyTunings(a, result.Tunings)
+				changed, err := core.ApplyTunings(a, cur.Result.Tunings)
 				return len(changed) > 0, err
 			})
 			if err != nil {

@@ -377,82 +377,3 @@ func TestTARAAPIEndpoints(t *testing.T) {
 		t.Fatalf("GET deleted tenant: status %d, want 404", res8.StatusCode)
 	}
 }
-
-// TestScheduleNoWorkTARABridgeAppliesTuningsOnce: metadata-only social
-// generations republish the result whose tunings the fleet already
-// holds, so the bridge does not mutate a tenant again for them — a
-// tenant table changed since stays as it is — while a tenant created
-// since still receives them.
-func TestScheduleNoWorkTARABridgeAppliesTuningsOnce(t *testing.T) {
-	store, err := social.DefaultStore(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soc, first := hourMonitor(t, store, store)
-	if len(first.Result.Tunings) == 0 {
-		t.Fatal("social assessment published no tunings; fixture corpus changed?")
-	}
-	ecmAnalysis := func(seed int64) *tara.Analysis {
-		a, err := tara.GenerateAnalysis(tara.GenSpec{
-			Name: "ecm", Assets: 4, Damages: 5, Threats: 6, PathsPerThreat: 1, Seed: seed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		th := ecmThreat()
-		th.DamageIDs = []string{a.Damages[0].ID}
-		th.AssetIDs = nil
-		if err := a.UpsertThreat(th); err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	reg := tara.NewRegistry()
-	ecm, err := reg.Create("ecm", ecmAnalysis(500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	startTARAMonitor(t, reg, soc)
-	waitVersion := func(ten *tara.Tenant, v uint64) {
-		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		for ten.Version() < v {
-			if time.Now().After(deadline) {
-				t.Fatalf("tenant %s stuck at version %d, want %d", ten.Name(), ten.Version(), v)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitVersion(ecm, 2) // the first generation's tunings
-
-	// Replace the tuned table: only a new social result may re-tune it.
-	v, err := ecm.Mutate(func(a *tara.Analysis) (bool, error) {
-		return a.SetThreatTable(ecmThreat().ID, hotTable(t))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const fillers = 5
-	for i := 1; i <= fillers; i++ {
-		if err := store.Add(fillerPost(i)); err != nil {
-			t.Fatal(err)
-		}
-		if cur := waitGen(t, soc, first.Generation+uint64(i)); cur.Result != first.Result {
-			t.Fatalf("filler %d replaced the social result", i)
-		}
-	}
-	// A tenant created now still gets the standing tunings, from the
-	// next metadata-only generation; once it has them, every generation
-	// up to that one has reached the bridge.
-	late, err := reg.Create("late", ecmAnalysis(501))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Add(fillerPost(fillers + 1)); err != nil {
-		t.Fatal(err)
-	}
-	waitVersion(late, 2)
-	if got := ecm.Version(); got != v {
-		t.Fatalf("%d metadata-only generations re-applied the tunings: tenant version %d → %d", fillers+1, v, got)
-	}
-}

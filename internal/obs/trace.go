@@ -126,6 +126,15 @@ func (s *Span) End() {
 	s.tracer.finish(s)
 }
 
+// Discard ends the span without recording it — no ring entry, metric
+// or log line — for a span opened ahead of work that then ran
+// elsewhere. A later End is a no-op. Safe on nil.
+func (s *Span) Discard() {
+	if s != nil {
+		s.ended.Store(true)
+	}
+}
+
 const ctxSpan ctxKey = 100
 
 // ContextWithSpan attaches a span to ctx; child spans started from

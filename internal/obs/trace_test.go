@@ -194,6 +194,7 @@ func TestNilTracerAndNilSpanAreNoOps(t *testing.T) {
 	s.Event("e")
 	s.Fail(errors.New("x"))
 	s.ForceSample()
+	s.Discard()
 	s.End()
 	if s.Recording() || s.Sampled() {
 		t.Fatalf("nil span claims to record")
@@ -362,6 +363,28 @@ func TestTraceHandler(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/trace", nil))
 	if rec.Code != 405 {
 		t.Fatalf("POST: code %d, want 405", rec.Code)
+	}
+}
+
+// TestSpanDiscard: a discarded span reaches neither the ring nor the
+// per-name metrics, and a later End does not resurrect it.
+func TestSpanDiscard(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(TracerOptions{SampleRate: 1, Registry: reg})
+	_, kept := tr.Start(context.Background(), "kept")
+	kept.End()
+	_, gone := tr.Start(context.Background(), "gone")
+	gone.Discard()
+	gone.End()
+	if spans := tr.Spans(0); len(spans) != 1 || spans[0].Name != "kept" {
+		t.Fatalf("ring holds %d spans, want only the ended one", len(spans))
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), `span="gone"`) {
+		t.Fatalf("discarded span counted:\n%s", b.String())
 	}
 }
 

@@ -84,6 +84,9 @@
 // lock-free readers. The feed never replays stored posts: catch-up
 // after a restart is the durable cursor's job (DurableCursor, then
 // Watch, then PostsSince, which covers every post the feed did not).
+// Add queues a batch on the feed before the WAL floors move past it,
+// so a consumer that checkpoints its progress persists FeedCursor, the
+// cursor over only the batches it has already received.
 // The continuous monitoring subsystem (internal/monitor) tails this
 // feed to re-assess only the affected keyword topics as new posts
 // arrive.

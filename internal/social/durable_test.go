@@ -550,6 +550,134 @@ func TestWatchAfterDurableCursorHandOff(t *testing.T) {
 	}
 }
 
+// TestWatchFeedCursorCoversOnlyReceivedBatches: Add advances the WAL
+// floors after it queues a batch on the feed, so the store's cursor
+// can cover a batch its consumer has not read. FeedCursor refuses
+// while one is queued and, once the consumer has read it, returns a
+// cursor that covers it.
+func TestWatchFeedCursorCoversOnlyReceivedBatches(t *testing.T) {
+	s, err := OpenStoreDir(t.TempDir(), noCompact(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := s.Watch(ctx)
+	if _, ok := s.FeedCursor(feed); !ok {
+		t.Fatal("an idle feed must yield a cursor")
+	}
+	for round := 0; round < 3; round++ {
+		if err := s.Add(durPost(2*round, round), durPost(2*round+1, round)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.FeedCursor(feed); ok {
+			t.Fatalf("round %d: cursor offered while the batch is still queued", round)
+		}
+		<-feed
+		c, ok := s.FeedCursor(feed)
+		if !ok {
+			t.Fatalf("round %d: no cursor after the batch was read", round)
+		}
+		if delta, err := s.PostsSince(c); err != nil || len(delta) != 0 {
+			t.Fatalf("round %d: cursor leaves %d posts uncovered (err %v)", round, len(delta), err)
+		}
+	}
+	if _, ok := s.FeedCursor(make(chan []*Post)); ok {
+		t.Fatal("a channel Watch did not return must not yield a cursor")
+	}
+	cancel()
+	for range feed {
+	}
+	if _, ok := s.FeedCursor(feed); ok {
+		t.Fatal("a cancelled subscription still yields cursors")
+	}
+	mem := NewStore()
+	if _, ok := mem.FeedCursor(mem.Watch(ctx)); ok {
+		t.Fatal("an in-memory store has no cursor")
+	}
+}
+
+// TestWatchFeedCursorUnderConcurrentAdd: with writers running and a
+// consumer that lags, every post acknowledged before a FeedCursor call
+// that succeeds was either read from the feed or lies above the cursor
+// — a consumer persisting the cursor never skips a post on catch-up.
+func TestWatchFeedCursorUnderConcurrentAdd(t *testing.T) {
+	s, err := OpenStoreDir(t.TempDir(), noCompact(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := s.Watch(ctx)
+
+	const writers, perWriter = 4, 300
+	var (
+		mu    sync.Mutex
+		acked []string
+		wg    sync.WaitGroup
+	)
+	defer wg.Wait() // before the store closes, also when a check fails
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				p := durPost(w*100000+i, (w+i)%11)
+				if err := s.Add(p); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, p.ID)
+				mu.Unlock()
+			}
+		}(w)
+	}
+
+	received := make(map[string]bool)
+	refused, checked := 0, 0
+	for len(received) < writers*perWriter {
+		select {
+		case batch := <-feed:
+			for _, p := range batch {
+				received[p.ID] = true
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("feed stalled at %d of %d posts", len(received), writers*perWriter)
+		}
+		if len(received)%3 == 0 {
+			time.Sleep(200 * time.Microsecond) // let a queue build up
+		}
+		mu.Lock()
+		before := append([]string(nil), acked...)
+		mu.Unlock()
+		c, ok := s.FeedCursor(feed)
+		if !ok {
+			refused++
+			continue
+		}
+		checked++
+		delta, err := s.PostsSince(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		above := make(map[string]bool, len(delta))
+		for _, p := range delta {
+			above[p.ID] = true
+		}
+		for _, id := range before {
+			if !received[id] && !above[id] {
+				t.Fatalf("cursor covers %s, which the consumer has not read", id)
+			}
+		}
+	}
+	if checked == 0 || refused == 0 {
+		t.Fatalf("checked %d cursors, refused %d: both paths must run", checked, refused)
+	}
+}
+
 // TestDurableSeedResumesAfterCrash: a directory whose seed crashed
 // before the marker committed resumes seeding idempotently (durable
 // posts skipped by ID); once the marker exists the seed never runs

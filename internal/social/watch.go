@@ -12,7 +12,11 @@ import (
 type subscriber struct {
 	mu      sync.Mutex
 	pending []*Post
-	notify  chan struct{} // capacity 1: at-least-once wake-up signal
+	// inflight is set while the delivery goroutine holds a batch it
+	// took from pending and waits for room in out to hand it over.
+	inflight bool
+	notify   chan struct{} // capacity 1: at-least-once wake-up signal
+	out      chan []*Post  // the channel Watch returned
 }
 
 // subscriberSet is the immutable subscriber registry: publication loads
@@ -112,23 +116,26 @@ const watchBuffer = 16
 // promptly or cancel the subscription.
 func (s *Store) Watch(ctx context.Context) <-chan []*Post {
 	out := make(chan []*Post, watchBuffer)
-	sub := &subscriber{notify: make(chan struct{}, 1)}
+	sub := &subscriber{notify: make(chan struct{}, 1), out: out}
 	s.submu.Lock()
 	next, id := s.subs.Load().withSub(sub)
 	s.subs.Store(next)
 	s.submu.Unlock()
-	go s.deliver(ctx, id, sub, out)
+	go s.deliver(ctx, id, sub)
 	return out
 }
 
 // deliver drains one subscriber's queue into its channel until the
-// subscription context ends.
-func (s *Store) deliver(ctx context.Context, id uint64, sub *subscriber, out chan<- []*Post) {
+// subscription context ends. While the channel has room, a batch moves
+// from pending into it under the subscriber lock, so FeedCursor always
+// finds it in one place or the other; only a full channel makes deliver
+// hold a batch outside both (inflight) while it waits for room.
+func (s *Store) deliver(ctx context.Context, id uint64, sub *subscriber) {
 	defer func() {
 		s.submu.Lock()
 		s.subs.Store(s.subs.Load().withoutSub(id))
 		s.submu.Unlock()
-		close(out)
+		close(sub.out)
 	}()
 	for {
 		select {
@@ -139,16 +146,60 @@ func (s *Store) deliver(ctx context.Context, id uint64, sub *subscriber, out cha
 		for {
 			sub.mu.Lock()
 			batch := sub.pending
-			sub.pending = nil
-			sub.mu.Unlock()
 			if len(batch) == 0 {
+				sub.mu.Unlock()
 				break
 			}
+			sub.pending = nil
 			select {
-			case out <- batch:
+			case sub.out <- batch:
+				sub.mu.Unlock()
+				continue
+			default:
+			}
+			sub.inflight = true
+			sub.mu.Unlock()
+			select {
+			case sub.out <- batch:
 			case <-ctx.Done():
 				return
 			}
+			sub.mu.Lock()
+			sub.inflight = false
+			sub.mu.Unlock()
 		}
 	}
+}
+
+// FeedCursor returns a DurableCursor covering only posts the consumer
+// of feed (a channel Watch returned) has already received — the cursor
+// a consumer that checkpoints what it has read can safely persist.
+// Add publishes a batch before the WAL floors advance past it, so the
+// store's current DurableCursor can cover batches still queued for
+// delivery; FeedCursor reports ok=false while any batch is queued for
+// feed (pending, being handed over, or buffered in the channel), and
+// also when feed is no live subscription of s or s is not durable.
+// Call it from the goroutine that reads feed, between receives.
+func (s *Store) FeedCursor(feed <-chan []*Post) (DurableCursor, bool) {
+	if s.dur == nil {
+		return nil, false
+	}
+	// Floors first: every batch they cover was enqueued before this
+	// read, so if the queue is empty afterwards, each was received.
+	c := s.dur.floors()
+	for _, sub := range s.subs.Load().subs {
+		if sub.out != feed {
+			continue
+		}
+		sub.mu.Lock()
+		queued := len(sub.pending) > 0 || sub.inflight
+		sub.mu.Unlock()
+		// Only the caller receives from feed, so a batch handed over
+		// before the check above is still buffered now.
+		if queued || len(feed) > 0 {
+			return nil, false
+		}
+		return c, true
+	}
+	return nil, false
 }
