@@ -68,14 +68,19 @@
 // classifies each delta into
 // the affected keyword topics and threats (DirtySet), and
 // re-runs just the dirty slice of the workflow through a ResultCache —
-// cached listings with exact invalidation plus memoized per-topic
-// co-occurrence graphs, SAI entries, threat tunings and per-post SAI
-// features. Each post is tokenized once per listing it enters: a
-// re-drained listing reuses the features of every post it already
-// held and extends its co-occurrence graph by the added posts, so an
-// incremental refresh costs O(delta tokenization) + O(listing
-// arithmetic) — summing memoized features over the touched listings —
-// rather than re-analyzing every listed post. Incremental refreshes
+// cached listings kept exact by the query predicate plus memoized
+// per-topic co-occurrence graphs, SAI entries, threat tunings and
+// per-post SAI features. The feed delivers each post with the tag and
+// term sets the store tokenized it into at ingest, and a listing the
+// delta matches is patched with its new posts (the store is
+// append-only) rather than re-drained, so a delta run reads and
+// tokenizes only the delta. Each post is tokenized for analysis once
+// per listing it enters: a patched listing reuses the features of
+// every post it already held and extends its co-occurrence graph by
+// the added posts, so an incremental refresh costs O(delta
+// tokenization) + O(listing arithmetic) — summing memoized features
+// over the touched listings — rather than re-analyzing every listed
+// post. Incremental refreshes
 // are provably identical to a cold RunSocial over the merged corpus
 // (see Framework.RunSocialDelta). A delta that owes no work — it
 // matches no cached listing — publishes a metadata-only assessment at
@@ -196,7 +201,7 @@
 // per-backend multi.backend spans with retry, breaker-skip and
 // degraded-page decisions as events), and the asynchronous tail: the
 // monitor's debounced flush links into the ingest trace that
-// triggered it (delta size, invalidated fills, dirty topics/threats)
+// triggered it (delta size, matched fills, dirty topics/threats)
 // and each tenant re-rate records a tara.rate span (dirty threats,
 // rating calls). Wire it with SocialStore.SetTracer,
 // MonitorConfig.Tracer, TARAMonitorConfig.Tracer, MultiOptions.Tracer

@@ -10,7 +10,7 @@ import (
 // can affect: the keyword-group topics and threat scenarios whose
 // platform queries would match at least one of the posts. The monitor
 // surfaces it as freshness metadata; correctness of incremental
-// re-assessment rests on the result cache's own invalidation, not on
+// re-assessment rests on the result cache's own delta matching, not on
 // this summary.
 type DirtySet struct {
 	// Topics are the affected keyword-group topics, sorted.
@@ -24,14 +24,10 @@ type DirtySet struct {
 // Empty reports whether the delta touches no workflow slice.
 func (d DirtySet) Empty() bool { return len(d.Topics) == 0 && len(d.Threats) == 0 }
 
-// DirtyForPosts classifies a batch of new posts against the framework's
-// keyword database (seed and learned tags) and the input's threat
-// scenarios, using the exact query predicate of the social substrate.
-func (f *Framework) DirtyForPosts(in SocialInput, posts []*social.Post) DirtySet {
-	return f.DirtyForProfiles(in, social.ProfilePosts(posts))
-}
-
-// DirtyForProfiles is DirtyForPosts over pre-tokenized posts.
+// DirtyForProfiles classifies a batch of new posts, profiled for
+// matching, against the framework's keyword database (seed and learned
+// tags) and the input's threat scenarios, using the exact query
+// predicate of the social substrate.
 func (f *Framework) DirtyForProfiles(in SocialInput, profiles []*social.PostProfile) DirtySet {
 	d := DirtySet{Posts: len(profiles)}
 	if len(profiles) == 0 {

@@ -16,12 +16,15 @@
 // The social workflow also has a delta-aware entry point,
 // RunSocialDelta, backing the continuous monitoring subsystem
 // (internal/monitor): platform queries are served through a ResultCache
-// whose listings are invalidated by the exact query predicate as posts
-// arrive, and every per-slice derivation — keyword-group co-occurrence
-// graphs, SAI entries, threat tunings — is memoized against its
-// listing's fill identity. A run after a small ingest delta recomputes
-// only the slices the delta can affect yet produces a result identical
-// to a cold RunSocial over the merged corpus.
+// whose listings are kept exact by the query predicate as posts
+// arrive — a listing a new post matches is patched with it when the
+// post was ingested into the cache's own backend store, and dropped
+// for a re-drain otherwise — and every per-slice derivation —
+// keyword-group co-occurrence graphs, SAI entries, threat tunings — is
+// memoized against its listing's fill identity. A run after a small
+// ingest delta recomputes only the slices the delta can affect, reads
+// the store only for listings it has never drained, and produces a
+// result identical to a cold RunSocial over the merged corpus.
 //
 // The financial workflow (Fig. 10) estimates the potential attacker
 // population (PAE) from sales data and annual reports, mines marketplace

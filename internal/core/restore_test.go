@@ -244,7 +244,7 @@ func (m *restoreModel) ingest(n int) []*social.Post {
 func (m *restoreModel) flush(batch []*social.Post) {
 	m.t.Helper()
 	ctx := context.Background()
-	m.rc.Invalidate(batch...)
+	m.rc.InvalidateProfiles(social.ProfilePosts(batch))
 	warm, err := m.fw.RunSocialDelta(ctx, m.in, m.rc)
 	if err != nil {
 		m.t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,31 +14,36 @@ import (
 	"github.com/psp-framework/psp/internal/tara"
 )
 
-// cacheFill is one cached drained listing. The pointer doubles as a
-// freshness token: invalidation deletes the fill and a re-query creates
-// a new one, so derived memos (graphs, SAI entries, threat tunings)
-// prove their inputs unchanged by holding the fill pointer they were
-// computed from. The posts slice is owned by the fill: SearchAll
-// accumulates page copies, so the listing aliases no store memory even
-// now that the sharded store streams pages straight off its per-shard
-// indices — fill identity stays a pure function of invalidation, not of
-// store internals.
+// cacheFill is one cached listing: a full drain of its query in
+// (CreatedAt, ID) order. The pointer doubles as a freshness token: a
+// fill is never modified — a delta that matches it replaces it, by a
+// patched copy or by nothing (dropped, re-drained on next use) — so
+// derived memos (graphs, SAI entries, threat tunings) prove their
+// inputs unchanged by holding the fill pointer they were computed from.
+// The posts slice is owned by the fill: SearchAll accumulates page
+// copies and a patch merges into a new slice, so a listing aliases no
+// store memory and no other fill's, and fill identity stays a pure
+// function of the deltas applied, not of store internals.
 type cacheFill struct {
 	query   social.Query        // canonical form; the export/import key
-	matcher social.QueryMatcher // compiled predicate for invalidation
+	matcher social.QueryMatcher // compiled predicate for delta matching
 	posts   []*social.Post
 }
 
 // QueryCache caches fully drained platform listings keyed by the
-// canonical query, serving pages from memory until a newly ingested
-// post that would match the query invalidates the entry. Because the
-// store is append-only and invalidation applies the exact Search
-// predicate (social.Query.MatchesPost), a cached listing is always
-// byte-identical to what a fresh drain would return.
+// canonical query, serving pages from memory. Newly ingested posts are
+// applied with PatchProfiles or InvalidateProfiles, which test every
+// listing with the exact Search predicate (social.Query.MatchesPost).
+// Posts ingested into the cache's own backend store patch a matching
+// listing in place of a re-drain: the store is append-only, so its
+// fresh drain is the old listing plus the matching new posts. Posts
+// from anywhere else — the cache over a federated Multi — drop the
+// listing, and the next Search re-drains it. Either way a cached
+// listing is always identical to what a fresh drain would return.
 //
 // Search is safe for concurrent use (the workflow fans queries out);
-// Invalidate must not run concurrently with a workflow run using the
-// cache — the monitor serializes updates on one scheduler goroutine.
+// applying a delta must not run concurrently with a workflow run using
+// the cache — the monitor serializes both on one scheduler goroutine.
 type QueryCache struct {
 	mu      sync.RWMutex
 	backend social.Searcher
@@ -98,31 +104,83 @@ func (c *QueryCache) lookup(key string) *cacheFill {
 	return c.fills[key]
 }
 
-// Invalidate drops every cached listing a newly ingested post would
-// appear in, returning the number of listings dropped. Entries the
+// InvalidateProfiles drops every cached listing a newly ingested post
+// would appear in, returning the number of listings dropped; the next
+// Search of a dropped query re-drains it from the backend. Listings the
 // posts cannot match stay valid — the exactness that lets the
 // incremental path skip their re-computation entirely.
-func (c *QueryCache) Invalidate(posts ...*social.Post) int {
-	return c.InvalidateProfiles(social.ProfilePosts(posts))
+func (c *QueryCache) InvalidateProfiles(profiles []*social.PostProfile) int {
+	return c.apply(profiles, false)
 }
 
-// InvalidateProfiles is Invalidate over pre-tokenized posts, letting
-// callers that also run a dirty-set pass (the monitor's flush) profile
-// the delta once.
-func (c *QueryCache) InvalidateProfiles(profiles []*social.PostProfile) int {
+// PatchProfiles is InvalidateProfiles for posts ingested into the
+// cache's own backend store: every listing the posts match is replaced
+// by a new fill holding the (CreatedAt, ID)-ordered merge of the old
+// listing and its matching posts, so no re-drain is needed. A post the
+// listing already holds is skipped — a cold drain may have listed it
+// before its delivery, and a restart may deliver it twice — so
+// patching is idempotent, and a listing that gains nothing keeps its
+// fill. It returns the number of listings the posts matched, patched
+// or not, the count InvalidateProfiles would have dropped.
+func (c *QueryCache) PatchProfiles(profiles []*social.PostProfile) int {
+	return c.apply(profiles, true)
+}
+
+// apply matches a delta against every listing, patching or dropping
+// each matched one.
+func (c *QueryCache) apply(profiles []*social.PostProfile, patch bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dropped := 0
+	matched := 0
+	var add []*social.Post
 	for key, fill := range c.fills {
+		add = add[:0]
 		for _, pp := range profiles {
 			if fill.matcher.Matches(pp) {
-				delete(c.fills, key)
-				dropped++
-				break
+				add = append(add, pp.Post())
+				if !patch {
+					break
+				}
 			}
 		}
+		if len(add) == 0 {
+			continue
+		}
+		matched++
+		if !patch {
+			delete(c.fills, key)
+		} else if posts := mergeNew(fill.posts, add); len(posts) > len(fill.posts) {
+			c.fills[key] = &cacheFill{query: fill.query, matcher: fill.matcher, posts: posts}
+		}
 	}
-	return dropped
+	return matched
+}
+
+// mergeNew returns a new (CreatedAt, ID)-ordered listing holding a
+// sorted listing's posts plus the added ones whose IDs it does not hold
+// yet, each once. Post IDs are unique and posts immutable, so a held ID
+// sorts equal to its copy in add. add is sorted in place.
+func mergeNew(listing, add []*social.Post) []*social.Post {
+	slices.SortFunc(add, postCmp)
+	out := make([]*social.Post, 0, len(listing)+len(add))
+	i := 0
+	for _, p := range add {
+		k, held := slices.BinarySearchFunc(listing[i:], p, postCmp)
+		out = append(out, listing[i:i+k]...)
+		i += k
+		if !held && (len(out) == 0 || out[len(out)-1].ID != p.ID) {
+			out = append(out, p)
+		}
+	}
+	return append(out, listing[i:]...)
+}
+
+// postCmp orders posts by (CreatedAt, ID), the order of every listing.
+func postCmp(a, b *social.Post) int {
+	if c := a.CreatedAt.Compare(b.CreatedAt); c != 0 {
+		return c
+	}
+	return strings.Compare(a.ID, b.ID)
 }
 
 // Len returns the number of cached listings.
@@ -138,16 +196,18 @@ func (c *QueryCache) Len() int {
 // and the lazily built derivations the incremental path memoizes — the
 // group's co-occurrence graph and SAI entry.
 //
-// When invalidation forces a re-drain, the new slice inherits the
-// previous memo's features for every post both listings hold, matched
-// by post ID (posts are immutable, and a listing — a federated one
-// included — holds each ID once), so only posts new to the listing are
-// tokenized, whether the previous memo was built in this process or
-// restored from persisted state. The graph follows one rule: a listing
-// that is a superset of the previous one gets the previous graph plus
-// the added posts' observations (integer counts, so exact); any other
-// listing — a post dropped by the poisoning defence, or a federated
-// page that lost a backend — rebuilds it from scratch.
+// When a delta replaces the fill — patched, or dropped and re-drained —
+// the new slice inherits the previous memo's features for every post
+// both listings hold, matched by post ID (posts are immutable, and a
+// listing — a federated one included — holds each ID once), so only
+// posts new to the listing are tokenized, whether the previous memo was
+// built in this process or restored from persisted state. The graph
+// follows one rule: a listing that is a superset of the previous one —
+// every patched listing, unless the poisoning defence now drops a post
+// it kept — gets the previous graph plus the added posts' observations
+// (integer counts, so exact); any other listing — a post dropped by the
+// poisoning defence, or a federated page that lost a backend — rebuilds
+// it from scratch.
 type querySlice struct {
 	fill     *cacheFill // nil on uncached runs
 	posts    []*social.Post
@@ -169,12 +229,13 @@ type threatMemo struct {
 // cache plus per-slice memos of everything the workflow derives from a
 // single query's posts. RunSocialDelta reuses a memo only while the
 // query's cacheFill pointer is unchanged — i.e. while no ingested post
-// matched the query — which is exactly the condition under which the
-// slice's inputs, and therefore its derivations, are provably
-// identical. A memo whose fill was invalidated still lends its per-post
-// features (by post ID) and, for a superset listing, its co-occurrence
-// graph to the re-drain, so a delta costs tokenizing the posts new to
-// each re-drained listing plus arithmetic over the listing. Features
+// was added to the query's listing — which is exactly the condition
+// under which the slice's inputs, and therefore its derivations, are
+// provably identical. A memo whose fill was replaced still lends its
+// per-post features (by post ID) and, for a superset listing, its
+// co-occurrence graph to the new slice, so a delta costs tokenizing the
+// posts new to each patched or re-drained listing plus arithmetic over
+// the listing — and, for a patched one, no backend query at all. Features
 // and graphs live inside slice memos and are freed when the sweep drops
 // a slice; ExportMemos and ImportFills carry them across a restart
 // next to the fills, so a restored cache is as warm as the saved one.
@@ -196,7 +257,8 @@ type ResultCache struct {
 }
 
 // NewResultCache builds a result cache over a platform backend. Pass it
-// to Framework.RunSocialDelta; feed newly ingested posts to Invalidate.
+// to Framework.RunSocialDelta; apply newly ingested posts with
+// PatchProfiles (posts of the backend store) or InvalidateProfiles.
 func NewResultCache(backend social.Searcher) *ResultCache {
 	return &ResultCache{
 		qc:      NewQueryCache(backend),
@@ -208,15 +270,19 @@ func NewResultCache(backend social.Searcher) *ResultCache {
 // Queries exposes the underlying listing cache (also a social.Searcher).
 func (rc *ResultCache) Queries() *QueryCache { return rc.qc }
 
-// Invalidate drops the cached listings (and, transitively, the memoized
-// derivations) affected by newly ingested posts. It returns the number
-// of cached listings dropped; zero means a subsequent RunSocialDelta is
-// guaranteed to reproduce the previous result without any work.
-func (rc *ResultCache) Invalidate(posts ...*social.Post) int {
-	return rc.qc.Invalidate(posts...)
+// PatchProfiles applies newly ingested posts of the backend store to
+// the cached listings (see QueryCache.PatchProfiles): each matched
+// listing gains its posts, and the memoized derivations follow its new
+// fill. It returns the number of cached listings the posts matched;
+// zero means a subsequent RunSocialDelta is guaranteed to reproduce the
+// previous result without any work.
+func (rc *ResultCache) PatchProfiles(profiles []*social.PostProfile) int {
+	return rc.qc.PatchProfiles(profiles)
 }
 
-// InvalidateProfiles is Invalidate over pre-tokenized posts.
+// InvalidateProfiles is PatchProfiles for a backend the posts did not
+// come from directly, such as a federated Multi: matched listings are
+// dropped and re-drained by the next run.
 func (rc *ResultCache) InvalidateProfiles(profiles []*social.PostProfile) int {
 	return rc.qc.InvalidateProfiles(profiles)
 }
@@ -232,7 +298,7 @@ func (rc *ResultCache) beginRun() {
 
 // endRun drops every fill and memo the completed run did not use —
 // leftovers of previous inputs or drifted learned tag sets that would
-// otherwise pin listings (and slow invalidation) forever.
+// otherwise pin listings (and slow delta matching) forever.
 func (rc *ResultCache) endRun() {
 	rc.mu.Lock()
 	for sig := range rc.slices {
@@ -273,7 +339,7 @@ func (c *QueryCache) retain(keys map[string]bool) {
 
 // slice returns the memoized querySlice for a signature, if any, and
 // whether its fill is still current. A stale memo is returned too: its
-// features seed the re-drained slice.
+// features seed the slice of the patched or re-drained listing.
 func (rc *ResultCache) slice(sig string, fill *cacheFill) (qs *querySlice, fresh bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -58,6 +59,13 @@ func TestQueryCacheServesIdenticalListings(t *testing.T) {
 	}
 }
 
+// TestQueryCacheInvalidationIsExact: a delta leaves the listings it
+// cannot match untouched and brings every listing it matches up to
+// date. A cache over the store the posts went into patches the listing
+// — served without a backend query, equal to a fresh drain of the
+// store (same IDs, same order), even for a post dated before the whole
+// listing — and a repeated delivery changes nothing. A cache over any
+// other backend drops the listing and re-drains it.
 func TestQueryCacheInvalidationIsExact(t *testing.T) {
 	store := social.NewStore()
 	if err := store.Add(
@@ -66,37 +74,218 @@ func TestQueryCacheInvalidationIsExact(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	cache := NewQueryCache(store)
 	ctx := context.Background()
-	for _, tags := range [][]string{{"dpfdelete"}, {"chiptuning"}} {
-		if _, err := cache.Search(ctx, social.Query{AnyTags: tags}); err != nil {
+	tags := [][]string{{"dpfdelete"}, {"chiptuning"}}
+	newCache := func() (*QueryCache, *countingSearcher) {
+		counting := &countingSearcher{inner: store}
+		cache := NewQueryCache(counting)
+		for _, tg := range tags {
+			if _, err := cache.Search(ctx, social.Query{AnyTags: tg}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cache.Len() != 2 {
+			t.Fatalf("cache holds %d listings, want 2", cache.Len())
+		}
+		return cache, counting
+	}
+	listing := func(s social.Searcher, tg []string) []string {
+		t.Helper()
+		posts, err := social.SearchAll(ctx, s, social.Query{AnyTags: tg, MaxResults: 1})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return ids(posts)
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d listings, want 2", cache.Len())
-	}
+	patched, patchedCalls := newCache()
+	dropped, droppedCalls := newCache()
 
 	// A post that matches neither query leaves both listings valid.
-	neutral := deltaPost(0, "#egrremoval chatter")
-	if n := cache.Invalidate(neutral); n != 0 || cache.Len() != 2 {
-		t.Errorf("neutral post dropped %d listings (len %d)", n, cache.Len())
-	}
-	// A dpfdelete post drops exactly the dpfdelete listing.
-	hit := deltaPost(1, "new #dpfdelete kit")
-	if n := cache.Invalidate(hit); n != 1 || cache.Len() != 1 {
-		t.Errorf("matching post dropped %d listings (len %d), want 1 (len 1)", n, cache.Len())
-	}
-	// The refreshed listing includes the new post once re-added.
-	if err := store.Add(hit); err != nil {
+	neutral := social.ProfilePosts([]*social.Post{deltaPost(0, "#egrremoval chatter")})
+	if err := store.Add(neutral[0].Post()); err != nil {
 		t.Fatal(err)
 	}
-	page, err := cache.Search(ctx, social.Query{AnyTags: []string{"dpfdelete"}})
-	if err != nil {
+	if n := patched.PatchProfiles(neutral); n != 0 || patched.Len() != 2 {
+		t.Errorf("neutral post patched %d listings (len %d)", n, patched.Len())
+	}
+	if n := dropped.InvalidateProfiles(neutral); n != 0 || dropped.Len() != 2 {
+		t.Errorf("neutral post dropped %d listings (len %d)", n, dropped.Len())
+	}
+
+	// dpfdelete posts — one dated after the listing, one before it —
+	// match exactly the dpfdelete listing.
+	hits := social.ProfilePosts([]*social.Post{
+		deltaPost(1, "new #dpfdelete kit"),
+		{ID: "early", Author: "u", Text: "old #dpfdelete story", CreatedAt: time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC), Region: social.RegionEurope, Metrics: social.Metrics{Views: 1}},
+	})
+	if err := store.Add(hits[0].Post(), hits[1].Post()); err != nil {
 		t.Fatal(err)
 	}
-	if page.TotalMatches != 2 {
-		t.Errorf("refreshed listing has %d matches, want 2", page.TotalMatches)
+	want := listing(store, tags[0])
+	if len(want) != 3 {
+		t.Fatalf("store lists %v, want 3 dpfdelete posts", want)
+	}
+
+	calls := patchedCalls.calls.Load()
+	if n := patched.PatchProfiles(hits); n != 1 || patched.Len() != 2 {
+		t.Errorf("matching posts patched %d listings (len %d), want 1 (len 2)", n, patched.Len())
+	}
+	before := patched.lookup(cacheKey(social.Query{AnyTags: tags[0]}.Canonical()))
+	if n := patched.PatchProfiles(hits); n != 1 {
+		t.Errorf("a repeated delivery matched %d listings, want 1", n)
+	}
+	if after := patched.lookup(cacheKey(social.Query{AnyTags: tags[0]}.Canonical())); after != before {
+		t.Error("a repeated delivery replaced the fill, though it added nothing")
+	}
+	if got := listing(patched, tags[0]); !reflect.DeepEqual(got, want) {
+		t.Errorf("patched listing %v, want the store's %v", got, want)
+	}
+	if got := listing(patched, tags[1]); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Errorf("unmatched listing %v, want [b]", got)
+	}
+	if n := patchedCalls.calls.Load() - calls; n != 0 {
+		t.Errorf("patched listings reached the backend %d times", n)
+	}
+
+	if n := dropped.InvalidateProfiles(hits); n != 1 || dropped.Len() != 1 {
+		t.Errorf("matching posts dropped %d listings (len %d), want 1 (len 1)", n, dropped.Len())
+	}
+	calls = droppedCalls.calls.Load()
+	if got := listing(dropped, tags[0]); !reflect.DeepEqual(got, want) {
+		t.Errorf("re-drained listing %v, want the store's %v", got, want)
+	}
+	if droppedCalls.calls.Load() == calls {
+		t.Error("a dropped listing was served without a re-drain")
+	}
+}
+
+// TestQueryCachePatchMatchesFreshDrain is the seeded property test of
+// patching: a random stream of on-topic, filler and backdated batches
+// is ingested into a store and patched into a cache over it — some
+// batches delivered twice, and some held already by a cold drain of a
+// query first asked after the batch was stored, before its delivery.
+// After every batch, every cached listing (queries mixing tags,
+// must-terms, Region and Since/Until windows) must equal a fresh drain
+// of the store, same IDs in the same order, and only never-drained
+// queries may reach the backend.
+func TestQueryCachePatchMatchesFreshDrain(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		store := social.NewStoreShards(4)
+		day := func(d int) time.Time { return time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC).AddDate(0, 0, d) }
+		tagsOf := []string{"dpfdelete", "chiptuning", "remap", "gpsblocker", "fillerchatter"}
+		words := []string{"excavator", "truck", "kit", "cheap", "install"}
+		regions := []social.Region{social.RegionEurope, social.RegionNorthAmerica, social.RegionAsiaPacific}
+		seq := 0
+		post := func(text string, at time.Time) *social.Post {
+			seq++
+			return &social.Post{
+				ID:        fmt.Sprintf("p-%04d", seq),
+				Author:    "u",
+				Text:      text,
+				CreatedAt: at.Add(time.Duration(rng.Intn(86400)) * time.Second),
+				Region:    regions[rng.Intn(len(regions))],
+				Metrics:   social.Metrics{Views: 1},
+			}
+		}
+		onTopic := func(at time.Time) *social.Post {
+			text := words[rng.Intn(len(words))] + " #" + tagsOf[rng.Intn(4)]
+			if rng.Intn(2) == 0 {
+				text += " #" + tagsOf[rng.Intn(4)] + " " + words[rng.Intn(len(words))]
+			}
+			return post(text, at)
+		}
+		var base []*social.Post
+		for i := 0; i < 120; i++ {
+			base = append(base, onTopic(day(20+rng.Intn(60))))
+		}
+		if err := store.Add(base...); err != nil {
+			t.Fatal(err)
+		}
+
+		queries := []social.Query{
+			{AnyTags: []string{"dpfdelete"}},
+			{AnyTags: []string{"chiptuning", "remap"}},
+			{AnyTags: []string{"chiptuning"}, MustTerms: []string{"excavator"}},
+			{MustTerms: []string{"truck"}},
+			{AnyTags: []string{"dpfdelete", "gpsblocker"}, Region: social.RegionEurope},
+			{AnyTags: []string{"remap"}, Since: day(40)},
+			{MustTerms: []string{"kit"}, Until: day(50)},
+			{AnyTags: []string{"dpfdelete", "chiptuning"}, Since: day(30), Until: day(70), Region: social.RegionNorthAmerica},
+		}
+		// Asked only after a batch is stored: their cold drains hold
+		// that batch's posts before its delivery.
+		late := []social.Query{
+			{AnyTags: []string{"gpsblocker"}},
+			{AnyTags: []string{"remap", "dpfdelete"}, MustTerms: []string{"install"}},
+			{AnyTags: []string{"chiptuning"}, Since: day(10), Until: day(60)},
+		}
+		counting := &countingSearcher{inner: store}
+		cache := NewQueryCache(counting)
+		ctx := context.Background()
+		check := func(step string) {
+			t.Helper()
+			calls := counting.calls.Load()
+			for qi, q := range queries {
+				got, err := social.SearchAll(ctx, cache, social.Query{AnyTags: q.AnyTags, MustTerms: q.MustTerms, Region: q.Region, Since: q.Since, Until: q.Until, MaxResults: 7})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := social.SearchAll(ctx, store, social.Query{AnyTags: q.AnyTags, MustTerms: q.MustTerms, Region: q.Region, Since: q.Since, Until: q.Until, MaxResults: social.MaxPageSize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ids(got), ids(want)) {
+					t.Fatalf("seed %d, %s: query %d lists %v, a fresh drain %v", seed, step, qi, ids(got), ids(want))
+				}
+			}
+			if n := counting.calls.Load() - calls; n != 0 {
+				t.Fatalf("seed %d, %s: cached listings reached the backend %d times", seed, step, n)
+			}
+		}
+		for _, q := range queries {
+			if _, err := social.SearchAll(ctx, cache, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("cold")
+
+		patched := 0
+		for step := 0; step < 40; step++ {
+			var batch []*social.Post
+			kind := rng.Intn(3)
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				switch kind {
+				case 0: // on-topic, inside the seeded span
+					batch = append(batch, onTopic(day(20+rng.Intn(60))))
+				case 1: // filler
+					batch = append(batch, post("idle #fillerchatter "+words[rng.Intn(len(words))], day(20+rng.Intn(60))))
+				default: // backdated, before every seeded post
+					batch = append(batch, onTopic(day(rng.Intn(20))))
+				}
+			}
+			if err := store.Add(batch...); err != nil {
+				t.Fatal(err)
+			}
+			if len(late) > 0 && rng.Intn(4) == 0 {
+				q := late[0]
+				late, queries = late[1:], append(queries, q)
+				if _, err := social.SearchAll(ctx, cache, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The feed delivers a batch sorted; a restart's catch-up
+			// delta need not be.
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			patched += cache.PatchProfiles(social.ProfilePosts(batch))
+			if rng.Intn(5) == 0 {
+				cache.PatchProfiles(social.ProfilePosts(batch))
+			}
+			check(fmt.Sprintf("step %d", step))
+		}
+		if patched == 0 || len(late) == 3 {
+			t.Fatalf("seed %d: %d patches, %d late queries asked; the property test is vacuous", seed, patched, 3-len(late))
+		}
 	}
 }
 
@@ -164,7 +353,7 @@ func TestRunSocialDeltaMatchesColdRun(t *testing.T) {
 			if err := store.Add(delta...); err != nil {
 				t.Fatal(err)
 			}
-			if n := rc.Invalidate(delta...); n == 0 {
+			if n := rc.InvalidateProfiles(social.ProfilePosts(delta)); n == 0 {
 				t.Fatal("delta invalidated nothing; test is vacuous")
 			}
 
@@ -290,7 +479,7 @@ func TestRunSocialDeltaAnalyzesOnlyNewPosts(t *testing.T) {
 	if err := store.Add(delta...); err != nil {
 		t.Fatal(err)
 	}
-	if rc.Invalidate(delta...) == 0 {
+	if rc.InvalidateProfiles(social.ProfilePosts(delta)) == 0 {
 		t.Fatal("delta invalidated nothing; test is vacuous")
 	}
 	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
@@ -366,7 +555,7 @@ func TestRunSocialDeltaSkipsFreshSlices(t *testing.T) {
 	if err := store.Add(noise); err != nil {
 		t.Fatal(err)
 	}
-	if n := rc.Invalidate(noise); n != 0 {
+	if n := rc.InvalidateProfiles(social.ProfilePosts([]*social.Post{noise})); n != 0 {
 		t.Errorf("irrelevant post dropped %d listings", n)
 	}
 	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
@@ -382,7 +571,7 @@ func TestRunSocialDeltaSkipsFreshSlices(t *testing.T) {
 	if err := store.Add(hit); err != nil {
 		t.Fatal(err)
 	}
-	dropped := rc.Invalidate(hit)
+	dropped := rc.InvalidateProfiles(social.ProfilePosts([]*social.Post{hit}))
 	if dropped == 0 {
 		t.Fatal("topical post invalidated nothing")
 	}

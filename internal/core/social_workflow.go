@@ -90,21 +90,22 @@ func (f *Framework) RunSocial(ctx context.Context, in SocialInput) (*SocialResul
 // queries served through the result cache and every per-slice
 // derivation — keyword-group co-occurrence graphs, SAI entries, threat
 // tunings — reused while the slice's cached listing is untouched by
-// ingest. After rc.Invalidate(newPosts), only the slices a new post can
-// actually match are re-drained, and a re-drained slice re-analyzes only
-// the posts new to its listing: every post it held before keeps its
-// memoized SAI features (matched by post ID), and its co-occurrence
-// graph is the previous graph plus the added posts when the new listing
-// is a superset of the old one, rebuilt from scratch otherwise. A steady
-// trickle of posts therefore costs tokenizing the delta plus arithmetic
-// over the touched listings, yet the result is identical to a cold
-// RunSocial over the merged corpus (the equivalence the core and monitor
-// tests pin down).
+// ingest. After rc.PatchProfiles (or rc.InvalidateProfiles) of the new
+// posts, only the slices a new post can actually match are recomputed,
+// from their patched (or re-drained) listings, and such a slice
+// re-analyzes only the posts new to its listing: every post it held
+// before keeps its memoized SAI features (matched by post ID), and its
+// co-occurrence graph is the previous graph plus the added posts when
+// the new listing is a superset of the old one, rebuilt from scratch
+// otherwise. A steady trickle of posts therefore costs tokenizing the
+// delta plus arithmetic over the touched listings, yet the result is
+// identical to a cold RunSocial over the merged corpus (the equivalence
+// the core and monitor tests pin down).
 //
 // Ignoring the framework's configured Searcher, queries go to the
 // backend the cache wraps. Runs against the same cache must be
-// serialized with Invalidate calls; the monitor's scheduler goroutine
-// does both.
+// serialized with the calls that apply deltas to it; the monitor's
+// scheduler goroutine does both.
 func (f *Framework) RunSocialDelta(ctx context.Context, in SocialInput, rc *ResultCache) (*SocialResult, error) {
 	if rc == nil {
 		return nil, fmt.Errorf("core: delta run requires a result cache")
@@ -337,9 +338,9 @@ func tagSigKey(tags []string, in SocialInput) (key, sig string) {
 // applying the poisoning defence when the input enables it, analyzing
 // the posts into SAI features and building the group's co-occurrence
 // graph when learning needs it. With a result cache, a memoized slice
-// is returned as long as its listing is fresh; a re-drained slice
-// reuses the stale memo's features (see the querySlice type) and is
-// stored back for the next run.
+// is returned as long as its listing is fresh; a slice whose listing a
+// delta patched or dropped reuses the stale memo's features (see the
+// querySlice type) and is stored back for the next run.
 func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc *ResultCache, tags []string, in SocialInput, withGraph bool) (*querySlice, error) {
 	if len(tags) == 0 {
 		return &querySlice{}, nil

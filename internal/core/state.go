@@ -290,7 +290,7 @@ func (rc *ResultCache) ExportMemos() []MemoState {
 		}
 		key := cacheKey(qs.fill.query)
 		if rc.qc.lookup(key) != qs.fill {
-			continue // invalidated: the next run re-drains it anyway
+			continue // replaced by a delta: the next run recomputes it anyway
 		}
 		ms := MemoState{Sig: sig, Key: key, Features: qs.features, Filtered: qs.filtered, Graph: qs.graph}
 		if len(qs.posts) != len(qs.fill.posts) {
@@ -316,9 +316,10 @@ func (rc *ResultCache) ExportMemos() []MemoState {
 // is dropped — the next run re-drains that one query — and so is every
 // memo of it; the count of fills actually restored is returned. An
 // imported memo is bound to its imported fill, so a run that finds the
-// fill untouched reuses the memo outright, and one that re-drains it
-// reuses its features by post ID and extends its graph. Must not run
-// concurrently with workflow runs, like Invalidate.
+// fill untouched reuses the memo outright, and one that finds it
+// patched or re-drained reuses its features by post ID and extends its
+// graph. Must not run concurrently with workflow runs, like
+// PatchProfiles.
 func (rc *ResultCache) ImportFills(fills []FillState, memos []MemoState, lookup func(id string) *social.Post) int {
 	imported := make(map[string]*cacheFill, len(fills))
 	for _, fs := range fills {

@@ -148,10 +148,11 @@ func BenchmarkRunSocialCold64k(b *testing.B) {
 }
 
 // BenchmarkIncrementalDelta64k measures one monitoring step: ingest a
-// 100-post delta into the 64k corpus, invalidate, re-assess through the
-// result cache. Acceptance target: ≥ 5× faster than the cold run above
-// (only the touched topic re-drains and re-scores, tokenizing just the
-// posts new to its listing; every other slice is served from memos).
+// 100-post delta into the 64k corpus, patch the cached listings it
+// matches, re-assess through the result cache. Acceptance target: ≥ 5×
+// faster than the cold run above (only the touched topic re-scores,
+// from its patched listing, tokenizing just the posts new to it; every
+// other slice is served from memos).
 func BenchmarkIncrementalDelta64k(b *testing.B) {
 	store := newBench64kStore(b)
 	fw, err := core.New(core.Config{Searcher: store})
@@ -172,7 +173,7 @@ func BenchmarkIncrementalDelta64k(b *testing.B) {
 		if err := store.Add(delta...); err != nil {
 			b.Fatal(err)
 		}
-		rc.Invalidate(delta...)
+		rc.PatchProfiles(social.ProfilePosts(delta))
 		res, err := fw.RunSocialDelta(ctx, in, rc)
 		if err != nil {
 			b.Fatal(err)
@@ -186,8 +187,8 @@ func BenchmarkIncrementalDelta64k(b *testing.B) {
 // BenchmarkRestoredDelta64k measures a warm restart's first step over
 // the 64k corpus: decode the saved result cache — fills and slice memos
 // in their binary forms — import it into a fresh cache, then ingest a
-// 1k-post delta (100 topical posts, 900 of background chatter),
-// invalidate and re-assess. The restored memos make this cost what
+// 1k-post delta (100 topical posts, 900 of background chatter), patch
+// and re-assess. The restored memos make this cost what
 // BenchmarkIncrementalDelta64k's in-process step costs, plus the decode
 // and import. Each iteration restores the state saved after the
 // previous one, untimed, as a restarted monitor does after every
@@ -234,7 +235,7 @@ func BenchmarkRestoredDelta64k(b *testing.B) {
 		if err := store.Add(delta...); err != nil {
 			b.Fatal(err)
 		}
-		rc.Invalidate(delta...)
+		rc.PatchProfiles(social.ProfilePosts(delta))
 		res, err := fw.RunSocialDelta(ctx, in, rc)
 		if err != nil {
 			b.Fatal(err)
@@ -250,8 +251,10 @@ func BenchmarkRestoredDelta64k(b *testing.B) {
 
 // BenchmarkIncrementalDelta64kRemote repeats the comparison in the
 // remote deployment shape (HTTP platform with a simulated 5 ms round
-// trip): the cache also eliminates the paged drains, so the incremental
-// advantage widens with platform latency.
+// trip): the cache also eliminates the paged drains of untouched
+// listings (the touched ones re-drain: the client is not the store the
+// delta went into), so the incremental advantage widens with platform
+// latency.
 func BenchmarkIncrementalDelta64kRemote(b *testing.B) {
 	store := newBench64kStore(b)
 	srv := newLatencyServer(b, store, 5*time.Millisecond)
@@ -283,7 +286,7 @@ func BenchmarkIncrementalDelta64kRemote(b *testing.B) {
 			if err := store.Add(delta...); err != nil {
 				b.Fatal(err)
 			}
-			rc.Invalidate(delta...)
+			rc.InvalidateProfiles(social.ProfilePosts(delta))
 			if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
 				b.Fatal(err)
 			}

@@ -10,11 +10,14 @@
 //     every post ingested after it subscribes is observed exactly once
 //     (the feed is live-only; a warm restart reads what it missed
 //     through the store's durable cursor);
-//   - each batch is classified once, on arrival: tokenized, matched
-//     against the keyword database and threat scenarios to summarize
-//     the dirty slice (core.DirtySet), and fed to the result cache's
-//     exact invalidation. A dropped fill means work is owed until the
-//     next successful workflow run;
+//   - each batch is classified once, on arrival: its posts come
+//     profiled — tokenized by the store's ingest, not again here — and
+//     are matched against the keyword database and threat scenarios to
+//     summarize the dirty slice (core.DirtySet) and against the result
+//     cache's listings. When the workflow queries the watched store
+//     itself (Config.Searcher unset), a matched listing is patched with
+//     its new posts; over any other backend it is dropped. A matched
+//     fill means work is owed until the next successful workflow run;
 //   - a batch that owes no work, arriving when nothing is owed or
 //     pending and no retry is scheduled, publishes at once, whatever
 //     the debounce, and records no schedule pass;
@@ -26,9 +29,10 @@
 //     backoff;
 //   - the scheduler re-runs the social workflow through the result
 //     cache (core.Framework.RunSocialDelta), which recomputes only the
-//     invalidated slices — a delta matching one keyword topic re-drains
-//     one listing and rebuilds one SAI entry, while everything else is
-//     served from memos;
+//     matched slices — a delta matching one keyword topic re-analyzes
+//     one patched listing's new posts and rebuilds one SAI entry, while
+//     everything else is served from memos, and the store is queried
+//     only for listings never drained before;
 //   - each refresh publishes an immutable Assessment snapshot carrying
 //     the SocialResult plus freshness metadata (generation, update
 //     time, corpus size, dirty slice, whether a recompute happened).
@@ -72,8 +76,10 @@
 // non-empty catch-up delta runs through the normal incremental flush,
 // and because the memos came back bound to their fills, that flush
 // costs what it would have cost the process that saved the state: an
-// untouched listing does no work, and a re-drained one tokenizes only
-// its new posts. An empty delta keeps the restored generation alive,
+// untouched listing does no work, and a patched one tokenizes only its
+// new posts. The catch-up delta is profiled here, and it may overlap
+// the first live batches; patching skips the posts a listing already
+// holds. An empty delta keeps the restored generation alive,
 // so pollers' cached ETags stay valid across the restart. Any mismatch
 // or damage — a failed checksum, a file from an older build — falls
 // back to a cold initial run, whose first save replaces the file.

@@ -13,7 +13,7 @@ import (
 type Metrics struct {
 	// Generations counts published assessments; Recomputes the subset
 	// that actually re-ran the workflow (the rest re-published the
-	// previous result because the delta invalidated nothing).
+	// previous result because the delta matched no cached listing).
 	Generations *obs.Counter
 	Recomputes  *obs.Counter
 	// PublishLatency is the arrival-to-publish latency: first batch of

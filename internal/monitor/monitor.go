@@ -30,7 +30,7 @@ type Config struct {
 	Input core.SocialInput
 	// Debounce is the quiet period after the last ingested batch before
 	// a workflow re-run (default 200ms). It coalesces work only: a batch
-	// that owes none — it drops no cached fill, while nothing is owed or
+	// that owes none — it matches no cached fill, while nothing is owed or
 	// pending and no retry is scheduled — publishes a metadata-only
 	// generation at once, whatever the debounce. It is also the idle
 	// threshold: a batch that owes work and arrives when nothing is
@@ -61,7 +61,7 @@ type Config struct {
 	Metrics *Metrics
 	// Tracer, when set, records one "monitor.flush" span per
 	// publication after the initial one, with the delta's cost
-	// attribution (posts, cache fills invalidated, dirty
+	// attribution (posts, cache fills patched or dropped, dirty
 	// topics/threats, whether the workflow re-ran). Every batch is
 	// classified on arrival: inside the span of the pass it starts at
 	// once, outside any span when it waits in a debounce window. When
@@ -111,6 +111,11 @@ type Assessment struct {
 type Monitor struct {
 	cfg Config
 	rc  *core.ResultCache
+	// patch is set when the workflow queries the watched store itself:
+	// a delta then patches the cached listings it matches instead of
+	// dropping them, and a delta run queries the store only for
+	// listings it has never drained.
+	patch bool
 
 	mu         sync.Mutex
 	cur        *Assessment
@@ -124,7 +129,7 @@ type Monitor struct {
 	lastErrAt time.Time
 
 	// Run's own bookkeeping, touched by no other goroutine. owed is
-	// set when a classified batch drops a cached fill and cleared by
+	// set when a classified batch matches a cached fill and cleared by
 	// the next successful workflow run. cursor is the newest durable
 	// cursor that covers only classified posts — the one a state save
 	// records. saved is the generation of the last successful save.
@@ -159,6 +164,7 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:    cfg,
 		rc:     core.NewResultCache(cfg.Searcher),
+		patch:  cfg.Searcher == cfg.Store,
 		notify: make(chan struct{}),
 	}
 	m.registerGauges()
@@ -178,15 +184,15 @@ func (m *Monitor) Run(ctx context.Context) error {
 	// live-only: a post whose Add begins after Watch returns arrives on
 	// it, and every earlier one not yet applied when the persisted
 	// cursor was taken is in the durable log the delta scan reads —
-	// either way it is seen (possibly twice; invalidation is
-	// idempotent).
+	// either way it is seen (possibly twice; patching and invalidation
+	// are idempotent).
 	feed := m.cfg.Store.Watch(ctx)
 
 	// Every post this cursor covers is in the restart delta or seen by
 	// the cold run below. Later cursors come from Store.FeedCursor,
 	// which covers only batches the loop has read and classified: a
-	// restart replays at most a little extra — and invalidation is
-	// idempotent — never too little.
+	// restart replays at most a little extra — and patching and
+	// invalidation are idempotent — never too little.
 	m.cursor = m.cfg.Store.DurableCursor()
 	var win window
 	if delta, ok := m.tryRestore(); ok {
@@ -197,7 +203,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 		m.saved = m.Assessment().Generation
 		if len(delta) > 0 {
 			fctx, span := m.startFlush(ctx, true)
-			m.classify(&win, delta)
+			m.classify(&win, social.ProfilePosts(delta))
 			m.flush(fctx, span, &win)
 		}
 	} else {
@@ -265,11 +271,11 @@ func (m *Monitor) Run(ctx context.Context) error {
 			// A timer firing with an empty window is a retry wake-up:
 			// flush re-runs the workflow even with no new posts.
 			fired = true
-			fctx, span = m.startFlush(ctx, len(win.posts) > 0)
+			fctx, span = m.startFlush(ctx, win.posts > 0)
 		}
 		if fired {
 			m.flush(fctx, span, &win)
-			// A workflow failure (its invalidations already landed)
+			// A workflow failure (its patches and drops already landed)
 			// retries without waiting for the next delta. Persist-only
 			// failures do NOT count: re-running the workflow cannot fix
 			// a disk error, and the generation churn would invalidate
@@ -298,37 +304,45 @@ func (m *Monitor) startFlush(ctx context.Context, posts bool) (context.Context, 
 }
 
 // window is the changefeed delta gathered since the last publication,
-// classified as it arrived.
+// classified as it arrived. It keeps counts, not posts: a classified
+// batch has already reached the cache.
 type window struct {
-	posts []*social.Post
-	// dirty is the union of the batches' dirty slices; dropped sums the
-	// cached fills they invalidated.
+	posts int
+	// dirty is the union of the batches' dirty slices; matched sums the
+	// cached fills they patched or dropped.
 	dirty   core.DirtySet
-	dropped int
+	matched int
 	// since is when the first batch joined — the start point of the
 	// published arrival-to-publish latency. Zero on a retry wake-up no
 	// batch joined.
 	since time.Time
 }
 
-// classify tokenizes a batch once, drops the cached fills it can appear
-// in, adds its dirty slice to the window and records whether work is
-// now owed. Every post is classified exactly once, on arrival.
-func (m *Monitor) classify(w *window, batch []*social.Post) {
-	if len(w.posts) == 0 {
+// classify applies a batch, profiled once — by the store's ingest for a
+// changefeed batch — to the cached fills it can appear in (patching
+// them, or dropping them when the workflow queries another backend),
+// adds its dirty slice to the window and records whether work is now
+// owed. Every post is classified exactly once, on arrival, or twice
+// around a restart, which the cache absorbs.
+func (m *Monitor) classify(w *window, batch []*social.PostProfile) {
+	if w.posts == 0 {
 		w.since = time.Now()
 	}
-	profiles := social.ProfilePosts(batch)
-	dropped := m.rc.InvalidateProfiles(profiles)
-	dirty := m.cfg.Framework.DirtyForProfiles(m.cfg.Input, profiles)
-	w.posts = append(w.posts, batch...)
-	w.dropped += dropped
+	var matched int
+	if m.patch {
+		matched = m.rc.PatchProfiles(batch)
+	} else {
+		matched = m.rc.InvalidateProfiles(batch)
+	}
+	dirty := m.cfg.Framework.DirtyForProfiles(m.cfg.Input, batch)
+	w.posts += len(batch)
+	w.matched += matched
 	w.dirty = core.DirtySet{
 		Topics:  unionSorted(w.dirty.Topics, dirty.Topics),
 		Threats: unionSorted(w.dirty.Threats, dirty.Threats),
 		Posts:   w.dirty.Posts + dirty.Posts,
 	}
-	m.owed = m.owed || dropped > 0
+	m.owed = m.owed || matched > 0
 }
 
 // unionSorted merges two sorted string sets.
@@ -346,24 +360,24 @@ func unionSorted(a, b []string) []string {
 
 // flush publishes the window under span (see startFlush), ends the
 // span and empties the window. The workflow re-runs iff
-// work is owed — a fill was dropped since the last successful run,
-// which also covers a due retry, since a failed run leaves its drops
+// work is owed — a delta matched a fill since the last successful run,
+// which also covers a due retry, since a failed run leaves its matches
 // owed. Otherwise the delta cannot appear in any cached listing and the
 // previous result is still exact: the window publishes fresh metadata
 // without work, and the state file is not rewritten (result and fills
 // are unchanged; saveOnStop saves the generation at shutdown).
 func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 	defer span.End()
-	span.SetInt("delta_posts", int64(len(w.posts)))
-	span.SetInt("invalidated_fills", int64(w.dropped))
+	span.SetInt("delta_posts", int64(w.posts))
+	span.SetInt("invalidated_fills", int64(w.matched))
 	span.SetInt("dirty_topics", int64(len(w.dirty.Topics)))
 	span.SetInt("dirty_threats", int64(len(w.dirty.Threats)))
 	delta, dirty, since := w.posts, w.dirty, w.since
 	*w = window{}
 
 	met := m.cfg.Metrics
-	if met != nil && len(delta) > 0 {
-		met.DeltaPosts.Observe(int64(len(delta)))
+	if met != nil && delta > 0 {
+		met.DeltaPosts.Observe(int64(delta))
 	}
 	observePublish := func() {
 		if met != nil && !since.IsZero() {
@@ -372,7 +386,7 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 	}
 
 	m.mu.Lock()
-	m.ingested += len(delta)
+	m.ingested += delta
 	prev := m.cur
 	m.mu.Unlock()
 
@@ -391,7 +405,7 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 			m.lastErrAt = m.cfg.Now()
 		}
 		m.mu.Unlock()
-		m.cfg.Logger.Warn("re-assessment failed", slog.Int("delta_posts", len(delta)), slog.Any("error", err))
+		m.cfg.Logger.Warn("re-assessment failed", slog.Int("delta_posts", delta), slog.Any("error", err))
 		return
 	}
 	m.owed = false
@@ -448,9 +462,9 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 		return nil, false
 	}
 	if m.rc.ImportFills(st.Fills, st.Memos, m.cfg.Store.Post) != len(st.Fills) {
-		// A partially restored cache would make the "delta invalidated
+		// A partially restored cache would make the "delta matched
 		// nothing" shortcut unsound: a post matching a missing fill
-		// would drop nothing yet change the true result. (Fills hold
+		// would match nothing yet change the true result. (Fills hold
 		// store post IDs, so this fires when the fills came from a
 		// different backend — e.g. a federated Multi — or the store
 		// lost posts.) Start over with an empty cache, cold.

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/psp-framework/psp/internal/core"
+	"github.com/psp-framework/psp/internal/obs"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
 )
@@ -232,5 +234,98 @@ func TestRestoreLegacyJSONState(t *testing.T) {
 	a.Restored, a.FullRun, a.Recomputed = b.Restored, b.FullRun, b.Recomputed
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("the restored assessment differs from the cold run that saved it")
+	}
+}
+
+// TestRestoreCatchUpPatchesFills: when the workflow queries the watched
+// store itself, a warm restart's catch-up delta patches the restored
+// listings instead of dropping them, so the catch-up run sends the
+// store no query for a restored listing. Applying the catch-up twice —
+// a restart whose live feed re-delivers posts the catch-up read —
+// changes nothing. Every patched listing equals a fresh drain of the
+// store, and the caught-up result equals a cold run.
+func TestRestoreCatchUpPatchesFills(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	store := openSmallDurableStore(t, filepath.Join(dir, "store"))
+	persistedLife(t, store, in, statePath)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store = openSmallDurableStore(t, filepath.Join(dir, "store"))
+	defer store.Close()
+	var gap []*social.Post
+	for i := 100; i < 112; i++ {
+		text := "another #chiptuning remap drop"
+		if i%3 == 0 {
+			text = "idle #fillerchatter about the weather"
+		}
+		gap = append(gap, deltaPost(i, text))
+	}
+	if err := store.Add(gap...); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	store.SetTracer(obs.NewTracer(obs.TracerOptions{SampleRate: 1, Registry: reg}))
+	searches := reg.Counter("psp_trace_spans_total", "", obs.Label{Key: "span", Value: "store.search"})
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Framework: fw, Store: store, Input: in, State: NewFileStateStore(statePath)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, ok := m.tryRestore()
+	if !ok || len(delta) != len(gap) {
+		t.Fatalf("restore ok=%v with a %d-post catch-up, want the %d-post gap", ok, len(delta), len(gap))
+	}
+	restored := len(m.rc.ExportFills())
+
+	var w window
+	m.classify(&w, social.ProfilePosts(delta))
+	if !m.owed || w.matched == 0 {
+		t.Fatal("the catch-up matched no restored listing; the test is vacuous")
+	}
+	patched := m.rc.ExportFills()
+	if len(patched) != restored {
+		t.Fatalf("the catch-up left %d of %d restored listings", len(patched), restored)
+	}
+	m.classify(&w, social.ProfilePosts(delta))
+	if !reflect.DeepEqual(m.rc.ExportFills(), patched) {
+		t.Fatal("re-delivering the catch-up changed the patched listings")
+	}
+
+	ctx := context.Background()
+	res, err := fw.RunSocialDelta(ctx, in, m.rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := searches.Value(); n != 0 {
+		t.Errorf("the catch-up run sent the store %d queries, want 0", n)
+	}
+	for _, fs := range patched {
+		q := fs.Query
+		q.MaxResults = social.MaxPageSize
+		posts, err := social.SearchAll(ctx, store, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(posts))
+		for i, p := range posts {
+			ids[i] = p.ID
+		}
+		if !reflect.DeepEqual(fs.PostIDs, ids) {
+			t.Errorf("patched listing %+v holds %d posts, a fresh drain %d", fs.Query, len(fs.PostIDs), len(ids))
+		}
+	}
+	cold, err := fw.RunSocial(ctx, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, cold) {
+		t.Fatal("the caught-up result diverged from a cold run over the merged corpus")
 	}
 }

@@ -609,7 +609,7 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 		if !ok {
 			t.Fatalf("round %d: saved state did not restore", round)
 		}
-		probe.classify(&window{}, delta)
+		probe.classify(&window{}, social.ProfilePosts(delta))
 		if probe.owed {
 			continue // the restart re-runs the workflow over the replayed batch
 		}

@@ -77,6 +77,7 @@ type HTTPMetrics struct {
 	routes   atomic.Pointer[map[string]*routeMetrics]
 	idPrefix string
 	idSeq    atomic.Uint64
+	now      func() time.Time // the latency clock; tests step it
 }
 
 // NewHTTPMetrics builds middleware recording into reg and logging
@@ -87,7 +88,7 @@ func NewHTTPMetrics(reg *Registry, logger *slog.Logger) *HTTPMetrics {
 	}
 	var seed [6]byte
 	rand.Read(seed[:])
-	hm := &HTTPMetrics{reg: reg, logger: logger, idPrefix: hex.EncodeToString(seed[:])}
+	hm := &HTTPMetrics{reg: reg, logger: logger, idPrefix: hex.EncodeToString(seed[:]), now: time.Now}
 	hm.routes.Store(&map[string]*routeMetrics{})
 	return hm
 }
@@ -161,7 +162,7 @@ func (hm *HTTPMetrics) Instrument(routeOf func(*http.Request) string, next http.
 
 func (hm *HTTPMetrics) instrument(routeOf func(*http.Request) string, metricsOf func(*http.Request) *routeMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
+		t0 := hm.now()
 		id := r.Header.Get(RequestIDHeader)
 		if id == "" || len(id) > 128 {
 			id = hm.newRequestID()
@@ -179,7 +180,7 @@ func (hm *HTTPMetrics) instrument(routeOf func(*http.Request) string, metricsOf 
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(ctx))
-		elapsed := time.Since(t0)
+		elapsed := hm.now().Sub(t0)
 		if span != nil {
 			span.SetInt("status", int64(sw.status))
 			if sw.status >= 500 {

@@ -75,18 +75,20 @@
 // returns a deprecation error.
 //
 // Changefeed: Store.Watch is a live-only feed. Every batch whose Add
-// begins after the subscription is delivered to the subscriber exactly
-// once and whole, posts in (CreatedAt, ID) order. Add publishes while
-// still holding its shard writer locks — after its snapshot swaps — so
-// batches whose stripe sets overlap arrive in commit order; publication
-// loads the copy-on-write subscriber set atomically, and registration
-// swaps that set under a registry mutex without touching writers or
-// lock-free readers. The feed never replays stored posts: catch-up
-// after a restart is the durable cursor's job (DurableCursor, then
-// Watch, then PostsSince, which covers every post the feed did not).
-// Add queues a batch on the feed before the WAL floors move past it,
-// so a consumer that checkpoints its progress persists FeedCursor, the
-// cursor over only the batches it has already received.
+// begins after the subscription is delivered to the subscriber
+// exactly once and whole, posts in (CreatedAt, ID) order, each as the
+// PostProfile Add indexed it under, so no consumer tokenizes it
+// again. Add publishes while still holding its shard writer locks —
+// after its snapshot swaps — so batches whose stripe sets overlap
+// arrive in commit order; publication loads the copy-on-write
+// subscriber set atomically, and registration swaps that set under a
+// registry mutex without touching writers or lock-free readers. The
+// feed never replays stored posts: catch-up after a restart is the
+// durable cursor's job (DurableCursor, then Watch, then PostsSince,
+// which covers every post the feed did not). Add queues a batch on
+// the feed before the WAL floors move past it, so a consumer that
+// checkpoints its progress persists FeedCursor, the cursor over only
+// the batches it has already received.
 // The continuous monitoring subsystem (internal/monitor) tails this
 // feed to re-assess only the affected keyword topics as new posts
 // arrive.

@@ -571,12 +571,9 @@ func (d *storeDurability) logParts(parts []*stripePart, span *obs.Span) (logged 
 		span.SetInt("group_max", int64(maxGroup))
 	}()
 	for i, part := range parts {
-		for lo := 0; lo < len(part.posts); lo += walChunkPosts {
-			hi := lo + walChunkPosts
-			if hi > len(part.posts) {
-				hi = len(part.posts)
-			}
-			payload, err := json.Marshal(part.posts[lo:hi])
+		for lo := 0; lo < len(part.profiles); lo += walChunkPosts {
+			hi := min(lo+walChunkPosts, len(part.profiles))
+			payload, err := json.Marshal(postsOf(part.profiles[lo:hi]))
 			if err != nil {
 				err = fmt.Errorf("%w: %v", errEncode, err)
 			} else {
@@ -597,9 +594,7 @@ func (d *storeDurability) logParts(parts []*stripePart, span *obs.Span) (logged 
 			// still count toward the compaction trigger.
 			d.records.Add(int64(records))
 			if len(part.seqs) > 0 {
-				part.posts = part.posts[:lo]
-				part.tags = part.tags[:lo]
-				part.terms = part.terms[:lo]
+				part.profiles = part.profiles[:lo]
 				return parts[:i+1], err
 			}
 			return parts[:i], err
@@ -763,7 +758,7 @@ func (d *storeDurability) compact(s *Store) (err error) {
 		sn := s.shards[i].view()
 		g := sn.base
 		if len(sn.delta.byTime) > 0 {
-			g = foldGens(sn.base, sn.delta, nil, nil, nil)
+			g = foldGens(sn.base, sn.delta, nil)
 		}
 		if len(g.byTime) == 0 {
 			continue // an empty stripe needs no file; its entry stays empty

@@ -533,8 +533,8 @@ func TestWatchAfterDurableCursorHandOff(t *testing.T) {
 	for deadline := time.After(10 * time.Second); !seen[sentinel]; {
 		select {
 		case batch := <-feed:
-			for _, p := range batch {
-				seen[p.ID] = true
+			for _, pp := range batch {
+				seen[pp.Post().ID] = true
 			}
 		case <-deadline:
 			t.Fatal("live feed never delivered the sentinel")
@@ -583,7 +583,7 @@ func TestWatchFeedCursorCoversOnlyReceivedBatches(t *testing.T) {
 			t.Fatalf("round %d: cursor leaves %d posts uncovered (err %v)", round, len(delta), err)
 		}
 	}
-	if _, ok := s.FeedCursor(make(chan []*Post)); ok {
+	if _, ok := s.FeedCursor(make(chan []*PostProfile)); ok {
 		t.Fatal("a channel Watch did not return must not yield a cursor")
 	}
 	cancel()
@@ -641,8 +641,8 @@ func TestWatchFeedCursorUnderConcurrentAdd(t *testing.T) {
 	for len(received) < writers*perWriter {
 		select {
 		case batch := <-feed:
-			for _, p := range batch {
-				received[p.ID] = true
+			for _, pp := range batch {
+				received[pp.Post().ID] = true
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("feed stalled at %d of %d posts", len(received), writers*perWriter)

@@ -84,21 +84,21 @@ func (p *Post) Terms() map[string]bool {
 	return set
 }
 
-// indexKeys tokenizes a post once into what the store indexes it under:
+// profile tokenizes a post once into what the store indexes it under:
 // its distinct normalized hashtags, in first-occurrence order, and its
 // normalized word and hashtag term set (a superset of the tags).
-func indexKeys(p *Post) (tags []string, terms map[string]bool) {
+func profile(p *Post) PostProfile {
 	tokens := nlp.Tokenize(p.Text)
-	terms = make(map[string]bool, len(tokens))
+	pp := PostProfile{post: p, terms: make(map[string]bool, len(tokens))}
 	for _, t := range tokens {
 		if t.Kind != nlp.TokenWord && t.Kind != nlp.TokenHashtag {
 			continue
 		}
 		w := nlp.Normalize(t.Text)
-		if t.Kind == nlp.TokenHashtag && !slices.Contains(tags, w) {
-			tags = append(tags, w)
+		if t.Kind == nlp.TokenHashtag && !slices.Contains(pp.tags, w) {
+			pp.tags = append(pp.tags, w)
 		}
-		terms[w] = true
+		pp.terms[w] = true
 	}
-	return tags, terms
+	return pp
 }

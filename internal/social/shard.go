@@ -103,28 +103,29 @@ func (sh *shard) view() *shardSnapshot { return sh.snap.Load() }
 // delta generation (copying O(delta) index entries), and once the delta
 // would outgrow shardCompactThreshold the commit folds base, delta and
 // batch into a fresh base. Readers holding the previous snapshot are
-// unaffected either way. tags[i] and terms[i] are posts[i]'s distinct
+// unaffected either way. The profiles carry each post's distinct
 // normalized hashtags and term set, tokenized by the caller outside the
 // lock. Caller holds sh.mu.
-func (sh *shard) commit(posts []*Post, tags [][]string, terms []map[string]bool) {
+func (sh *shard) commit(profiles []*PostProfile) {
 	cur := sh.snap.Load()
 	var next *shardSnapshot
-	if len(cur.delta.byTime)+len(posts) >= shardCompactThreshold {
-		next = &shardSnapshot{base: foldGens(cur.base, cur.delta, posts, tags, terms), delta: emptyGen}
+	if len(cur.delta.byTime)+len(profiles) >= shardCompactThreshold {
+		next = &shardSnapshot{base: foldGens(cur.base, cur.delta, profiles), delta: emptyGen}
 	} else {
-		next = &shardSnapshot{base: cur.base, delta: foldGens(cur.delta, emptyGen, posts, tags, terms)}
+		next = &shardSnapshot{base: cur.base, delta: foldGens(cur.delta, emptyGen, profiles)}
 	}
 	sh.snap.Store(next)
 }
 
-// foldGens builds the immutable generation a ⊎ b ⊎ posts. b may be
+// foldGens builds the immutable generation a ⊎ b ⊎ the profiled posts
+// ((CreatedAt, ID)-sorted). b may be
 // emptyGen (the common extend-the-delta case). Existing posting lists
 // are shared untouched where possible and copied where the fold extends
 // them — never mutated — and the new posts' lists merge in sorted, so
 // no query-time sort is ever needed.
-func foldGens(a, b *shardGen, posts []*Post, tags [][]string, terms []map[string]bool) *shardGen {
+func foldGens(a, b *shardGen, profiles []*PostProfile) *shardGen {
 	g := &shardGen{
-		byTime: mergeSorted(mergeSorted(a.byTime, b.byTime), posts),
+		byTime: mergeSorted(mergeSorted(a.byTime, b.byTime), postsOf(profiles)),
 		byTag:  make(map[string][]*Post, len(a.byTag)+len(b.byTag)),
 		byTerm: make(map[string][]*Post, len(a.byTerm)+len(b.byTerm)),
 	}
@@ -145,14 +146,14 @@ func foldGens(a, b *shardGen, posts []*Post, tags [][]string, terms []map[string
 	// each touched posting list needs one sorted merge, not a re-sort.
 	tagAdds := make(map[string][]*Post)
 	termAdds := make(map[string][]*Post)
-	for i, p := range posts {
-		// tags[i] is deduplicated: a repeated hashtag must contribute
+	for _, pp := range profiles {
+		// pp.tags is deduplicated: a repeated hashtag must contribute
 		// one posting, or the post would surface twice in tag queries.
-		for _, tag := range tags[i] {
-			tagAdds[tag] = append(tagAdds[tag], p)
+		for _, tag := range pp.tags {
+			tagAdds[tag] = append(tagAdds[tag], pp.post)
 		}
-		for term := range terms[i] {
-			termAdds[term] = append(termAdds[term], p)
+		for term := range pp.terms {
+			termAdds[term] = append(termAdds[term], pp.post)
 		}
 	}
 	for tag, adds := range tagAdds {

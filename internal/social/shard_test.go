@@ -188,7 +188,7 @@ func TestWatchExactlyOnceAcrossShards(t *testing.T) {
 
 	const writers, perWriter = 8, 60
 	var wg sync.WaitGroup
-	lateFeeds := make(chan (<-chan []*Post), 1)
+	lateFeeds := make(chan (<-chan []*PostProfile), 1)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -238,9 +238,9 @@ func TestWatchMultiShardBatchAtomic(t *testing.T) {
 		if len(got) != len(batch) {
 			t.Fatalf("batch split across deliveries: got %d posts, want %d", len(got), len(batch))
 		}
-		for i, p := range got {
-			if want := fmt.Sprintf("day-%03d", i); p.ID != want {
-				t.Errorf("batch[%d] = %s, want %s", i, p.ID, want)
+		for i, pp := range got {
+			if want := fmt.Sprintf("day-%03d", i); pp.Post().ID != want {
+				t.Errorf("batch[%d] = %s, want %s", i, pp.Post().ID, want)
 			}
 		}
 	case <-time.After(5 * time.Second):

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,24 +89,21 @@ func (q Query) Canonical() Query {
 	return c
 }
 
-// PostProfile is a post with its normalized tag and term sets
-// precomputed, so evaluating many queries against the same post (the
-// monitoring subsystem's invalidation and dirty-set passes) tokenizes
-// it once instead of once per query.
+// PostProfile is a post with the keys the store indexes it under — its
+// distinct normalized hashtags and its term set — precomputed, so
+// matching many queries against it (the monitor's cache and dirty-set
+// passes) tokenizes it once. Add delivers the profiles it indexed on
+// the changefeed (see Watch). A profile is immutable.
 type PostProfile struct {
 	post  *Post
-	tags  map[string]bool
+	tags  []string // distinct, in first-occurrence order
 	terms map[string]bool
 }
 
 // ProfilePost tokenizes a post once for repeated query matching.
 func ProfilePost(p *Post) *PostProfile {
-	tags, terms := indexKeys(p)
-	set := make(map[string]bool, len(tags))
-	for _, t := range tags {
-		set[t] = true
-	}
-	return &PostProfile{post: p, tags: set, terms: terms}
+	pp := profile(p)
+	return &pp
 }
 
 // ProfilePosts tokenizes a batch once for repeated query matching.
@@ -117,16 +115,19 @@ func ProfilePosts(posts []*Post) []*PostProfile {
 	return out
 }
 
+// Post returns the profiled post.
+func (pp *PostProfile) Post() *Post { return pp.post }
+
 // MatchesPost reports whether the post satisfies every filter of the
 // query — the exact predicate Search applies, evaluated against a single
 // post without touching a store. The monitoring subsystem uses it to
-// decide which cached query results a newly ingested post invalidates.
+// decide which cached query results a newly ingested post belongs to.
 func (q Query) MatchesPost(p *Post) bool {
 	return q.Matcher().Matches(ProfilePost(p))
 }
 
 // QueryMatcher is a query compiled for repeated profile matching: tags
-// and must-terms are normalized once, so the (query × post) invalidation
+// and must-terms are normalized once, so the (query × post) matching
 // loops of the monitoring subsystem do no per-call normalization.
 type QueryMatcher struct {
 	region       Region
@@ -157,17 +158,8 @@ func (m QueryMatcher) Matches(pp *PostProfile) bool {
 	if !m.until.IsZero() && !p.CreatedAt.Before(m.until) {
 		return false
 	}
-	if len(m.tags) > 0 {
-		hit := false
-		for _, t := range m.tags {
-			if pp.tags[t] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
+	if len(m.tags) > 0 && !slices.ContainsFunc(pp.tags, func(t string) bool { return slices.Contains(m.tags, t) }) {
+		return false
 	}
 	for _, t := range m.must {
 		if !pp.terms[t] {
@@ -478,36 +470,33 @@ func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error
 	return inserted, err
 }
 
-// stripePart is one stripe's share of a validated batch: its posts and
-// their precomputed tag and term sets in (CreatedAt, ID) order, plus — on a
-// durable store — the stripe-WAL sequences the sub-batch's records
-// were logged under (several when the sub-batch exceeds the per-record
-// chunk size).
+// stripePart is one stripe's share of a validated batch: the profiles
+// of its posts in (CreatedAt, ID) order, plus — on a durable store —
+// the stripe-WAL sequences the sub-batch's records were logged under
+// (several when the sub-batch exceeds the per-record chunk size).
 type stripePart struct {
-	stripe int
-	posts  []*Post
-	tags   [][]string
-	terms  []map[string]bool
-	seqs   []uint64
+	stripe   int
+	profiles []*PostProfile
+	seqs     []uint64
 }
 
-// partitionBatch splits a (CreatedAt, ID)-sorted batch into its
-// time-bucket stripes, tokenizing each post once outside any lock:
-// tag- and term-set construction is the expensive part of ingest and
-// needs no store state. Parts come out in ascending stripe order — the store's lock
-// order.
-func (s *Store) partitionBatch(batch []*Post) []*stripePart {
-	n := len(s.shards)
-	byStripe := make([]*stripePart, n)
-	for _, p := range batch {
+// partitionBatch profiles a (CreatedAt, ID)-sorted batch outside any
+// lock — tokenizing is the expensive part of ingest and needs no store
+// state — and splits it into its time-bucket stripes. It returns the
+// parts in ascending stripe order (the store's lock order) and every
+// profile in batch order, the unit the changefeed delivers.
+func (s *Store) partitionBatch(batch []*Post) ([]*stripePart, []*PostProfile) {
+	all := make([]PostProfile, len(batch))
+	feed := make([]*PostProfile, len(batch))
+	byStripe := make([]*stripePart, len(s.shards))
+	for k, p := range batch {
+		all[k] = profile(p)
+		feed[k] = &all[k]
 		i := s.shardFor(p.CreatedAt)
 		if byStripe[i] == nil {
 			byStripe[i] = &stripePart{stripe: i}
 		}
-		tags, terms := indexKeys(p)
-		byStripe[i].posts = append(byStripe[i].posts, p)
-		byStripe[i].tags = append(byStripe[i].tags, tags)
-		byStripe[i].terms = append(byStripe[i].terms, terms)
+		byStripe[i].profiles = append(byStripe[i].profiles, feed[k])
 	}
 	parts := make([]*stripePart, 0, 1)
 	for _, part := range byStripe {
@@ -515,7 +504,16 @@ func (s *Store) partitionBatch(batch []*Post) []*stripePart {
 			parts = append(parts, part)
 		}
 	}
-	return parts
+	return parts, feed
+}
+
+// postsOf returns the posts of a profile slice, in order.
+func postsOf(profiles []*PostProfile) []*Post {
+	out := make([]*Post, len(profiles))
+	for i, pp := range profiles {
+		out[i] = pp.post
+	}
+	return out
 }
 
 // insertBatch makes a validated, registered batch durable (when the
@@ -530,9 +528,9 @@ func (s *Store) insertBatch(ctx context.Context, batch []*Post) (int, error) {
 		return 0, nil
 	}
 	sort.Slice(batch, func(i, j int) bool { return postLess(batch[i], batch[j]) })
-	parts := s.partitionBatch(batch)
+	parts, feed := s.partitionBatch(batch)
 	if s.dur == nil {
-		s.commitParts(parts, batch)
+		s.commitParts(parts, feed)
 		return len(batch), nil
 	}
 	// Write-ahead: the batch hits its stripes' logs (group-committed
@@ -546,22 +544,22 @@ func (s *Store) insertBatch(ctx context.Context, batch []*Post) (int, error) {
 	wspan.Fail(err)
 	wspan.End()
 	if err == nil {
-		s.commitParts(parts, batch)
+		s.commitParts(parts, feed)
 		s.dur.markApplied(parts)
 		return len(batch), nil
 	}
-	committed := make([]*Post, 0, len(batch))
+	committed := make([]*PostProfile, 0, len(batch))
 	for _, part := range logged {
-		committed = append(committed, part.posts...)
+		committed = append(committed, part.profiles...)
 	}
-	sort.Slice(committed, func(i, j int) bool { return postLess(committed[i], committed[j]) })
+	sort.Slice(committed, func(i, j int) bool { return postLess(committed[i].post, committed[j].post) })
 	if len(committed) > 0 {
 		s.commitParts(logged, committed)
 		s.dur.markApplied(logged)
 	}
 	onDisk := make(map[*Post]bool, len(committed))
-	for _, p := range committed {
-		onDisk[p] = true
+	for _, pp := range committed {
+		onDisk[pp.post] = true
 	}
 	rollback := make([]*Post, 0, len(batch)-len(committed))
 	for _, p := range batch {
@@ -581,21 +579,22 @@ func (s *Store) insertBatch(ctx context.Context, batch []*Post) (int, error) {
 }
 
 // commitParts distributes a partitioned batch across its time-bucket
-// shards and publishes it to the changefeed. The batch commits one
+// shards and publishes its profiles (feed, in (CreatedAt, ID) order) to
+// the changefeed. The batch commits one
 // snapshot swap per touched shard under the shards' writer locks
 // (acquired in ascending stripe order) and publishes inside that
 // window, so batches whose stripe sets overlap reach every subscriber
 // in commit order, while readers are never involved in the critical
 // section at all. Commits on disjoint stripes publish concurrently (see
 // Watch for the resulting ordering contract).
-func (s *Store) commitParts(parts []*stripePart, batch []*Post) {
+func (s *Store) commitParts(parts []*stripePart, feed []*PostProfile) {
 	for _, part := range parts {
 		s.shards[part.stripe].mu.Lock()
 	}
 	for _, part := range parts {
-		s.shards[part.stripe].commit(part.posts, part.tags, part.terms)
+		s.shards[part.stripe].commit(part.profiles)
 	}
-	s.publish(batch)
+	s.publish(feed)
 	for i := len(parts) - 1; i >= 0; i-- {
 		s.shards[parts[i].stripe].mu.Unlock()
 	}

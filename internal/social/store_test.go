@@ -431,7 +431,8 @@ func TestIndexKeysMatchPostDerivations(t *testing.T) {
 		CreatedAt: time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC),
 	})
 	for _, p := range posts {
-		tags, terms := indexKeys(p)
+		pp := profile(p)
+		tags, terms := pp.tags, pp.terms
 		var want []string
 		seen := map[string]bool{}
 		for _, tag := range p.Hashtags() {
@@ -447,7 +448,7 @@ func TestIndexKeysMatchPostDerivations(t *testing.T) {
 			t.Errorf("post %s: terms %v, want %v", p.ID, terms, p.Terms())
 		}
 	}
-	if tags, _ := indexKeys(posts[len(posts)-1]); !reflect.DeepEqual(tags, []string{"dpfdelete", "gaains"}) {
-		t.Errorf("duplicate tags not collapsed: %v", tags)
+	if pp := profile(posts[len(posts)-1]); !reflect.DeepEqual(pp.tags, []string{"dpfdelete", "gaains"}) {
+		t.Errorf("duplicate tags not collapsed: %v", pp.tags)
 	}
 }

@@ -11,12 +11,12 @@ import (
 // delivery channel so slow consumers never block writers.
 type subscriber struct {
 	mu      sync.Mutex
-	pending []*Post
+	pending []*PostProfile
 	// inflight is set while the delivery goroutine holds a batch it
 	// took from pending and waits for room in out to hand it over.
 	inflight bool
-	notify   chan struct{} // capacity 1: at-least-once wake-up signal
-	out      chan []*Post  // the channel Watch returned
+	notify   chan struct{}       // capacity 1: at-least-once wake-up signal
+	out      chan []*PostProfile // the channel Watch returned
 }
 
 // subscriberSet is the immutable subscriber registry: publication loads
@@ -50,9 +50,9 @@ func (set *subscriberSet) withoutSub(id uint64) *subscriberSet {
 	return next
 }
 
-func (sub *subscriber) enqueue(posts []*Post) {
+func (sub *subscriber) enqueue(batch []*PostProfile) {
 	sub.mu.Lock()
-	sub.pending = append(sub.pending, posts...)
+	sub.pending = append(sub.pending, batch...)
 	sub.mu.Unlock()
 	select {
 	case sub.notify <- struct{}{}:
@@ -60,8 +60,8 @@ func (sub *subscriber) enqueue(posts []*Post) {
 	}
 }
 
-// publish hands an inserted batch (already (CreatedAt, ID)-sorted) to
-// every subscriber. The caller still holds the batch's shard writer
+// publish hands an inserted batch's profiles (already (CreatedAt,
+// ID)-sorted) to every subscriber. The caller still holds the batch's shard writer
 // locks, so its snapshot swaps are already visible to lock-free
 // readers: the batch is published post-commit.
 //
@@ -74,7 +74,7 @@ func (sub *subscriber) enqueue(posts []*Post) {
 // order, batches on disjoint stripe sets may interleave differently per
 // subscriber (they carry disjoint time buckets, so any (CreatedAt,
 // ID)-merging consumer is unaffected).
-func (s *Store) publish(batch []*Post) {
+func (s *Store) publish(batch []*PostProfile) {
 	for _, sub := range s.subs.Load().subs {
 		sub.enqueue(batch)
 	}
@@ -102,7 +102,9 @@ const watchBuffer = 16
 
 // Watch subscribes to the store's changefeed: every batch of posts
 // whose Add begins after Watch returns is delivered exactly once, with
-// posts inside a batch in (CreatedAt, ID) order. A batch that was
+// posts inside a batch in (CreatedAt, ID) order. Each post arrives as
+// the profile Add indexed it under, which matches every query exactly
+// as ProfilePost of the post does; subscribers share it, read-only. A batch that was
 // committing while Watch registered is delivered whole or not at all.
 // Batches whose stripe sets overlap are delivered in commit order;
 // concurrent batches on disjoint stripe sets carry disjoint time
@@ -114,8 +116,8 @@ const watchBuffer = 16
 // The returned channel is closed when ctx is cancelled. Pending batches
 // queue in memory without bound while the consumer lags; consume
 // promptly or cancel the subscription.
-func (s *Store) Watch(ctx context.Context) <-chan []*Post {
-	out := make(chan []*Post, watchBuffer)
+func (s *Store) Watch(ctx context.Context) <-chan []*PostProfile {
+	out := make(chan []*PostProfile, watchBuffer)
 	sub := &subscriber{notify: make(chan struct{}, 1), out: out}
 	s.submu.Lock()
 	next, id := s.subs.Load().withSub(sub)
@@ -180,7 +182,7 @@ func (s *Store) deliver(ctx context.Context, id uint64, sub *subscriber) {
 // feed (pending, being handed over, or buffered in the channel), and
 // also when feed is no live subscription of s or s is not durable.
 // Call it from the goroutine that reads feed, between receives.
-func (s *Store) FeedCursor(feed <-chan []*Post) (DurableCursor, bool) {
+func (s *Store) FeedCursor(feed <-chan []*PostProfile) (DurableCursor, bool) {
 	if s.dur == nil {
 		return nil, false
 	}

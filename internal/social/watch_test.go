@@ -213,7 +213,7 @@ func TestWatchNoLossNoDupUnderConcurrentAdd(t *testing.T) {
 }
 
 // collectFeed reads IDs off a feed until n posts arrived or a timeout.
-func collectFeed(t *testing.T, feed <-chan []*Post, n int) []string {
+func collectFeed(t *testing.T, feed <-chan []*PostProfile, n int) []string {
 	t.Helper()
 	var out []string
 	deadline := time.After(5 * time.Second)
@@ -223,8 +223,8 @@ func collectFeed(t *testing.T, feed <-chan []*Post, n int) []string {
 			if !ok {
 				t.Fatalf("feed closed after %d of %d posts", len(out), n)
 			}
-			for _, p := range batch {
-				out = append(out, p.ID)
+			for _, pp := range batch {
+				out = append(out, pp.Post().ID)
 			}
 		case <-deadline:
 			t.Fatalf("timed out after %d of %d posts", len(out), n)
@@ -265,7 +265,7 @@ func TestWatchSubscribeDuringConcurrentAdd(t *testing.T) {
 		}(w)
 	}
 
-	feeds := make([]<-chan []*Post, watchers)
+	feeds := make([]<-chan []*PostProfile, watchers)
 	for i := range feeds {
 		feeds[i] = f.watch(ctx)
 	}
@@ -294,7 +294,7 @@ func newLiveFlood(s *Store) *liveFlood {
 }
 
 // watch subscribes; the subscription counts once Watch has returned.
-func (f *liveFlood) watch(ctx context.Context) <-chan []*Post {
+func (f *liveFlood) watch(ctx context.Context) <-chan []*PostProfile {
 	feed := f.s.Watch(ctx)
 	f.watches.Add(1)
 	return feed
@@ -332,7 +332,7 @@ const sentinelID = "flood-sentinel"
 // the sentinel and asserts no duplicate, no partial batch, no post from
 // outside the flood and every owed batch. It returns the number of
 // posts delivered.
-func (f *liveFlood) check(t *testing.T, name string, k int, feed <-chan []*Post) int {
+func (f *liveFlood) check(t *testing.T, name string, k int, feed <-chan []*PostProfile) int {
 	t.Helper()
 	got := make(map[string]int)
 	deadline := time.After(10 * time.Second)
@@ -342,8 +342,8 @@ func (f *liveFlood) check(t *testing.T, name string, k int, feed <-chan []*Post)
 			if !ok {
 				t.Fatalf("%s: feed closed before the sentinel", name)
 			}
-			for _, p := range batch {
-				got[p.ID]++
+			for _, pp := range batch {
+				got[pp.Post().ID]++
 			}
 		case <-deadline:
 			t.Fatalf("%s: no sentinel after %d posts", name, len(got))
@@ -378,4 +378,85 @@ func (f *liveFlood) check(t *testing.T, name string, k int, feed <-chan []*Post)
 // floodPost builds one writer post.
 func floodPost(id string, at time.Time) *Post {
 	return &Post{ID: id, Author: "writer", Text: "flood #dpfdelete", CreatedAt: at, Metrics: Metrics{Views: 1}}
+}
+
+// TestWatchProfilesMatchLikeProfilePost: the changefeed delivers the
+// profiles the store built to index each post, and a delivered profile
+// must answer every query exactly as ProfilePost of its post does — and
+// as the store's own Search does. Posts repeat and mix the case of
+// hashtags, use a hashtag also as a word, and spread over regions,
+// stripes and time.
+func TestWatchProfilesMatchLikeProfilePost(t *testing.T) {
+	s := NewStoreShards(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := s.Watch(ctx)
+
+	texts := []string{
+		"#DPFdelete on the excavator #dpfdelete",
+		"chiptuning my truck, no #chiptuning tag needed",
+		"#chiptuning #Stage1 remap excavator",
+		"plain excavator chatter",
+		"#egrdelete #dpfdelete kit for the Truck",
+	}
+	regions := []Region{RegionEurope, RegionNorthAmerica, RegionAsiaPacific}
+	var posts []*Post
+	for i := 0; i < 30; i++ {
+		posts = append(posts, &Post{
+			ID:        fmt.Sprintf("pf-%02d", i),
+			Author:    "a",
+			Text:      texts[i%len(texts)],
+			CreatedAt: time.Date(2023, 1, 1+i, i%24, 0, 0, 0, time.UTC),
+			Region:    regions[i%len(regions)],
+			Metrics:   Metrics{Views: 1},
+		})
+	}
+	if err := s.Add(posts[:10]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Add(posts[10:]...); err != nil {
+		t.Fatal(err)
+	}
+	var got []*PostProfile
+	for deadline := time.After(5 * time.Second); len(got) < len(posts); {
+		select {
+		case batch := <-feed:
+			got = append(got, batch...)
+		case <-deadline:
+			t.Fatalf("feed delivered %d of %d posts", len(got), len(posts))
+		}
+	}
+
+	mid := time.Date(2023, 1, 15, 0, 0, 0, 0, time.UTC)
+	queries := []Query{
+		{},
+		{AnyTags: []string{"dpfdelete"}},
+		{AnyTags: []string{"#ChipTuning", "stage1"}},
+		{MustTerms: []string{"excavator"}},
+		{MustTerms: []string{"chiptuning"}},
+		{AnyTags: []string{"dpfdelete", "chiptuning"}, MustTerms: []string{"truck"}},
+		{AnyTags: []string{"chiptuning"}, Region: RegionNorthAmerica},
+		{MustTerms: []string{"excavator"}, Since: mid},
+		{AnyTags: []string{"dpfdelete"}, Until: mid, Region: RegionEurope},
+	}
+	for qi, q := range queries {
+		listed := make(map[string]bool)
+		all := q
+		all.MaxResults = MaxPageSize
+		page, err := s.Search(context.Background(), all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range page.Posts {
+			listed[p.ID] = true
+		}
+		m := q.Matcher()
+		for _, pp := range got {
+			delivered, fresh := m.Matches(pp), m.Matches(ProfilePost(pp.Post()))
+			if delivered != fresh || delivered != listed[pp.Post().ID] {
+				t.Errorf("query %d, post %s: delivered profile matches %v, ProfilePost %v, Search lists it %v",
+					qi, pp.Post().ID, delivered, fresh, listed[pp.Post().ID])
+			}
+		}
+	}
 }

@@ -74,8 +74,9 @@ func DefaultAdversaryProfile() *AdversaryProfile { return core.DefaultAdversaryP
 // scheduler → cached-assessment subsystem behind the pspd daemon.
 type (
 	// ResultCache backs incremental re-assessment: cached platform
-	// listings with exact invalidation plus per-slice memos of the
-	// workflow's derivations. Pass to Framework.RunSocialDelta.
+	// listings, patched or dropped exactly as posts arrive, plus
+	// per-slice memos of the workflow's derivations. Pass to
+	// Framework.RunSocialDelta.
 	ResultCache = core.ResultCache
 	// SocialQueryCache caches drained platform listings behind the
 	// Searcher interface.
