@@ -251,12 +251,13 @@ type stateFile struct {
 	once   sync.Once
 }
 
-func (f *stateFile) Save(st *psp.MonitorState) error {
-	if err := f.MonitorStateStore.Save(st); err != nil {
-		return err
+func (f *stateFile) Save(st *psp.MonitorState) (int, error) {
+	n, err := f.MonitorStateStore.Save(st)
+	if err != nil {
+		return 0, err
 	}
 	f.once.Do(func() { _ = os.Remove(f.legacy) })
-	return nil
+	return n, nil
 }
 
 // newMonitor wires the framework and monitor over the store; the

@@ -24,7 +24,11 @@
 // memoized against its listing's fill identity. A run after a small
 // ingest delta recomputes only the slices the delta can affect, reads
 // the store only for listings it has never drained, and produces a
-// result identical to a cold RunSocial over the merged corpus.
+// result identical to a cold RunSocial over the merged corpus. A
+// recomputed slice reads its fill in place — no paging back out of the
+// cache — and matches its previous posts with one merge walk over the
+// two (CreatedAt, ID)-ordered listings, so it tokenizes only the posts
+// new to its listing.
 //
 // The financial workflow (Fig. 10) estimates the potential attacker
 // population (PAE) from sales data and annual reports, mines marketplace

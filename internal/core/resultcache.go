@@ -23,7 +23,10 @@ import (
 // The posts slice is owned by the fill: SearchAll accumulates page
 // copies and a patch merges into a new slice, so a listing aliases no
 // store memory and no other fill's, and fill identity stays a pure
-// function of the deltas applied, not of store internals.
+// function of the deltas applied, not of store internals. Nothing
+// writes to it afterwards, so a delta run's slices read it in place,
+// from any of the workflow's goroutines, and a patched fill shares its
+// post pointers with the fill it replaced.
 type cacheFill struct {
 	query   social.Query        // canonical form; the export/import key
 	matcher social.QueryMatcher // compiled predicate for delta matching
@@ -41,9 +44,12 @@ type cacheFill struct {
 // listing, and the next Search re-drains it. Either way a cached
 // listing is always identical to what a fresh drain would return.
 //
-// Search is safe for concurrent use (the workflow fans queries out);
-// applying a delta must not run concurrently with a workflow run using
-// the cache — the monitor serializes both on one scheduler goroutine.
+// A query's listing is drained once, at its first use: by Search, which
+// pages it out like the backend would, or by a delta run, which reads
+// the fill in place. Search is safe for concurrent use (the workflow
+// fans queries out); applying a delta must not run concurrently with a
+// workflow run using the cache — the monitor serializes both on one
+// scheduler goroutine.
 type QueryCache struct {
 	mu      sync.RWMutex
 	backend social.Searcher
@@ -74,27 +80,35 @@ func cacheKey(c social.Query) string {
 // drained listing, with the same keyset tokens the store would emit.
 func (c *QueryCache) Search(ctx context.Context, q social.Query) (*social.Page, error) {
 	canon := q.Canonical()
-	key := cacheKey(canon)
-	c.mu.RLock()
-	fill := c.fills[key]
-	c.mu.RUnlock()
-	if fill == nil {
-		drain := canon
-		drain.MaxResults = social.MaxPageSize
-		posts, err := social.SearchAll(ctx, c.backend, drain)
-		if err != nil {
-			return nil, err
-		}
-		fill = &cacheFill{query: canon, matcher: canon.Matcher(), posts: posts}
-		c.mu.Lock()
-		if cur := c.fills[key]; cur != nil {
-			fill = cur // a concurrent drain won; keep one fill identity
-		} else {
-			c.fills[key] = fill
-		}
-		c.mu.Unlock()
+	fill, err := c.fill(ctx, canon, cacheKey(canon))
+	if err != nil {
+		return nil, err
 	}
 	return social.PagePosts(fill.posts, q.MaxResults, q.PageToken)
+}
+
+// fill returns the cached listing of a canonical query under its key,
+// draining it from the backend once if absent. Concurrent drains of
+// one key keep the first fill stored, so every caller sees one fill
+// identity.
+func (c *QueryCache) fill(ctx context.Context, canon social.Query, key string) (*cacheFill, error) {
+	if fill := c.lookup(key); fill != nil {
+		return fill, nil
+	}
+	drain := canon
+	drain.MaxResults = social.MaxPageSize
+	posts, err := social.SearchAll(ctx, c.backend, drain)
+	if err != nil {
+		return nil, err
+	}
+	fill := &cacheFill{query: canon, matcher: canon.Matcher(), posts: posts}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur := c.fills[key]; cur != nil {
+		return cur, nil // a concurrent drain won
+	}
+	c.fills[key] = fill
+	return fill, nil
 }
 
 // lookup returns the current fill for a key, or nil.
@@ -196,12 +210,15 @@ func (c *QueryCache) Len() int {
 // and the lazily built derivations the incremental path memoizes — the
 // group's co-occurrence graph and SAI entry.
 //
-// When a delta replaces the fill — patched, or dropped and re-drained —
-// the new slice inherits the previous memo's features for every post
-// both listings hold, matched by post ID (posts are immutable, and a
-// listing — a federated one included — holds each ID once), so only
-// posts new to the listing are tokenized, whether the previous memo was
-// built in this process or restored from persisted state. The graph
+// On a cached run the posts are the fill's own slice, or the poisoning
+// defence's survivors of it. When a delta replaces the fill — patched,
+// or dropped and re-drained — the new slice inherits the previous
+// memo's features for every post both listings hold, matched by one
+// merge walk over the two (CreatedAt, ID)-ordered listings (by pointer
+// first, then by CreatedAt and ID; posts are immutable, and a listing —
+// a federated one included — holds each ID once), so only posts new to
+// the listing are tokenized, whether the previous memo was built in
+// this process or restored from persisted state. The graph
 // follows one rule: a listing that is a superset of the previous one —
 // every patched listing, unless the poisoning defence now drops a post
 // it kept — gets the previous graph plus the added posts' observations

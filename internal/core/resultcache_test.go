@@ -441,81 +441,91 @@ func soleTagPost(t *testing.T, rc *ResultCache, tag string) string {
 
 // TestRunSocialDeltaAnalyzesOnlyNewPosts pins the per-post cost model:
 // a warm run after a k-post delta tokenizes exactly the posts new to
-// each re-drained listing — not the listings themselves, whose other
-// posts keep their memoized features.
+// each patched or re-drained listing — not the listings themselves,
+// whose other posts keep their memoized features.
 func TestRunSocialDeltaAnalyzesOnlyNewPosts(t *testing.T) {
-	store, err := social.DefaultStore(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := New(Config{Searcher: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
-	ctx := context.Background()
-	rc := NewResultCache(store)
-
-	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
-		t.Fatal(err)
-	}
-	// A cold cache analyzes every listed post once.
-	listed := 0
-	before := make(map[string]*querySlice, len(rc.slices))
-	for sig, qs := range rc.slices {
-		listed += len(qs.posts)
-		before[sig] = qs
-	}
-	cold := rc.tokenized.Load()
-	if cold != int64(listed) {
-		t.Fatalf("cold run analyzed %d posts, want the %d listed", cold, listed)
-	}
-
-	const k = 5
-	var delta []*social.Post
-	for i := 0; i < k; i++ {
-		delta = append(delta, deltaPost(60+i, "fresh #chiptuning remap results"))
-	}
-	if err := store.Add(delta...); err != nil {
-		t.Fatal(err)
-	}
-	if rc.InvalidateProfiles(social.ProfilePosts(delta)) == 0 {
-		t.Fatal("delta invalidated nothing; test is vacuous")
-	}
-	if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
-		t.Fatal(err)
-	}
-
-	want, redrained, relisted := 0, 0, 0
-	for sig, qs := range rc.slices {
-		old := before[sig]
-		if old == qs {
-			continue // fresh memo, not re-drained
-		}
-		redrained++
-		relisted += len(qs.posts)
-		held := make(map[*social.Post]bool)
-		if old != nil {
-			for _, p := range old.posts {
-				held[p] = true
+	for _, tc := range []struct {
+		name  string
+		apply func(*ResultCache, []*social.PostProfile) int
+	}{
+		{"invalidate", (*ResultCache).InvalidateProfiles},
+		{"patch", (*ResultCache).PatchProfiles},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := social.DefaultStore(5)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, p := range qs.posts {
-			if !held[p] {
-				want++
+			fw, err := New(Config{Searcher: store})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	got := rc.tokenized.Load() - cold
-	if redrained == 0 || want == 0 {
-		t.Fatalf("delta re-drained %d listings with %d new posts; test is vacuous", redrained, want)
-	}
-	if got != int64(want) {
-		t.Errorf("delta run analyzed %d posts, want the %d new to %d re-drained listings", got, want, redrained)
-	}
-	if want > k*redrained || got >= int64(relisted) {
-		t.Errorf("delta run analyzed %d posts for a %d-post delta over %d re-drained listings of %d posts",
-			got, k, redrained, relisted)
+			in := SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+			ctx := context.Background()
+			rc := NewResultCache(store)
+
+			if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
+				t.Fatal(err)
+			}
+			// A cold cache analyzes every listed post once.
+			listed := 0
+			before := make(map[string]*querySlice, len(rc.slices))
+			for sig, qs := range rc.slices {
+				listed += len(qs.posts)
+				before[sig] = qs
+			}
+			cold := rc.tokenized.Load()
+			if cold != int64(listed) {
+				t.Fatalf("cold run analyzed %d posts, want the %d listed", cold, listed)
+			}
+
+			const k = 5
+			var delta []*social.Post
+			for i := 0; i < k; i++ {
+				delta = append(delta, deltaPost(60+i, "fresh #chiptuning remap results"))
+			}
+			if err := store.Add(delta...); err != nil {
+				t.Fatal(err)
+			}
+			if tc.apply(rc, social.ProfilePosts(delta)) == 0 {
+				t.Fatal("delta matched nothing; test is vacuous")
+			}
+			if _, err := fw.RunSocialDelta(ctx, in, rc); err != nil {
+				t.Fatal(err)
+			}
+
+			want, redrained, relisted := 0, 0, 0
+			for sig, qs := range rc.slices {
+				old := before[sig]
+				if old == qs {
+					continue // fresh memo, not re-drained
+				}
+				redrained++
+				relisted += len(qs.posts)
+				held := make(map[*social.Post]bool)
+				if old != nil {
+					for _, p := range old.posts {
+						held[p] = true
+					}
+				}
+				for _, p := range qs.posts {
+					if !held[p] {
+						want++
+					}
+				}
+			}
+			got := rc.tokenized.Load() - cold
+			if redrained == 0 || want == 0 {
+				t.Fatalf("delta replaced %d listings with %d new posts; test is vacuous", redrained, want)
+			}
+			if got != int64(want) {
+				t.Errorf("delta run analyzed %d posts, want the %d new to %d replaced listings", got, want, redrained)
+			}
+			if want > k*redrained || got >= int64(relisted) {
+				t.Errorf("delta run analyzed %d posts for a %d-post delta over %d replaced listings of %d posts",
+					got, k, redrained, relisted)
+			}
+		})
 	}
 }
 

@@ -92,13 +92,14 @@ func (f *Framework) RunSocial(ctx context.Context, in SocialInput) (*SocialResul
 // tunings — reused while the slice's cached listing is untouched by
 // ingest. After rc.PatchProfiles (or rc.InvalidateProfiles) of the new
 // posts, only the slices a new post can actually match are recomputed,
-// from their patched (or re-drained) listings, and such a slice
-// re-analyzes only the posts new to its listing: every post it held
-// before keeps its memoized SAI features (matched by post ID), and its
+// from their patched (or re-drained) listings, read in place from the
+// cache, and such a slice re-analyzes only the posts new to its
+// listing: every post it held before keeps its memoized SAI features
+// (matched by a merge walk over the two ordered listings), and its
 // co-occurrence graph is the previous graph plus the added posts when
 // the new listing is a superset of the old one, rebuilt from scratch
 // otherwise. A steady trickle of posts therefore costs tokenizing the
-// delta plus arithmetic over the touched listings, yet the result is
+// delta plus one pointer walk over each touched listing, yet the result is
 // identical to a cold RunSocial over the merged corpus (the equivalence
 // the core and monitor tests pin down).
 //
@@ -269,7 +270,7 @@ func (f *Framework) tuneThreat(ctx context.Context, searcher social.Searcher, rc
 	}
 	var sig string
 	if rc != nil {
-		_, sig = tagSigKey(threat.Keywords, in)
+		sig = memoSig(cacheKey(tagQuery(threat.Keywords, in).Canonical()), in)
 		if tuning := rc.threatTuning(threat.ID, sig, qs.fill, threat); tuning != nil {
 			return tuning, qs.filtered, nil
 		}
@@ -316,56 +317,65 @@ func tagQuery(tags []string, in SocialInput) social.Query {
 	return q
 }
 
-// tagSigKey canonicalizes a tag query once, returning its listing
-// cache key and its memo signature — the key plus the poisoning-defence
-// flag (the only SocialInput field that changes a slice's derivations
-// without changing its listing). Slice memos keyed this way stay
-// group-unique because NewKeywordDB rejects any tag shared between two
-// groups, so no two groups (or their learned extensions, which Extend
-// keeps disjoint) can produce the same signature; threats may share a
-// signature with anything, but the threat path reads only the slice's
-// posts, never its group-specific entry or graph.
-func tagSigKey(tags []string, in SocialInput) (key, sig string) {
-	key = cacheKey(tagQuery(tags, in).Canonical())
-	sig = key
+// memoSig is the memo signature of a tag query's slice: its listing
+// cache key plus the poisoning-defence flag (the only SocialInput field
+// that changes a slice's derivations without changing its listing).
+// Slice memos keyed this way stay group-unique because NewKeywordDB
+// rejects any tag shared between two groups, so no two groups (or
+// their learned extensions, which Extend keeps disjoint) can produce
+// the same signature; threats may share a signature with anything, but
+// the threat path reads only the slice's posts, never its
+// group-specific entry or graph.
+func memoSig(key string, in SocialInput) string {
 	if in.FilterInauthentic {
-		sig += "|f"
+		return key + "|f"
 	}
-	return key, sig
+	return key
 }
 
-// querySlice drains a paginated tag search with the workflow filters,
+// querySlice collects a tag query's posts under the workflow filters,
 // applying the poisoning defence when the input enables it, analyzing
 // the posts into SAI features and building the group's co-occurrence
-// graph when learning needs it. With a result cache, a memoized slice
-// is returned as long as its listing is fresh; a slice whose listing a
-// delta patched or dropped reuses the stale memo's features (see the
-// querySlice type) and is stored back for the next run.
+// graph when learning needs it. Without a result cache the posts are
+// drained page by page from the searcher. With one, the slice reads
+// its cached fill in place — drained once if the cache has none, never
+// re-paged — and a memoized slice is returned as long as that fill is
+// the one it was computed from; a slice whose listing a delta patched
+// or dropped reuses the stale memo's features (see the querySlice
+// type) and is stored back for the next run. The slice's posts may
+// alias the fill's: both are immutable.
 func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc *ResultCache, tags []string, in SocialInput, withGraph bool) (*querySlice, error) {
 	if len(tags) == 0 {
 		return &querySlice{}, nil
 	}
-	q := tagQuery(tags, in)
-	var sig, key string
-	var prev *querySlice
+	var (
+		sig   string
+		prev  *querySlice
+		fill  *cacheFill
+		posts []*social.Post
+		err   error
+	)
 	if rc != nil {
-		key, sig = tagSigKey(tags, in)
+		canon := tagQuery(tags, in).Canonical()
+		key := cacheKey(canon)
+		sig = memoSig(key, in)
 		rc.markUsed(key, sig)
+		if fill, err = rc.qc.fill(ctx, canon, key); err != nil {
+			return nil, err
+		}
 		var fresh bool
-		prev, fresh = rc.slice(sig, rc.qc.lookup(key))
-		if fresh {
+		if prev, fresh = rc.slice(sig, fill); fresh {
 			if withGraph && prev.graph == nil {
 				prev.graph = sai.BuildGroupGraph(prev.posts)
 				rc.tokenized.Add(int64(len(prev.posts)))
 			}
 			return prev, nil
 		}
-	}
-	posts, err := social.SearchAll(ctx, searcher, q)
-	if err != nil {
+		posts = fill.posts
+	} else if posts, err = social.SearchAll(ctx, searcher, tagQuery(tags, in)); err != nil {
 		return nil, err
 	}
-	qs := &querySlice{posts: posts}
+	qs := &querySlice{fill: fill, posts: posts}
 	if in.FilterInauthentic {
 		reportOut, err := sai.FilterAuthentic(posts, sai.DefaultAuthenticityConfig())
 		if err != nil {
@@ -376,55 +386,73 @@ func (f *Framework) querySlice(ctx context.Context, searcher social.Searcher, rc
 	tokenized := f.analyzeSlice(qs, prev, withGraph)
 	if rc != nil {
 		rc.tokenized.Add(int64(tokenized))
-		qs.fill = rc.qc.lookup(key)
 		rc.storeSlice(sig, qs)
 	}
 	return qs, nil
 }
 
-// analyzeSlice fills a freshly drained slice's features — and its
-// co-occurrence graph when withGraph — reusing prev's features for the
-// posts prev already held, matched by ID. It returns the number of
-// posts tokenized: each at most once, new posts for their features and
-// hashtags together, reused posts only when the graph must be rebuilt.
+// analyzeSlice fills a new slice's features — and its co-occurrence
+// graph when withGraph — reusing prev's features for the posts prev
+// already held. Both listings are (CreatedAt, ID)-ordered, so one merge
+// walk matches them: a post held by pointer (a patched fill shares its
+// posts with the old one) or, failing that, by (CreatedAt, ID) — a
+// re-drained federated page or a restored memo holds its own copies.
+// A post the walk misses is only re-tokenized: features are a pure
+// function of the post, so matching can change the cost, never the
+// result. It returns the number of posts tokenized: each at most once,
+// new posts for their features and hashtags together, reused posts
+// only when the graph must be rebuilt.
 func (f *Framework) analyzeSlice(qs, prev *querySlice, withGraph bool) int {
-	var known map[string]int
-	if prev != nil && len(prev.posts) > 0 {
-		known = make(map[string]int, len(prev.posts))
-		for i, p := range prev.posts {
-			known[p.ID] = i
+	var old []*social.Post
+	if prev != nil {
+		old = prev.posts
+	}
+	qs.features = make([]sai.PostFeatures, len(qs.posts))
+	var added []int // positions of the posts prev did not hold
+	j := 0
+	for i, p := range qs.posts {
+		// Skip the previous posts sorting before p; c ends 0 when old[j]
+		// is p, non-zero when prev does not hold p.
+		c := 1
+		for j < len(old) {
+			if old[j] == p {
+				c = 0
+				break
+			}
+			if c = postCmp(old[j], p); c >= 0 {
+				break
+			}
+			j++
 		}
+		if c != 0 {
+			added = append(added, i)
+			continue
+		}
+		qs.features[i] = prev.features[j]
+		j++
 	}
 	rebuild := false
 	if withGraph {
-		// Listings hold each post once, so prev ⊆ posts exactly when
-		// every previous post is found again.
-		kept := 0
-		for _, p := range qs.posts {
-			if _, ok := known[p.ID]; ok {
-				kept++
-			}
-		}
+		// Each previous post matches at most once, so prev ⊆ posts
+		// exactly when all of them matched.
 		qs.graph = nlp.NewCooccurrenceGraph()
-		if prev != nil && prev.graph != nil && kept == len(prev.posts) {
+		if prev != nil && prev.graph != nil && len(qs.posts)-len(added) == len(old) {
 			qs.graph.Merge(prev.graph)
 		} else {
 			rebuild = true
 		}
 	}
-	qs.features = make([]sai.PostFeatures, len(qs.posts))
 	tokenized := 0
 	for i, p := range qs.posts {
-		j, ok := known[p.ID]
-		if ok {
-			qs.features[i] = prev.features[j]
-			if !rebuild {
-				continue
-			}
+		isNew := len(added) > 0 && added[0] == i
+		if isNew {
+			added = added[1:]
+		} else if !rebuild {
+			continue
 		}
 		tokens := nlp.Tokenize(p.Text)
 		tokenized++
-		if !ok {
+		if isNew {
 			qs.features[i] = f.builder.AnalyzeTokens(p, tokens)
 		}
 		if qs.graph != nil {

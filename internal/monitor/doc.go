@@ -84,6 +84,13 @@
 // or damage — a failed checksum, a file from an older build — falls
 // back to a cold initial run, whose first save replaces the file.
 //
+// A save runs after its publication, so it never delays what a poller
+// sees, and it is traced as its own "monitor.save" span, a child of the
+// flush it follows, carrying the image size in bytes: the flush span's
+// self time is the path to publication, its duration that path plus the
+// save. Each save encodes into one buffer sized from the previous
+// image, allocated for that save alone.
+//
 // # Multi-tenant TARA
 //
 // TARAMonitor runs assessment-as-a-service over a tara.Registry: it

@@ -69,7 +69,9 @@ type Config struct {
 	// the flush span links into the trace of the ingest that triggered
 	// it, so GET /v1/trace shows ingest → WAL → delta run end to end.
 	// The span is the flush's only count, failure and latency record
-	// (psp_trace_* on the tracer's registry).
+	// (psp_trace_* on the tracer's registry). A state save (Config.State)
+	// is timed by its own "monitor.save" span, a child of the flush it
+	// follows, with the saved image's size.
 	Tracer *obs.Tracer
 	// Logger receives the monitor's structured log lines; nil discards.
 	Logger *slog.Logger
@@ -212,7 +214,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 			return fmt.Errorf("monitor: initial assessment: %w", err)
 		}
 		m.publish(res, core.DirtySet{}, true, true)
-		m.persistState()
+		m.persistState(ctx)
 	}
 
 	// The schedule (see schedule) decides when a window that owes work
@@ -233,11 +235,11 @@ func (m *Monitor) Run(ctx context.Context) error {
 		fctx, span := ctx, (*obs.Span)(nil)
 		select {
 		case <-ctx.Done():
-			m.saveOnStop()
+			m.saveOnStop(ctx)
 			return ctx.Err()
 		case batch, ok := <-feed:
 			if !ok {
-				m.saveOnStop()
+				m.saveOnStop(ctx)
 				return ctx.Err()
 			}
 			// With nothing owed, this batch may start a pass now: at once
@@ -411,7 +413,7 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 	m.owed = false
 	m.publish(res, dirty, false, true)
 	observePublish()
-	m.persistState()
+	m.persistState(ctx)
 }
 
 // saveOnStop persists the last no-work generations when Run stops with
@@ -421,12 +423,12 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 // Batches still queued on the feed are lost with the subscription, but
 // the saved cursor does not cover them (see FeedCursor), so the restart
 // replays them.
-func (m *Monitor) saveOnStop() {
+func (m *Monitor) saveOnStop(ctx context.Context) {
 	if m.owed {
 		return
 	}
 	if cur := m.Assessment(); cur != nil && cur.Generation > m.saved {
-		m.persistState()
+		m.persistState(ctx)
 	}
 }
 
@@ -496,10 +498,13 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 }
 
 // persistState saves the current assessment, cache and the cursor Run
-// last advanced to through the configured state store. Persistence
-// failures are recorded like re-assessment failures (LastError /
-// healthz) — the monitor keeps serving, it just will not restart warm.
-func (m *Monitor) persistState() {
+// last advanced to through the configured state store, under a
+// "monitor.save" span carrying the image size — a child of the flush
+// whose publication it follows, so the flush's self time is its path
+// to publication. Persistence failures are recorded like re-assessment
+// failures (LastError / healthz) — the monitor keeps serving, it just
+// will not restart warm.
+func (m *Monitor) persistState(ctx context.Context) {
 	cursor := m.cursor
 	if m.cfg.State == nil || cursor == nil {
 		return
@@ -508,9 +513,12 @@ func (m *Monitor) persistState() {
 	if cur == nil {
 		return
 	}
+	_, span := m.cfg.Tracer.Start(ctx, "monitor.save")
+	defer span.End()
+	var n int
 	rs, err := core.ExportResult(cur.Result)
 	if err == nil {
-		err = m.cfg.State.Save(&State{
+		n, err = m.cfg.State.Save(&State{
 			SavedAt:    m.cfg.Now(),
 			InputSig:   stateSignature(m.cfg.Framework, m.cfg.Input),
 			Generation: cur.Generation,
@@ -522,6 +530,8 @@ func (m *Monitor) persistState() {
 			Memos:      m.rc.ExportMemos(),
 		})
 	}
+	span.SetInt("bytes", int64(n))
+	span.Fail(err)
 	m.mu.Lock()
 	if err != nil {
 		m.persistErr = fmt.Errorf("monitor: persist state: %w", err)

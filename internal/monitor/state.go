@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"github.com/psp-framework/psp/internal/core"
@@ -51,10 +52,11 @@ type State struct {
 // StateStore persists monitor state. Load returns (nil, nil) when no
 // state exists yet; a Load error is treated as "no usable state" (the
 // monitor runs cold), a Save error is surfaced through
-// Monitor.LastError.
+// Monitor.LastError. Save returns the size of the saved image in
+// bytes, which the monitor.save span reports.
 type StateStore interface {
 	Load() (*State, error)
-	Save(*State) error
+	Save(*State) (int, error)
 }
 
 // FileStateStore keeps the state in one binary file, replaced
@@ -73,8 +75,16 @@ type StateStore interface {
 // magic, a failed checksum, a short or undecodable section, a file
 // from an older build — loads as no usable state, and the monitor runs
 // cold and overwrites it at its first save.
+//
+// Each save encodes into one buffer allocated for it alone, sized from
+// the previous save's image plus headroom, so the image — which grows
+// slowly as listings gain posts — is not re-grown by doubling on the
+// way. The buffer is not kept between saves: it would pin an idle
+// image-sized block for the process's life.
 type FileStateStore struct {
 	Path string
+	// lastLen is the previous save's image size in bytes.
+	lastLen atomic.Int64
 }
 
 const stateMagic = "PSPMONS1"
@@ -98,24 +108,31 @@ func (f *FileStateStore) Load() (*State, error) {
 	return st, nil
 }
 
-// Save atomically replaces the state file.
-func (f *FileStateStore) Save(st *State) error {
-	data, err := encodeState(st)
+// Save atomically replaces the state file, returning its size.
+func (f *FileStateStore) Save(st *State) (int, error) {
+	last := f.lastLen.Load()
+	data, err := encodeState(make([]byte, 0, last+last/8), st)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	return durable.WriteFileAtomic(f.Path, func(w io.Writer) error {
+	err = durable.WriteFileAtomic(f.Path, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
+	if err != nil {
+		return 0, err
+	}
+	f.lastLen.Store(int64(len(data)))
+	return len(data), nil
 }
 
-func encodeState(st *State) ([]byte, error) {
+// encodeState appends the state file image of st to buf.
+func encodeState(buf []byte, st *State) ([]byte, error) {
 	result, err := json.Marshal(st)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: encode state: %w", err)
 	}
-	buf := durable.AppendSection([]byte(stateMagic), func(b []byte) []byte { return append(b, result...) })
+	buf = durable.AppendSection(append(buf, stateMagic...), func(b []byte) []byte { return append(b, result...) })
 	buf = durable.AppendSection(buf, func(b []byte) []byte { return core.AppendFills(b, st.Fills) })
 	return durable.AppendSection(buf, func(b []byte) []byte { return core.AppendMemos(b, st.Memos) }), nil
 }

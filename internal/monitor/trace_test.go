@@ -6,6 +6,8 @@ package monitor
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -131,6 +133,68 @@ func TestMonitorFlushLinksIngestTrace(t *testing.T) {
 		if got[key] == "" {
 			t.Fatalf("flush attrs = %v, missing %q", got, key)
 		}
+	}
+}
+
+// TestMonitorSaveSpanUnderFlush: a flush that re-ran the workflow saves
+// the state after publishing it, under a "monitor.save" child span that
+// carries the saved image's size — the size of the file on disk.
+func TestMonitorSaveSpanUnderFlush(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	store := openSeededDurableStore(t, filepath.Join(dir, "store"))
+	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
+	fw, err := core.New(core.Config{Searcher: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, stop := runMonitor(t, Config{
+		Framework: fw,
+		Store:     store,
+		Input:     core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}},
+		Debounce:  20 * time.Millisecond,
+		State:     NewFileStateStore(statePath),
+		Tracer:    tr,
+	})
+	defer stop()
+	first := waitGen(t, m, 1)
+	if err := store.Add(deltaPost(0, "hot new #chiptuning stage1 file")); err != nil {
+		t.Fatal(err)
+	}
+	if cur := waitGen(t, m, first.Generation+1); !cur.Recomputed {
+		t.Fatalf("on-topic post did not re-run the workflow: %+v", cur)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var flush *obs.Span
+	save := pollSpan(ctx, func() *obs.Span {
+		spans := tr.Spans(0)
+		for _, s := range spans {
+			if s.Name == "monitor.flush" && attrMap(s)["recomputed"] == "true" {
+				flush = s
+			}
+		}
+		for _, s := range spans {
+			if flush != nil && s.Name == "monitor.save" && s.ParentID == flush.SpanID {
+				return s
+			}
+		}
+		return nil
+	})
+	if save == nil {
+		t.Fatal("no monitor.save span under the recomputing flush")
+	}
+	if !save.Start.After(flush.Start) || save.Start.Add(save.Duration).After(flush.Start.Add(flush.Duration)) {
+		t.Errorf("monitor.save [%v +%v] does not lie inside its flush [%v +%v]",
+			save.Start, save.Duration, flush.Start, flush.Duration)
+	}
+	info, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := attrMap(save)["bytes"], fmt.Sprint(info.Size()); got != want {
+		t.Errorf("monitor.save bytes = %s, want the state file's %s", got, want)
 	}
 }
 

@@ -8,54 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestTFIDFRanksDistinctiveTerms(t *testing.T) {
-	docs := [][]string{
-		{"dpf", "delete", "kit", "excavator"},
-		{"egr", "removal", "kit", "tractor"},
-		{"adblue", "emulator", "kit", "truck"},
-		{"dpf", "regen", "problem", "kit"},
-	}
-	m := NewTFIDF(docs)
-	if m.DocCount() != 4 {
-		t.Fatalf("DocCount() = %d, want 4", m.DocCount())
-	}
-	// "kit" appears everywhere → lowest IDF; "excavator" once → higher.
-	if m.IDF("kit") >= m.IDF("excavator") {
-		t.Errorf("IDF(kit)=%.3f should be < IDF(excavator)=%.3f", m.IDF("kit"), m.IDF("excavator"))
-	}
-	kws := m.TopKeywords(docs[0], 2)
-	if len(kws) != 2 {
-		t.Fatalf("TopKeywords returned %d, want 2", len(kws))
-	}
-	for _, kw := range kws {
-		if kw.Term == "kit" {
-			t.Errorf("ubiquitous term %q ranked in top keywords %v", kw.Term, kws)
-		}
-	}
-}
-
-func TestTFIDFSkipsStopwordsAndShortTerms(t *testing.T) {
-	docs := [][]string{{"the", "dpf", "is", "ok"}}
-	m := NewTFIDF(docs)
-	for _, kw := range m.TopKeywords(docs[0], 10) {
-		if IsStopword(kw.Term) {
-			t.Errorf("stop word %q in keywords", kw.Term)
-		}
-		if len(kw.Term) < 3 {
-			t.Errorf("short term %q in keywords", kw.Term)
-		}
-	}
-}
-
-func TestTFIDFDeterministicTieBreak(t *testing.T) {
-	docs := [][]string{{"alpha", "beta"}}
-	m := NewTFIDF(docs)
-	kws := m.TopKeywords(docs[0], 0)
-	if len(kws) != 2 || kws[0].Term != "alpha" || kws[1].Term != "beta" {
-		t.Errorf("tie break not lexicographic: %v", kws)
-	}
-}
-
 func TestKMeans1DThreePriceBands(t *testing.T) {
 	// Marketplace shape: budget emulators (~150), mainstream defeat
 	// devices (~360), professional installs (~800).

@@ -1,7 +1,7 @@
 package nlp
 
-// stopwords is the English stop-word list used when extracting keywords
-// and computing TF-IDF. Negation words ("not", "no", "never", "without")
+// stopwords is the English stop-word list used when extracting keywords.
+// Negation words ("not", "no", "never", "without")
 // are deliberately NOT stop words: the sentiment engine consumes them.
 var stopwords = map[string]bool{
 	"a": true, "about": true, "above": true, "after": true, "again": true,

@@ -290,15 +290,6 @@ func (a *Analysis) SetVectorModel(t *VectorTable) error {
 	return a.setModel(func() { a.VectorModel = t })
 }
 
-// SetPotentialModel swaps the attack potential weight model, marking
-// every threat dirty.
-func (a *Analysis) SetPotentialModel(w *AttackPotentialWeights) error {
-	if w == nil {
-		return fmt.Errorf("tara: nil potential weights")
-	}
-	return a.setModel(func() { a.PotentialModel = w })
-}
-
 // SetPotentialBands swaps the potential → feasibility thresholds,
 // marking every threat dirty.
 func (a *Analysis) SetPotentialBands(b PotentialThresholds) error {
@@ -314,15 +305,6 @@ func (a *Analysis) SetMatrix(m *RiskMatrix) error {
 		return fmt.Errorf("tara: nil risk matrix")
 	}
 	return a.setModel(func() { a.Matrix = m })
-}
-
-// SetCALModel swaps the CAL determination table, marking every threat
-// dirty.
-func (a *Analysis) SetCALModel(c *CALTable) error {
-	if c == nil {
-		return fmt.Errorf("tara: nil CAL table")
-	}
-	return a.setModel(func() { a.CALModel = c })
 }
 
 func (a *Analysis) setModel(apply func()) error {
