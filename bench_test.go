@@ -1303,7 +1303,11 @@ func BenchmarkAnalysisRunCold(b *testing.B) {
 		calls = 0
 		for _, a := range fleet {
 			cold := a.Clone()
-			if _, err := fw.RateAnalysis(ctx, cold); err != nil {
+			p, err := cold.Plan()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fw.RatePlan(ctx, p); err != nil {
 				b.Fatal(err)
 			}
 			calls += cold.RatingCalls()
@@ -1327,7 +1331,11 @@ func BenchmarkAnalysisRerateDelta(b *testing.B) {
 	ctx := context.Background()
 	// Warm every tenant outside the timer: the service steady state.
 	for _, a := range fleet {
-		if _, err := fw.RateAnalysis(ctx, a); err != nil {
+		p, err := a.Plan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := fw.RatePlan(ctx, p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1348,7 +1356,11 @@ func BenchmarkAnalysisRerateDelta(b *testing.B) {
 			b.Fatal("override did not change the effective table")
 		}
 		for _, t := range fleet {
-			if _, err := fw.RateAnalysis(ctx, t); err != nil {
+			p, err := t.Plan()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := fw.RatePlan(ctx, p); err != nil {
 				b.Fatal(err)
 			}
 		}

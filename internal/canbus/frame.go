@@ -26,9 +26,6 @@ func (f Frame) Validate() error {
 	return nil
 }
 
-// DLC returns the data length code.
-func (f Frame) DLC() int { return len(f.Data) }
-
 // String renders the frame as "ID#HEXDATA".
 func (f Frame) String() string {
 	return fmt.Sprintf("0x%03X#%X", f.ID, f.Data)

@@ -275,9 +275,6 @@ func (t *Tester) Done() bool { return t.done && !t.awaiting }
 // (0 when none).
 func (t *Tester) Failed() byte { return t.failedNRC }
 
-// Responses returns the received responses.
-func (t *Tester) Responses() []Frame { return t.responses }
-
 // FlashScript builds the full reprogramming sequence: programming
 // session, seed request, key (computed from the seed with the given
 // secret), download request, firmware transfer in 6-byte chunks, and

@@ -25,10 +25,10 @@ type DirtySet struct {
 func (d DirtySet) Empty() bool { return len(d.Topics) == 0 && len(d.Threats) == 0 }
 
 // DirtyForProfiles classifies a batch of new posts, profiled for
-// matching, against the framework's keyword database (seed and learned
-// tags) and the input's threat scenarios, using the exact query
-// predicate of the social substrate.
-func (f *Framework) DirtyForProfiles(in SocialInput, profiles []*social.PostProfile) DirtySet {
+// matching, against the result's keyword database (seed and learned
+// tags, restored ones included) and the input's threat scenarios, using
+// the exact query predicate of the social substrate.
+func (r *SocialResult) DirtyForProfiles(in SocialInput, profiles []*social.PostProfile) DirtySet {
 	d := DirtySet{Posts: len(profiles)}
 	if len(profiles) == 0 {
 		return d
@@ -42,7 +42,7 @@ func (f *Framework) DirtyForProfiles(in SocialInput, profiles []*social.PostProf
 		}
 		return false
 	}
-	for _, g := range f.keywords.Groups() {
+	for _, g := range r.Keywords.Groups() {
 		if anyMatch(g.AllTags()) {
 			d.Topics = append(d.Topics, g.Topic)
 		}

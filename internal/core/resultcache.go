@@ -35,8 +35,9 @@ type cacheFill struct {
 
 // QueryCache caches fully drained platform listings keyed by the
 // canonical query, serving pages from memory. Newly ingested posts are
-// applied with PatchProfiles or InvalidateProfiles, which test every
-// listing with the exact Search predicate (social.Query.MatchesPost).
+// applied with PatchProfiles or InvalidateProfiles, which match the
+// store's social.PostProfile of each post against every listing's
+// compiled social.QueryMatcher, the exact Search predicate.
 // Posts ingested into the cache's own backend store patch a matching
 // listing in place of a re-drain: the store is append-only, so its
 // fresh drain is the old listing plus the matching new posts. Posts

@@ -33,16 +33,6 @@ func (f *Framework) RatePlan(ctx context.Context, p *tara.Plan) ([]*tara.ThreatR
 	return p.Commit(rated)
 }
 
-// RateAnalysis plans and rates an analysis in one call: the parallel,
-// incremental replacement for Analysis.Run.
-func (f *Framework) RateAnalysis(ctx context.Context, a *tara.Analysis) ([]*tara.ThreatResult, error) {
-	p, err := a.Plan()
-	if err != nil {
-		return nil, err
-	}
-	return f.RatePlan(ctx, p)
-}
-
 // ApplyTunings installs the PSP-tuned vector tables of a social run as
 // per-threat overrides on the analysis, returning the IDs of the
 // threats whose effective table actually changed (and were therefore

@@ -121,7 +121,9 @@ func randomMutation(a *tara.Analysis, rng *rand.Rand, seq int) string {
 		bands := tara.StandardPotentialThresholds()
 		bands.HighMax += pick(3)
 		bands.MediumMax += pick(3)
-		a.SetPotentialBands(bands)
+		if bands.Validate() == nil {
+			a.PotentialBands = bands
+		}
 		return "set potential bands"
 	}
 	return "noop"
@@ -147,7 +149,11 @@ func TestIncrementalEqualsColdProperty(t *testing.T) {
 				ctx := context.Background()
 				for step := 0; step < 30; step++ {
 					desc := randomMutation(a, rng, step)
-					inc, err := f.RateAnalysis(ctx, a)
+					p, err := a.Plan()
+					if err != nil {
+						t.Fatalf("seed %d step %d (%s): plan: %v", seed, step, desc, err)
+					}
+					inc, err := f.RatePlan(ctx, p)
 					if err != nil {
 						t.Fatalf("seed %d step %d (%s): incremental: %v", seed, step, desc, err)
 					}
@@ -178,7 +184,11 @@ func TestRatePlanDeterministicAcrossPoolSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := taraFramework(t, pool)
-		res, err := f.RateAnalysis(context.Background(), a)
+		p, err := a.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.RatePlan(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,12 +211,19 @@ func TestRatePlanCancellation(t *testing.T) {
 	f := taraFramework(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.RateAnalysis(ctx, a); err == nil {
+	p, err := a.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.RatePlan(ctx, p); err == nil {
 		t.Fatal("cancelled rating succeeded")
 	}
 	// The dirty set survives a failed pass: the next rating still
 	// covers every threat and matches a cold run.
-	res, err := f.RateAnalysis(context.Background(), a)
+	if p, err = a.Plan(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.RatePlan(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ func appendN(t *testing.T, l *durable.Log, start, n int) map[uint64]string {
 	acked := make(map[uint64]string)
 	for i := start; i < start+n; i++ {
 		payload := fmt.Sprintf("record-%04d", i)
-		if seq, err := l.Append([]byte(payload)); err == nil {
-			acked[seq] = payload
+		if res, err := l.Append([]byte(payload)); err == nil {
+			acked[res.Seq] = payload
 		}
 	}
 	return acked
@@ -102,12 +102,12 @@ func TestWALAcknowledgedSurviveDiskFault(t *testing.T) {
 			}
 			// Recovery must also restore append service: the torn tail is
 			// truncated and new records land after the last durable one.
-			seq, err := l2.Append([]byte("post-recovery"))
+			res, err := l2.Append([]byte("post-recovery"))
 			if err != nil {
 				t.Fatalf("append after recovery: %v", err)
 			}
-			if seq <= l2.FirstSeq() {
-				t.Fatalf("post-recovery seq %d not past the recovered tail", seq)
+			if res.Seq <= l2.FirstSeq() {
+				t.Fatalf("post-recovery seq %d not past the recovered tail", res.Seq)
 			}
 		})
 	}

@@ -302,16 +302,10 @@ func scanSegment(path string, maxCount int, fn func(idx int, payload []byte) err
 
 // Append submits one payload and blocks until it is durable (written
 // and fsync'd, possibly as part of a larger group commit), returning
-// the record's sequence. The payload is copied into the log's write
+// the record's sequence and the commit-group size it was fsync'd with
+// (see AppendResult). The payload is copied into the log's write
 // buffer synchronously, so the caller may reuse it afterwards.
-func (l *Log) Append(payload []byte) (uint64, error) {
-	res, err := l.AppendGroup(payload)
-	return res.Seq, err
-}
-
-// AppendGroup is Append also reporting the commit-group size the
-// record was fsync'd with (see AppendResult).
-func (l *Log) AppendGroup(payload []byte) (AppendResult, error) {
+func (l *Log) Append(payload []byte) (AppendResult, error) {
 	if len(payload) == 0 {
 		return AppendResult{}, fmt.Errorf("durable: empty payload")
 	}

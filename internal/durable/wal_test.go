@@ -38,14 +38,14 @@ func TestLogAppendReplayRoundtrip(t *testing.T) {
 	want := make(map[uint64]string)
 	for i := 0; i < 100; i++ {
 		payload := fmt.Sprintf("record-%03d", i)
-		seq, err := l.Append([]byte(payload))
+		res, err := l.Append([]byte(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if wantSeq := uint64(i + 1); seq != wantSeq {
-			t.Fatalf("append %d: seq %d, want %d", i, seq, wantSeq)
+		if wantSeq := uint64(i + 1); res.Seq != wantSeq {
+			t.Fatalf("append %d: seq %d, want %d", i, res.Seq, wantSeq)
 		}
-		want[seq] = payload
+		want[res.Seq] = payload
 	}
 	got := replayAll(t, l, 0)
 	if len(got) != len(want) {
@@ -75,8 +75,8 @@ func TestLogAppendReplayRoundtrip(t *testing.T) {
 	if l2.LastSeq() != 100 {
 		t.Fatalf("LastSeq = %d, want 100", l2.LastSeq())
 	}
-	if seq, err := l2.Append([]byte("post-reopen")); err != nil || seq != 101 {
-		t.Fatalf("append after reopen: seq %d err %v, want 101", seq, err)
+	if res, err := l2.Append([]byte("post-reopen")); err != nil || res.Seq != 101 {
+		t.Fatalf("append after reopen: seq %d err %v, want 101", res.Seq, err)
 	}
 }
 
@@ -107,12 +107,12 @@ func TestLogGroupCommitConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				seq, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				res, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
-				seqs[w] = append(seqs[w], seq)
+				seqs[w] = append(seqs[w], res.Seq)
 			}
 		}(w)
 	}
@@ -260,8 +260,8 @@ func TestLogRecoveryTornTail(t *testing.T) {
 		if got := replayAll(t, l2, 0); len(got) != 5 {
 			t.Fatalf("cut %d: %d records, want 5", cut, len(got))
 		}
-		if seq, err := l2.Append([]byte("next")); err != nil || seq != 6 {
-			t.Fatalf("cut %d: append after recovery: seq %d err %v", cut, seq, err)
+		if res, err := l2.Append([]byte("next")); err != nil || res.Seq != 6 {
+			t.Fatalf("cut %d: append after recovery: seq %d err %v", cut, res.Seq, err)
 		}
 		l2.Close()
 	}

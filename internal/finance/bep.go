@@ -97,15 +97,3 @@ func ComputeBEPCurve(fc Money, n int, ppia, vcu Money, maxUnits, steps int) (*BE
 	}
 	return curve, nil
 }
-
-// ClassifyVolume returns the zone of a unit volume relative to the
-// break-even point without sampling a full curve.
-func ClassifyVolume(units, bep int) Zone {
-	switch {
-	case units < bep:
-		return ZoneLoss
-	case units > bep:
-		return ZoneProfit
-	}
-	return ZoneBreakEven
-}

@@ -170,14 +170,18 @@ func TestBEPCurveShape(t *testing.T) {
 }
 
 func TestClassifyVolume(t *testing.T) {
-	if ClassifyVolume(100, 200) != ZoneLoss {
-		t.Error("below BEP should be loss")
+	// FC 100 EUR, margin 1 EUR per unit: the BEP is 100 units, and the
+	// samples at 0, 50, 100, 150 and 200 units land on both sides of it
+	// and on it exactly.
+	curve, err := ComputeBEPCurve(FromCents(10000, EUR), 1, FromCents(200, EUR), FromCents(100, EUR), 200, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ClassifyVolume(200, 200) != ZoneBreakEven {
-		t.Error("at BEP should be break-even")
-	}
-	if ClassifyVolume(300, 200) != ZoneProfit {
-		t.Error("above BEP should be profit")
+	want := []Zone{ZoneLoss, ZoneLoss, ZoneBreakEven, ZoneProfit, ZoneProfit}
+	for i, p := range curve.Points {
+		if p.Zone != want[i] {
+			t.Errorf("units %d: zone %v, want %v", p.Units, p.Zone, want[i])
+		}
 	}
 	if ZoneLoss.String() != "loss" || ZoneProfit.String() != "profit" || ZoneBreakEven.String() != "break-even" {
 		t.Error("zone strings wrong")

@@ -213,20 +213,3 @@ func signature(steps []tara.AttackStep) string {
 	}
 	return sig
 }
-
-// DeriveFleet derives starter analyses for every ECU of a domain.
-func DeriveFleet(top *vehicle.Topology, domain vehicle.Domain) ([]*tara.Analysis, error) {
-	ecus := top.ByDomain(domain)
-	if len(ecus) == 0 {
-		return nil, fmt.Errorf("itemgen: no ECUs in domain %s", domain)
-	}
-	out := make([]*tara.Analysis, 0, len(ecus))
-	for _, e := range ecus {
-		a, err := DeriveAnalysis(top, e.ID)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}

@@ -53,15 +53,6 @@ func (p Phase) Valid() bool {
 	return p >= PhaseItemDefinition && p <= PhaseProductionReadiness
 }
 
-// AllPhases returns the phases in lifecycle order.
-func AllPhases() []Phase {
-	out := make([]Phase, 0, int(PhaseProductionReadiness))
-	for p := PhaseItemDefinition; p <= PhaseProductionReadiness; p++ {
-		out = append(out, p)
-	}
-	return out
-}
-
 // reprocessingPhases are the transitions Fig. 2 marks with
 // "TARA REPROCESSING": entering any verification/testing phase and
 // production readiness re-runs the TARA.

@@ -115,7 +115,4 @@ func TestPhaseStrings(t *testing.T) {
 	if !PhasePenTesting.Valid() || Phase(0).Valid() {
 		t.Error("Valid() wrong")
 	}
-	if len(AllPhases()) != 9 {
-		t.Errorf("AllPhases() = %d, want 9", len(AllPhases()))
-	}
 }

@@ -54,14 +54,6 @@ func DefaultDataset() (*Dataset, error) {
 			{Category: "adblue-tampering", Application: "truck", Region: "EU",
 				Year: 2022, PEA: 0.04, Source: "Global Automotive Cybersecurity Report 2023"},
 		},
-		[]VectorOccurrence{
-			{Category: "ecm-reprogramming", Year: 2021,
-				Shares: map[string]float64{"physical": 0.62, "local": 0.25, "adjacent": 0.08, "network": 0.05}},
-			{Category: "ecm-reprogramming", Year: 2022,
-				Shares: map[string]float64{"physical": 0.28, "local": 0.55, "adjacent": 0.10, "network": 0.07}},
-			{Category: CategoryDPFTampering, Year: 2022,
-				Shares: map[string]float64{"physical": 0.55, "local": 0.35, "adjacent": 0.05, "network": 0.05}},
-		},
 	)
 	if err != nil {
 		return nil, fmt.Errorf("market: build report db: %w", err)

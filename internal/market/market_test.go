@@ -41,10 +41,6 @@ func TestSalesQueries(t *testing.T) {
 	if _, err := ds.Sales.MarketShare("Nobody", "excavator", "EU", 2022); err == nil {
 		t.Error("unknown maker accepted")
 	}
-	makers := ds.Sales.Makers("excavator", "EU", 2022)
-	if len(makers) != 3 {
-		t.Errorf("Makers = %v, want 3 entries", makers)
-	}
 }
 
 func TestSalesSumWithoutAggregate(t *testing.T) {
@@ -103,45 +99,12 @@ func TestPEAQueryAndFallback(t *testing.T) {
 	}
 }
 
-func TestOccurrenceShares(t *testing.T) {
-	ds := mustDataset(t)
-	sh21, err := ds.Reports.OccurrenceShares("ecm-reprogramming", 2021)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh22, err := ds.Reports.OccurrenceShares("ecm-reprogramming", 2022)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The trend inversion the paper reports: physical majority in 2021,
-	// local majority in 2022.
-	if sh21["physical"] <= sh21["local"] {
-		t.Errorf("2021 shares: physical %.2f ≤ local %.2f", sh21["physical"], sh21["local"])
-	}
-	if sh22["local"] <= sh22["physical"] {
-		t.Errorf("2022 shares: local %.2f ≤ physical %.2f", sh22["local"], sh22["physical"])
-	}
-	// Mutating the returned map must not corrupt the DB.
-	sh22["physical"] = 99
-	again, err := ds.Reports.OccurrenceShares("ecm-reprogramming", 2022)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again["physical"] == 99 {
-		t.Error("OccurrenceShares exposed internal state")
-	}
-}
-
 func TestReportValidation(t *testing.T) {
-	if _, err := NewReportDB([]AttackerStat{{Category: "", Application: "x", Region: "EU", PEA: 0.1}}, nil); err == nil {
+	if _, err := NewReportDB([]AttackerStat{{Category: "", Application: "x", Region: "EU", PEA: 0.1}}); err == nil {
 		t.Error("empty category accepted")
 	}
-	if _, err := NewReportDB([]AttackerStat{{Category: "c", Application: "x", Region: "EU", PEA: 1.5}}, nil); err == nil {
+	if _, err := NewReportDB([]AttackerStat{{Category: "c", Application: "x", Region: "EU", PEA: 1.5}}); err == nil {
 		t.Error("PEA > 1 accepted")
-	}
-	if _, err := NewReportDB(nil, []VectorOccurrence{{Category: "c", Year: 2022,
-		Shares: map[string]float64{"physical": 0.2}}}); err == nil {
-		t.Error("non-normalized shares accepted")
 	}
 }
 

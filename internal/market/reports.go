@@ -2,7 +2,6 @@ package market
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -26,34 +25,16 @@ type AttackerStat struct {
 	Source string
 }
 
-// VectorOccurrence is one annual-report statistic on how frequently an
-// attack category was executed through each access class — the data
-// behind the paper's claim that ECM reprogramming "has a high occurrence
-// rate preferably based on physical attacks".
-type VectorOccurrence struct {
-	Category string
-	Year     int
-	// Shares maps the access class ("physical", "local", "adjacent",
-	// "network") to its observed share of incidents; shares sum to ≈1.
-	Shares map[string]float64
-}
-
 // ReportDB is the cybersecurity annual-report database.
 type ReportDB struct {
-	stats       []AttackerStat
-	occurrences []VectorOccurrence
+	stats []AttackerStat
 }
 
 // NewReportDB builds a database, validating every entry.
-func NewReportDB(stats []AttackerStat, occurrences []VectorOccurrence) (*ReportDB, error) {
+func NewReportDB(stats []AttackerStat) (*ReportDB, error) {
 	db := &ReportDB{}
 	for _, s := range stats {
 		if err := db.AddStat(s); err != nil {
-			return nil, err
-		}
-	}
-	for _, o := range occurrences {
-		if err := db.AddOccurrence(o); err != nil {
 			return nil, err
 		}
 	}
@@ -70,25 +51,6 @@ func (db *ReportDB) AddStat(s AttackerStat) error {
 		return fmt.Errorf("market: attacker stat with PEA outside [0,1]: %+v", s)
 	}
 	db.stats = append(db.stats, s)
-	return nil
-}
-
-// AddOccurrence inserts one vector-occurrence statistic.
-func (db *ReportDB) AddOccurrence(o VectorOccurrence) error {
-	if strings.TrimSpace(o.Category) == "" || len(o.Shares) == 0 {
-		return fmt.Errorf("market: vector occurrence with empty category or shares: %+v", o)
-	}
-	var total float64
-	for k, v := range o.Shares {
-		if v < 0 {
-			return fmt.Errorf("market: vector occurrence with negative share %s=%f", k, v)
-		}
-		total += v
-	}
-	if total < 0.99 || total > 1.01 {
-		return fmt.Errorf("market: vector occurrence shares sum to %.3f, want ≈1", total)
-	}
-	db.occurrences = append(db.occurrences, o)
 	return nil
 }
 
@@ -112,42 +74,4 @@ func (db *ReportDB) PEA(category, application, region string, year int) (float64
 		return 0, fmt.Errorf("market: no PEA data for %s/%s/%s up to %d", category, application, region, year)
 	}
 	return best, nil
-}
-
-// OccurrenceShares returns the per-access-class incident shares for a
-// category and year, with the same most-recent-earlier-year fallback.
-func (db *ReportDB) OccurrenceShares(category string, year int) (map[string]float64, error) {
-	category = normKey(category)
-	bestYear := -1
-	var best map[string]float64
-	for _, o := range db.occurrences {
-		if normKey(o.Category) != category || o.Year > year {
-			continue
-		}
-		if o.Year > bestYear {
-			bestYear, best = o.Year, o.Shares
-		}
-	}
-	if bestYear < 0 {
-		return nil, fmt.Errorf("market: no occurrence data for %s up to %d", category, year)
-	}
-	cp := make(map[string]float64, len(best))
-	for k, v := range best {
-		cp[k] = v
-	}
-	return cp, nil
-}
-
-// Categories lists the distinct stat categories, sorted.
-func (db *ReportDB) Categories() []string {
-	set := map[string]bool{}
-	for _, s := range db.stats {
-		set[normKey(s.Category)] = true
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,7 +2,6 @@ package market
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -94,25 +93,6 @@ func (db *SalesDB) MarketShare(maker, application, region string, year int) (int
 		}
 	}
 	return 0, fmt.Errorf("market: no market-share data for %s %s/%s/%d", maker, application, region, year)
-}
-
-// Makers lists the makers with records for an application/region/year,
-// sorted, excluding the "*" aggregate.
-func (db *SalesDB) Makers(application, region string, year int) []string {
-	application, region = normKey(application), normKey(region)
-	set := map[string]bool{}
-	for _, r := range db.records {
-		if r.Maker != "*" && normKey(r.Application) == application &&
-			normKey(r.Region) == region && r.Year == year {
-			set[r.Maker] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func normKey(s string) string { return strings.ToLower(strings.TrimSpace(s)) }

@@ -12,9 +12,10 @@
 //     through the store's durable cursor);
 //   - each batch is classified once, on arrival: its posts come
 //     profiled — tokenized by the store's ingest, not again here — and
-//     are matched against the keyword database and threat scenarios to
-//     summarize the dirty slice (core.DirtySet) and against the result
-//     cache's listings. When the workflow queries the watched store
+//     are matched against the current assessment's keyword database
+//     (learned tags included) and the threat scenarios to summarize the
+//     dirty slice (core.DirtySet), and against the result cache's
+//     listings. When the workflow queries the watched store
 //     itself (Config.Searcher unset), a matched listing is patched with
 //     its new posts; over any other backend it is dropped. A matched
 //     fill means work is owed until the next successful workflow run;

@@ -324,7 +324,9 @@ type window struct {
 // changefeed batch — to the cached fills it can appear in (patching
 // them, or dropping them when the workflow queries another backend),
 // adds its dirty slice to the window and records whether work is now
-// owed. Every post is classified exactly once, on arrival, or twice
+// owed. The dirty slice matches the batch against the current
+// assessment's keyword database, so tags learned by a run (or restored
+// with its result) count. Every post is classified exactly once, on arrival, or twice
 // around a restart, which the cache absorbs.
 func (m *Monitor) classify(w *window, batch []*social.PostProfile) {
 	if w.posts == 0 {
@@ -336,7 +338,7 @@ func (m *Monitor) classify(w *window, batch []*social.PostProfile) {
 	} else {
 		matched = m.rc.InvalidateProfiles(batch)
 	}
-	dirty := m.cfg.Framework.DirtyForProfiles(m.cfg.Input, batch)
+	dirty := m.Assessment().Result.DirtyForProfiles(m.cfg.Input, batch)
 	w.posts += len(batch)
 	w.matched += matched
 	w.dirty = core.DirtySet{

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -621,5 +623,101 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 			t.Fatalf("round %d: restart owes no work, yet its restored result misses the batch queued at stop (catch-up delta %d posts)",
 				round, len(delta))
 		}
+	}
+}
+
+// TestMonitorWarmRestartDirtyListsLearnedTags pins the published dirty
+// set to the assessment's keyword database: a post carrying only a
+// learned tag marks that tag's topic dirty, both in the monitor that
+// learned it and in one restarted warm from its saved state.
+func TestMonitorWarmRestartDirtyListsLearnedTags(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	open := func() *social.Store {
+		store, err := social.OpenStoreDir(filepath.Join(dir, "store"), social.DurableOptions{
+			Shards: 4, CompactEvery: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	start := func(store *social.Store) (*Monitor, func()) {
+		fw, err := core.New(core.Config{Searcher: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runMonitor(t, Config{
+			Framework: fw,
+			Store:     store,
+			Input:     in,
+			Debounce:  20 * time.Millisecond,
+			State:     NewFileStateStore(statePath),
+		})
+	}
+	// ingest adds posts and waits for the generation that includes them.
+	ingest := func(m *Monitor, posts ...*social.Post) *Assessment {
+		t.Helper()
+		cur := m.Assessment()
+		want := cur.Ingested + len(posts)
+		if err := m.cfg.Store.Add(posts...); err != nil {
+			t.Fatal(err)
+		}
+		for cur.Ingested < want {
+			cur = waitGen(t, m, cur.Generation+1)
+		}
+		return cur
+	}
+	const tag = "zzflashkit"
+	tagOnly := func(i int) *social.Post {
+		return deltaPost(i, fmt.Sprintf("fresh #%s bundle in stock", tag))
+	}
+
+	store1 := open()
+	posts, err := social.Generate(social.DefaultCorpusSpec(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(posts); i += 10 {
+		if err := store1.Add(posts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m1, stop1 := start(store1)
+	waitGen(t, m1, 1)
+	var taught []*social.Post
+	for i := 300; i < 330; i++ {
+		taught = append(taught, deltaPost(i, fmt.Sprintf("flashed #chiptuning #excavatortuning #speedlimiteroff with #%s gains", tag)))
+	}
+	topic := ""
+	for g, tags := range ingest(m1, taught...).Result.Learned {
+		if slices.Contains(tags, tag) {
+			topic = g
+		}
+	}
+	if topic == "" {
+		t.Fatalf("#%s not learned after %d posts carried it", tag, len(taught))
+	}
+
+	if cur := ingest(m1, tagOnly(500)); !cur.Recomputed || !slices.Contains(cur.Dirty.Topics, topic) {
+		t.Errorf("learned-tag post published Recomputed=%v Dirty=%+v, want topic %q dirty",
+			cur.Recomputed, cur.Dirty, topic)
+	}
+	stop1()
+	if err := store1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2 := open()
+	defer store2.Close()
+	m2, stop2 := start(store2)
+	defer stop2()
+	if restored := waitGen(t, m2, 1); !restored.Restored {
+		t.Fatalf("second life ran cold: %+v", restored)
+	}
+	if cur := ingest(m2, tagOnly(501)); !slices.Contains(cur.Dirty.Topics, topic) {
+		t.Errorf("after a warm restart the learned-tag post published Dirty=%+v, want topic %q dirty",
+			cur.Dirty, topic)
 	}
 }

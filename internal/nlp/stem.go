@@ -60,12 +60,3 @@ func isVowel(c byte) bool {
 	}
 	return false
 }
-
-// StemAll maps Stem over a word list.
-func StemAll(words []string) []string {
-	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = Stem(w)
-	}
-	return out
-}

@@ -148,17 +148,6 @@ func trimTrailingPunct(s string) string {
 	return strings.TrimRight(s, ".,;:!?)")
 }
 
-// Words returns the normalized text of all word tokens.
-func Words(tokens []Token) []string {
-	var out []string
-	for _, t := range tokens {
-		if t.Kind == TokenWord {
-			out = append(out, t.Text)
-		}
-	}
-	return out
-}
-
 // Hashtags returns the normalized text of all hashtag tokens (without the
 // '#' sigil), preserving order and duplicates.
 func Hashtags(tokens []Token) []string {

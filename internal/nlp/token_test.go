@@ -77,9 +77,14 @@ func TestHashtagsAndWords(t *testing.T) {
 	if !reflect.DeepEqual(tags, want) {
 		t.Errorf("Hashtags() = %v, want %v", tags, want)
 	}
-	words := Words(tokens)
+	var words []string
+	for _, tok := range tokens {
+		if tok.Kind == TokenWord {
+			words = append(words, tok.Text)
+		}
+	}
 	if !reflect.DeepEqual(words, []string{"works", "great"}) {
-		t.Errorf("Words() = %v, want [works great]", words)
+		t.Errorf("word tokens = %v, want [works great]", words)
 	}
 }
 
@@ -155,39 +160,5 @@ func TestStemConflatesInflections(t *testing.T) {
 				t.Errorf("Stem(%q) = %q, want %q (conflation broken)", w, Stem(w), base)
 			}
 		}
-	}
-}
-
-func TestStopwords(t *testing.T) {
-	if !IsStopword("the") || !IsStopword("and") {
-		t.Error("core stop words not recognized")
-	}
-	if IsStopword("not") || IsStopword("never") || IsStopword("without") {
-		t.Error("negators must not be stop words (sentiment engine needs them)")
-	}
-	in := []string{"the", "dpf", "delete", "is", "awesome"}
-	got := RemoveStopwords(in)
-	want := []string{"dpf", "delete", "awesome"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RemoveStopwords(%v) = %v, want %v", in, got, want)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	words := []string{"dpf", "delete", "kit"}
-	if got := NGrams(words, 2); !reflect.DeepEqual(got, []string{"dpf delete", "delete kit"}) {
-		t.Errorf("NGrams(2) = %v", got)
-	}
-	if got := NGrams(words, 3); !reflect.DeepEqual(got, []string{"dpf delete kit"}) {
-		t.Errorf("NGrams(3) = %v", got)
-	}
-	if got := NGrams(words, 4); got != nil {
-		t.Errorf("NGrams(4) = %v, want nil", got)
-	}
-	if got := NGrams(words, 0); got != nil {
-		t.Errorf("NGrams(0) = %v, want nil", got)
-	}
-	if got := Bigrams(words); len(got) != 2 {
-		t.Errorf("Bigrams() = %v", got)
 	}
 }

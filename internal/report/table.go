@@ -34,9 +34,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // Render draws the table.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.headers))

@@ -59,14 +59,6 @@ func BuildGroupGraph(posts []*social.Post) *nlp.CooccurrenceGraph {
 	return g
 }
 
-// Block adds tags to the blocklist (the paper's poisoning-resilience
-// roadmap item).
-func (l *Learner) Block(tags ...string) {
-	for _, t := range tags {
-		l.Blocklist[nlp.Normalize(t)] = true
-	}
-}
-
 // Learn proposes up to maxNew new keywords associated with the seed set,
 // strongest association first. Seeds and blocklisted tags never appear.
 func (l *Learner) Learn(seeds []string, maxNew int) ([]string, error) {

@@ -311,7 +311,7 @@ func TestLearner(t *testing.T) {
 		t.Errorf("dpfoff not learned: %v", learned)
 	}
 	// Blocklist suppresses tags.
-	l.Block("dpfoff")
+	l.Blocklist["dpfoff"] = true
 	learned2, err := l.Learn([]string{"dpfdelete"}, 5)
 	if err != nil {
 		t.Fatal(err)

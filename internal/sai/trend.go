@@ -61,14 +61,9 @@ type Trend struct {
 // (±2% of mean attraction per quarter, ≈ ±8% per year).
 const stabilityBand = 0.02
 
-// ComputeTrend buckets posts per quarter and fits the attraction series.
-// At least two non-empty quarters are required.
-func (b *Builder) ComputeTrend(posts []*social.Post) (*Trend, error) {
-	return TrendOf(posts, b.AnalyzePosts(posts))
-}
-
-// TrendOf is ComputeTrend over already analyzed posts: features[i]
-// describes posts[i].
+// TrendOf buckets posts per quarter and fits the attraction series;
+// features[i] describes posts[i]. At least two non-empty quarters are
+// required.
 func TrendOf(posts []*social.Post, features []PostFeatures) (*Trend, error) {
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("sai: no posts to compute a trend from")

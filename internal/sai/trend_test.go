@@ -36,7 +36,7 @@ func TestComputeTrendRising(t *testing.T) {
 				time.Month(q).String()+string(rune('a'+i)), when, 1000))
 		}
 	}
-	trend, err := b.ComputeTrend(posts)
+	trend, err := TrendOf(posts, b.AnalyzePosts(posts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestComputeTrendFallingAndStable(t *testing.T) {
 				"f"+time.Month(q).String()+string(rune('a'+i)), when, 1000))
 		}
 	}
-	trend, err := b.ComputeTrend(falling)
+	trend, err := TrendOf(falling, b.AnalyzePosts(falling))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestComputeTrendFallingAndStable(t *testing.T) {
 				"s"+time.Month(q).String()+string(rune('a'+i)), when, 1000))
 		}
 	}
-	trend, err = b.ComputeTrend(stable)
+	trend, err = TrendOf(stable, b.AnalyzePosts(stable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +90,11 @@ func TestComputeTrendFallingAndStable(t *testing.T) {
 
 func TestComputeTrendErrors(t *testing.T) {
 	b := mustBuilder(t)
-	if _, err := b.ComputeTrend(nil); err == nil {
+	if _, err := TrendOf(nil, b.AnalyzePosts(nil)); err == nil {
 		t.Error("empty posts accepted")
 	}
 	one := []*social.Post{trendPost("x", time.Date(2022, 2, 1, 0, 0, 0, 0, time.UTC), 100)}
-	if _, err := b.ComputeTrend(one); err == nil {
+	if _, err := TrendOf(one, b.AnalyzePosts(one)); err == nil {
 		t.Error("single quarter accepted")
 	}
 }
@@ -136,7 +136,7 @@ func TestCorpusLocalMethodTrendRises(t *testing.T) {
 			localPosts = append(localPosts, p)
 		}
 	}
-	trend, err := b.ComputeTrend(localPosts)
+	trend, err := TrendOf(localPosts, b.AnalyzePosts(localPosts))
 	if err != nil {
 		t.Fatal(err)
 	}

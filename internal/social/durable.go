@@ -578,7 +578,7 @@ func (d *storeDurability) logParts(parts []*stripePart, span *obs.Span) (logged 
 				err = fmt.Errorf("%w: %v", errEncode, err)
 			} else {
 				var res durable.AppendResult
-				res, err = d.logs[part.stripe].AppendGroup(payload)
+				res, err = d.logs[part.stripe].Append(payload)
 				if err == nil {
 					part.seqs = append(part.seqs, res.Seq)
 					records++

@@ -67,13 +67,6 @@ func (s *Store) SnapshotPosts() []*Post {
 	return mergeShardStreams(iters, total)
 }
 
-// WriteStore streams the store's current contents to w as JSON Lines —
-// the snapshot counterpart of LoadStore. The dump is taken lock-free
-// via SnapshotPosts, so writers keep committing while it runs.
-func WriteStore(w io.Writer, s *Store) error {
-	return WritePosts(w, s.SnapshotPosts())
-}
-
 // WritePostsFile dumps posts to path as JSON Lines, atomically: the
 // dump goes to a temporary file in the same directory, is fsync'd, and
 // renamed into place. A crash mid-dump can therefore never leave a
@@ -87,9 +80,9 @@ func WritePostsFile(path string, posts []*Post) error {
 }
 
 // WriteStoreFile atomically dumps the store's current contents to path
-// as JSON Lines — WriteStore with the crash-safety of WritePostsFile.
-// The dump is taken lock-free via SnapshotPosts, so writers keep
-// committing while it runs.
+// as JSON Lines, the snapshot counterpart of LoadStore. The dump is
+// taken lock-free via SnapshotPosts, so writers keep committing while
+// it runs.
 func WriteStoreFile(path string, s *Store) error {
 	return WritePostsFile(path, s.SnapshotPosts())
 }

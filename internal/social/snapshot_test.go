@@ -562,7 +562,7 @@ func TestWriteStoreSnapshot(t *testing.T) {
 		}
 	}()
 	var buf bytes.Buffer
-	if err := WriteStore(&buf, s); err != nil {
+	if err := WritePosts(&buf, s.SnapshotPosts()); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -386,13 +386,19 @@ func postLess(a, b *Post) bool {
 // already fsync'd — the disk truth a recovery would replay — and rolls
 // back the rest, reporting the partial insert in the error.
 func (s *Store) Add(posts ...*Post) error {
-	_, err := s.AddCount(posts...)
+	_, err := s.AddCountContext(context.Background(), posts...)
 	return err
 }
 
-// AddCount is Add reporting how many posts of this batch were inserted
-// — the count is exact under concurrent writers, unlike diffing Len
-// around the call.
+// AddCountContext is Add under a caller context, reporting how many
+// posts of this batch were inserted — the count is exact under
+// concurrent writers, unlike diffing Len around the call. The context
+// does not cancel the insert — an acknowledged batch is all-or-nothing
+// per the WAL contract — it carries the caller's trace: when a tracer
+// is attached (SetTracer), the ingest records a "store.add" span (with
+// a "wal.append" child on durable stores) linked under whatever span
+// the context holds, so an HTTP ingest and the delta run it triggers
+// share one trace.
 //
 // Visibility: IDs commit to the global registry (duplicate detection,
 // Post, Len) before the shard snapshots commit, so under a concurrent
@@ -406,17 +412,6 @@ func (s *Store) Add(posts ...*Post) error {
 // had been split into per-stripe Adds — keyset listings stay skip- and
 // duplicate-free regardless. The changefeed is stricter: it always
 // delivers the whole batch as one unit (see Watch).
-func (s *Store) AddCount(posts ...*Post) (int, error) {
-	return s.AddCountContext(context.Background(), posts...)
-}
-
-// AddCountContext is AddCount under a caller context. The context does
-// not cancel the insert — an acknowledged batch is all-or-nothing per
-// the WAL contract — it carries the caller's trace: when a tracer is
-// attached (SetTracer), the ingest records a "store.add" span (with a
-// "wal.append" child on durable stores) linked under whatever span the
-// context holds, so an HTTP ingest and the delta run it triggers share
-// one trace.
 func (s *Store) AddCountContext(ctx context.Context, posts ...*Post) (int, error) {
 	ctx, span := s.trc.Load().Start(ctx, "store.add")
 	span.SetInt("posts", int64(len(posts)))

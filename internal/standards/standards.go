@@ -103,30 +103,6 @@ func (g *Graph) Add(c Contribution) error {
 // Len returns the number of contributions.
 func (g *Graph) Len() int { return len(g.contributions) }
 
-// ByStrength returns the contributors of a strength, sorted by name.
-func (g *Graph) ByStrength(s Strength) []Contribution {
-	var out []Contribution
-	for _, c := range g.contributions {
-		if c.Strength == s {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Standard < out[j].Standard })
-	return out
-}
-
-// ByDomain returns the contributors of a domain, sorted by name.
-func (g *Graph) ByDomain(d Domain) []Contribution {
-	var out []Contribution
-	for _, c := range g.contributions {
-		if c.Domain == d {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Standard < out[j].Standard })
-	return out
-}
-
 // All returns every contribution sorted by (descending strength, name).
 func (g *Graph) All() []Contribution {
 	out := make([]Contribution, 0, len(g.contributions))

@@ -19,12 +19,19 @@ func TestISO21434GraphShape(t *testing.T) {
 	if g.Len() != 21 {
 		t.Errorf("Len() = %d, want 21 contributors (Fig. 1)", g.Len())
 	}
-	strong := g.ByStrength(Strong)
-	medium := g.ByStrength(Medium)
-	if len(strong) != 12 || len(medium) != 9 {
-		t.Errorf("strong/medium = %d/%d, want 12/9", len(strong), len(medium))
+	strong, medium := 0, 0
+	for _, c := range g.All() {
+		switch c.Strength {
+		case Strong:
+			strong++
+		case Medium:
+			medium++
+		}
 	}
-	if len(strong)+len(medium) != g.Len() {
+	if strong != 12 || medium != 9 {
+		t.Errorf("strong/medium = %d/%d, want 12/9", strong, medium)
+	}
+	if strong+medium != g.Len() {
 		t.Error("strength partition incomplete")
 	}
 }
@@ -33,7 +40,12 @@ func TestITSecurityInfluence(t *testing.T) {
 	// The paper's premise: a meaningful share of 21434's ancestry is
 	// enterprise IT security, explaining the remote-attack bias.
 	g := mustGraph(t)
-	it := g.ByDomain(DomainITSecurity)
+	var it []Contribution
+	for _, c := range g.All() {
+		if c.Domain == DomainITSecurity {
+			it = append(it, c)
+		}
+	}
 	if len(it) < 4 {
 		t.Errorf("IT-security contributors = %d, want ≥4", len(it))
 	}

@@ -69,31 +69,6 @@ func StandardCALTable() *CALTable {
 	}
 }
 
-// NewCALTable builds a custom CAL determination matrix. Every
-// impact × vector cell must be present and valid.
-func NewCALTable(name string, cells map[ImpactRating]map[AttackVector]CAL) (*CALTable, error) {
-	cp := make(map[ImpactRating]map[AttackVector]CAL, len(cells))
-	for _, imp := range []ImpactRating{ImpactNegligible, ImpactModerate, ImpactMajor, ImpactSevere} {
-		row, ok := cells[imp]
-		if !ok {
-			return nil, fmt.Errorf("tara: CAL table %q: missing impact row %s", name, imp)
-		}
-		cpRow := make(map[AttackVector]CAL, len(row))
-		for _, v := range AllVectors() {
-			c, ok := row[v]
-			if !ok {
-				return nil, fmt.Errorf("tara: CAL table %q: missing cell %s × %s", name, imp, v)
-			}
-			if !c.Valid() {
-				return nil, fmt.Errorf("tara: CAL table %q: invalid CAL %d at %s × %s", name, int(c), imp, v)
-			}
-			cpRow[v] = c
-		}
-		cp[imp] = cpRow
-	}
-	return &CALTable{Name: name, cells: cp}, nil
-}
-
 // Determine returns the CAL for the given impact rating and attack vector.
 func (t *CALTable) Determine(impact ImpactRating, vector AttackVector) (CAL, error) {
 	if !impact.Valid() {

@@ -83,28 +83,3 @@ func TestDetermineRejectsInvalidInputs(t *testing.T) {
 		t.Error("MaxForVector with invalid vector succeeded, want error")
 	}
 }
-
-func TestNewCALTableValidation(t *testing.T) {
-	full := StandardCALTable()
-	// Rebuilding from the standard's cells succeeds.
-	cells := map[ImpactRating]map[AttackVector]CAL{}
-	for _, imp := range []ImpactRating{ImpactNegligible, ImpactModerate, ImpactMajor, ImpactSevere} {
-		row := map[AttackVector]CAL{}
-		for _, v := range AllVectors() {
-			c, err := full.Determine(imp, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			row[v] = c
-		}
-		cells[imp] = row
-	}
-	if _, err := NewCALTable("rebuilt", cells); err != nil {
-		t.Fatalf("NewCALTable(standard cells): %v", err)
-	}
-	// Missing a row fails.
-	delete(cells, ImpactMajor)
-	if _, err := NewCALTable("missing row", cells); err == nil {
-		t.Error("NewCALTable with missing impact row succeeded, want error")
-	}
-}

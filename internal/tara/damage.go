@@ -37,11 +37,6 @@ func (c ImpactCategory) Valid() bool {
 	return c >= CategorySafety && c <= CategoryPrivacy
 }
 
-// AllCategories returns the four impact categories in SFOP order.
-func AllCategories() []ImpactCategory {
-	return []ImpactCategory{CategorySafety, CategoryFinancial, CategoryOperational, CategoryPrivacy}
-}
-
 // DamageScenario describes the adverse consequence of compromising one or
 // more assets, with a per-category impact rating.
 type DamageScenario struct {

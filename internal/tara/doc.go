@@ -4,23 +4,29 @@
 //
 // The package provides the four TARA process activities referenced by the
 // PSP paper — asset identification, threat scenario identification, impact
-// rating and attack path analysis — together with the three attack
-// feasibility models defined by the standard:
+// rating and attack path analysis — together with two of the three
+// attack feasibility models defined by the standard:
 //
 //   - the attack potential-based approach (elapsed time, specialist
 //     expertise, knowledge of the item, window of opportunity and
-//     equipment; Annex G.2, reproduced as Fig. 3 of the paper),
-//   - the CVSS-based approach (exploitability metrics of CVSS v3.1), and
+//     equipment; Annex G.2, reproduced as Fig. 3 of the paper), and
 //   - the attack vector-based approach (Annex G.9, reproduced as Fig. 5).
+//
+// The third, CVSS-based approach (exploitability metrics of CVSS v3.1)
+// is not implemented: the PSP paper re-tunes only the attack
+// vector-based approach, and no analysis document, op or model selects
+// CVSS.
 //
 // It also implements Cybersecurity Assurance Level (CAL) determination
 // (Fig. 6) and the impact × feasibility risk matrix with risk treatment
 // options.
 //
-// All tables carry the standard's fixed default weights but are
-// constructible with custom values: the inflexibility of the defaults is
-// precisely the limitation the PSP framework addresses, and package sai
-// produces re-tuned replacements for them.
+// Only the attack vector table takes custom values (NewVectorTable, and
+// per-threat overrides through SetThreatTable); the risk matrix and the
+// CAL table are the standard's (StandardRiskMatrix, StandardCALTable).
+// The inflexibility of the vector table's defaults is precisely the
+// limitation the PSP framework addresses, and package sai produces
+// re-tuned replacements for it.
 //
 // # Incremental rating
 //

@@ -437,7 +437,7 @@ func sortResults(results []*ThreatResult) {
 
 // rateThreat is the pure per-threat rating function: impact aggregation,
 // feasibility combination, risk matrix lookup, treatment suggestion and
-// CAL determination, exactly as the batch Run loop performed them.
+// CAL determination.
 func rateThreat(a *Analysis, idx *analysisIndex, t *ThreatScenario) (*ThreatResult, error) {
 	impact, err := threatImpact(idx, t)
 	if err != nil {

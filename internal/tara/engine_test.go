@@ -113,9 +113,7 @@ func TestDirtyPropagation(t *testing.T) {
 
 	// Model swap dirties everything.
 	base = a.RatingCalls()
-	if err := a.SetMatrix(StandardRiskMatrix()); err != nil {
-		t.Fatalf("SetMatrix: %v", err)
-	}
+	a.Matrix = StandardRiskMatrix()
 	mustRun(t, a)
 	if got := a.RatingCalls() - base; got != 2 {
 		t.Fatalf("model swap re-rated %d threats, want 2", got)

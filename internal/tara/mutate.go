@@ -290,23 +290,6 @@ func (a *Analysis) SetVectorModel(t *VectorTable) error {
 	return a.setModel(func() { a.VectorModel = t })
 }
 
-// SetPotentialBands swaps the potential → feasibility thresholds,
-// marking every threat dirty.
-func (a *Analysis) SetPotentialBands(b PotentialThresholds) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	return a.setModel(func() { a.PotentialBands = b })
-}
-
-// SetMatrix swaps the risk matrix, marking every threat dirty.
-func (a *Analysis) SetMatrix(m *RiskMatrix) error {
-	if m == nil {
-		return fmt.Errorf("tara: nil risk matrix")
-	}
-	return a.setModel(func() { a.Matrix = m })
-}
-
 func (a *Analysis) setModel(apply func()) error {
 	tr, err := a.ensureTracker()
 	if err != nil {

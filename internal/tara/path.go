@@ -106,22 +106,3 @@ func (p *AttackPath) RateByPotential(w *AttackPotentialWeights, th PotentialThre
 	}
 	return th.Rating(maxPotential), nil
 }
-
-// CombineFeasibility aggregates the ratings of several alternative paths
-// realizing the same threat scenario: the scenario is as feasible as its
-// easiest path (maximum rating). It is an error to pass no ratings.
-func CombineFeasibility(ratings []FeasibilityRating) (FeasibilityRating, error) {
-	if len(ratings) == 0 {
-		return 0, fmt.Errorf("tara: no path ratings to combine")
-	}
-	var maxRating FeasibilityRating
-	for _, r := range ratings {
-		if !r.Valid() {
-			return 0, fmt.Errorf("tara: cannot combine invalid feasibility rating %d", int(r))
-		}
-		if r > maxRating {
-			maxRating = r
-		}
-	}
-	return maxRating, nil
-}

@@ -119,20 +119,26 @@ func TestRateByPotentialRequiresProfile(t *testing.T) {
 	}
 }
 
+// TestCombineFeasibility: a threat realized by several alternative
+// paths is as feasible as its easiest path (the maximum rating), and
+// that path's dominant vector drives the CAL.
 func TestCombineFeasibility(t *testing.T) {
-	got, err := CombineFeasibility([]FeasibilityRating{
-		FeasibilityVeryLow, FeasibilityMedium, FeasibilityLow,
-	})
-	if err != nil {
-		t.Fatal(err)
+	a := ecmAnalysis() // TS-01 already has a bench-flash path: Very Low
+	a.AddPath(&AttackPath{ID: "AP-02", ThreatID: "TS-01", Steps: []AttackStep{
+		{Description: "inject calibration frames through the gateway", Vector: VectorAdjacent},
+	}})
+	a.AddPath(&AttackPath{ID: "AP-03", ThreatID: "TS-01", Steps: []AttackStep{
+		{Description: "flash through the cabin OBD port", Vector: VectorLocal},
+	}})
+	for _, r := range mustRun(t, a) {
+		if r.Threat.ID != "TS-01" {
+			continue
+		}
+		if r.Feasibility != FeasibilityMedium || r.DominantVector != VectorAdjacent {
+			t.Errorf("TS-01 rated %v via %v, want Medium via Adjacent (easiest path wins)",
+				r.Feasibility, r.DominantVector)
+		}
+		return
 	}
-	if got != FeasibilityMedium {
-		t.Errorf("CombineFeasibility() = %v, want Medium (easiest path wins)", got)
-	}
-	if _, err := CombineFeasibility(nil); err == nil {
-		t.Error("CombineFeasibility(nil) succeeded, want error")
-	}
-	if _, err := CombineFeasibility([]FeasibilityRating{FeasibilityLow, 0}); err == nil {
-		t.Error("CombineFeasibility with invalid rating succeeded, want error")
-	}
+	t.Fatal("TS-01 not rated")
 }

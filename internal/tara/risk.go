@@ -92,52 +92,6 @@ func StandardRiskMatrix() *RiskMatrix {
 	}
 }
 
-// NewRiskMatrix builds a custom matrix. Every impact × feasibility cell
-// must be present, valid, and monotone: risk must not decrease as either
-// impact or feasibility increases.
-func NewRiskMatrix(name string, cells map[ImpactRating]map[FeasibilityRating]RiskValue) (*RiskMatrix, error) {
-	impacts := []ImpactRating{ImpactNegligible, ImpactModerate, ImpactMajor, ImpactSevere}
-	feas := []FeasibilityRating{FeasibilityVeryLow, FeasibilityLow, FeasibilityMedium, FeasibilityHigh}
-	cp := make(map[ImpactRating]map[FeasibilityRating]RiskValue, len(impacts))
-	for _, imp := range impacts {
-		row, ok := cells[imp]
-		if !ok {
-			return nil, fmt.Errorf("tara: risk matrix %q: missing impact row %s", name, imp)
-		}
-		cpRow := make(map[FeasibilityRating]RiskValue, len(feas))
-		for _, f := range feas {
-			v, ok := row[f]
-			if !ok {
-				return nil, fmt.Errorf("tara: risk matrix %q: missing cell %s × %s", name, imp, f)
-			}
-			if !v.Valid() {
-				return nil, fmt.Errorf("tara: risk matrix %q: invalid risk value %d at %s × %s", name, int(v), imp, f)
-			}
-			cpRow[f] = v
-		}
-		cp[imp] = cpRow
-	}
-	// Monotonicity along feasibility within each impact row.
-	for _, imp := range impacts {
-		for i := 1; i < len(feas); i++ {
-			if cp[imp][feas[i]] < cp[imp][feas[i-1]] {
-				return nil, fmt.Errorf("tara: risk matrix %q: risk decreases from %s to %s at impact %s",
-					name, feas[i-1], feas[i], imp)
-			}
-		}
-	}
-	// Monotonicity along impact within each feasibility column.
-	for _, f := range feas {
-		for i := 1; i < len(impacts); i++ {
-			if cp[impacts[i]][f] < cp[impacts[i-1]][f] {
-				return nil, fmt.Errorf("tara: risk matrix %q: risk decreases from %s to %s at feasibility %s",
-					name, impacts[i-1], impacts[i], f)
-			}
-		}
-	}
-	return &RiskMatrix{Name: name, cells: cp}, nil
-}
-
 // Risk returns the risk value for the given impact and feasibility.
 func (m *RiskMatrix) Risk(impact ImpactRating, feasibility FeasibilityRating) (RiskValue, error) {
 	if !impact.Valid() {

@@ -41,54 +41,6 @@ func TestRiskRejectsInvalidInputs(t *testing.T) {
 	}
 }
 
-func TestNewRiskMatrixMonotonicity(t *testing.T) {
-	mk := func(mutate func(map[ImpactRating]map[FeasibilityRating]RiskValue)) error {
-		cells := map[ImpactRating]map[FeasibilityRating]RiskValue{
-			ImpactSevere:     {FeasibilityVeryLow: 2, FeasibilityLow: 3, FeasibilityMedium: 4, FeasibilityHigh: 5},
-			ImpactMajor:      {FeasibilityVeryLow: 1, FeasibilityLow: 2, FeasibilityMedium: 3, FeasibilityHigh: 4},
-			ImpactModerate:   {FeasibilityVeryLow: 1, FeasibilityLow: 2, FeasibilityMedium: 2, FeasibilityHigh: 3},
-			ImpactNegligible: {FeasibilityVeryLow: 1, FeasibilityLow: 1, FeasibilityMedium: 1, FeasibilityHigh: 1},
-		}
-		if mutate != nil {
-			mutate(cells)
-		}
-		_, err := NewRiskMatrix("custom", cells)
-		return err
-	}
-	if err := mk(nil); err != nil {
-		t.Fatalf("valid matrix rejected: %v", err)
-	}
-	// Risk decreasing along feasibility must be rejected.
-	err := mk(func(c map[ImpactRating]map[FeasibilityRating]RiskValue) {
-		c[ImpactSevere][FeasibilityHigh] = 1
-	})
-	if err == nil {
-		t.Error("matrix decreasing along feasibility accepted, want error")
-	}
-	// Risk decreasing along impact must be rejected.
-	err = mk(func(c map[ImpactRating]map[FeasibilityRating]RiskValue) {
-		c[ImpactSevere][FeasibilityVeryLow] = 1
-		c[ImpactMajor][FeasibilityVeryLow] = 2
-	})
-	if err == nil {
-		t.Error("matrix decreasing along impact accepted, want error")
-	}
-	// Missing cell must be rejected.
-	err = mk(func(c map[ImpactRating]map[FeasibilityRating]RiskValue) {
-		delete(c[ImpactModerate], FeasibilityLow)
-	})
-	if err == nil {
-		t.Error("matrix with missing cell accepted, want error")
-	}
-	// Out-of-range value must be rejected.
-	err = mk(func(c map[ImpactRating]map[FeasibilityRating]RiskValue) {
-		c[ImpactSevere][FeasibilityHigh] = 6
-	})
-	if err == nil {
-		t.Error("matrix with risk value 6 accepted, want error")
-	}
-}
-
 func TestSuggestTreatment(t *testing.T) {
 	tests := []struct {
 		risk RiskValue

@@ -7,7 +7,8 @@ import (
 
 // AttackVector is the logical and physical distance an attacker needs to
 // the item, as defined by the attack vector-based approach of
-// ISO/SAE 21434 Annex G (and by CVSS v3.1). The zero value means
+// ISO/SAE 21434 Annex G. (CVSS v3.1 uses the same four classes, but the
+// CVSS-based approach is not implemented.) The zero value means
 // "unspecified".
 type AttackVector int
 

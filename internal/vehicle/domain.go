@@ -35,14 +35,6 @@ func (d Domain) String() string {
 // Valid reports whether d is a defined domain.
 func (d Domain) Valid() bool { return d >= DomainPowertrain && d <= DomainDiagnostics }
 
-// AllDomains returns the six domains in declaration order.
-func AllDomains() []Domain {
-	return []Domain{
-		DomainPowertrain, DomainChassis, DomainBody,
-		DomainInfotainment, DomainCommunication, DomainDiagnostics,
-	}
-}
-
 // BusKind is the technology of a communication bus segment.
 type BusKind int
 

@@ -151,17 +151,6 @@ func (t *Topology) Buses() []*Bus {
 	return out
 }
 
-// ByDomain returns the ECUs of a domain sorted by ID.
-func (t *Topology) ByDomain(d Domain) []*ECU {
-	var out []*ECU
-	for _, e := range t.ECUs() {
-		if e.Domain == d {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // BySurface returns the ECUs directly reachable through the given surface
 // class, sorted by ID — the per-colour grouping of Fig. 4.
 func (t *Topology) BySurface(s SurfaceClass) []*ECU {
