@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	psp "github.com/psp-framework/psp"
@@ -201,8 +202,13 @@ func runFig7(w io.Writer, env *env) error {
 	if len(res.Learned) == 0 {
 		fmt.Fprintln(w, "  none")
 	}
-	for topic, tags := range res.Learned {
-		fmt.Fprintf(w, "  %s: %v\n", topic, tags)
+	topics := make([]string, 0, len(res.Learned))
+	for topic := range res.Learned {
+		topics = append(topics, topic)
+	}
+	slices.Sort(topics)
+	for _, topic := range topics {
+		fmt.Fprintf(w, "  %s: %v\n", topic, res.Learned[topic])
 	}
 	fmt.Fprintf(w, "\nthreat tunings generated (block 12): %d\n", len(res.Tunings))
 	return nil

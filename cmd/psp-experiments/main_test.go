@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,6 +44,30 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), tara.StandardVectorTable().Name) {
 		t.Errorf("fig5 output wrong:\n%s", buf.String())
+	}
+}
+
+// TestFig7LearnedKeywordsSorted: Fig. 7 lists the auto-learned keyword
+// groups in topic order, so its output is the same on every run.
+func TestFig7LearnedKeywordsSorted(t *testing.T) {
+	var buf strings.Builder
+	if err := runExperiments(&buf, "fig7", 42); err != nil {
+		t.Fatal(err)
+	}
+	_, learned, ok := strings.Cut(buf.String(), "auto-learned keywords (block 5):\n")
+	if !ok {
+		t.Fatalf("fig7 output has no learned keywords:\n%s", buf.String())
+	}
+	var topics []string
+	for _, line := range strings.Split(learned, "\n") {
+		topic, _, ok := strings.Cut(strings.TrimPrefix(line, "  "), ": ")
+		if !ok || !strings.HasPrefix(line, "  ") {
+			break
+		}
+		topics = append(topics, topic)
+	}
+	if len(topics) != 7 || !slices.IsSorted(topics) {
+		t.Fatalf("learned keyword topics %q, want 7 in sorted order", topics)
 	}
 }
 

@@ -52,12 +52,11 @@
 // acknowledges only after its batch is fsync'd), and the monitor
 // persists its assessment, result cache (listings and per-post
 // analysis) and changefeed cursor to <data-dir>/monitor.state after
-// every publication. A restarted pspd recovers the corpus from
-// snapshot + WAL tail, serves its previous assessment immediately
-// (same generation, same ETag) and catches up with one incremental
-// delta run instead of a cold full workflow. A monitor.json left by an
-// older build is not read: that start runs cold, and its first save
-// removes the old file. -seed/-corpus seed only
+// each publication that re-ran the workflow, and at stop. A restarted
+// pspd recovers the corpus from snapshot + WAL tail, serves its
+// previous assessment immediately (same generation, same ETag) and
+// catches up with one incremental delta run instead of a cold full
+// workflow. -seed/-corpus seed only
 // an empty data directory; afterwards the directory is authoritative
 // (including its shard count — -shards must agree or stay 0).
 //
@@ -124,7 +123,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -176,10 +174,7 @@ func run(ctx context.Context, opts options) error {
 	store, logger := base.Store, base.Logger
 	var state psp.MonitorStateStore
 	if opts.DataDir != "" {
-		state = &stateFile{
-			MonitorStateStore: psp.NewMonitorFileState(filepath.Join(opts.DataDir, "monitor.state")),
-			legacy:            filepath.Join(opts.DataDir, "monitor.json"),
-		}
+		state = psp.NewMonitorFileState(filepath.Join(opts.DataDir, "monitor.state"))
 	}
 	m, fw, err := newMonitor(store, state, opts, psp.NewMonitorMetrics(base.Registry), base.Tracer, logger)
 	if err != nil {
@@ -239,25 +234,6 @@ func run(ctx context.Context, opts options) error {
 	}
 	logger.Info("shut down cleanly")
 	return nil
-}
-
-// stateFile is the monitor's state file in the data directory. Its
-// first successful save removes the monitor.json an older build kept
-// there, a format no build reads any more; a failed removal is
-// harmless and retried by the next start.
-type stateFile struct {
-	psp.MonitorStateStore
-	legacy string
-	once   sync.Once
-}
-
-func (f *stateFile) Save(st *psp.MonitorState) (int, error) {
-	n, err := f.MonitorStateStore.Save(st)
-	if err != nil {
-		return 0, err
-	}
-	f.once.Do(func() { _ = os.Remove(f.legacy) })
-	return n, nil
 }
 
 // newMonitor wires the framework and monitor over the store; the

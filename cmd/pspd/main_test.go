@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -165,8 +163,7 @@ func TestDaemonWarmRestart(t *testing.T) {
 		}
 	}
 
-	// A state file an older build left behind is not read, and the
-	// first save removes it.
+	// A state file an older build left behind is not read.
 	legacy := filepath.Join(dataDir, "monitor.json")
 	if err := os.WriteFile(legacy, []byte(`{"generation": 7, "result": {}}`), 0o644); err != nil {
 		t.Fatal(err)
@@ -183,9 +180,6 @@ func TestDaemonWarmRestart(t *testing.T) {
 		t.Fatalf("first life served a restored assessment: %+v", first)
 	}
 	stop(cancel, done)
-	if _, err := os.Stat(legacy); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("legacy monitor.json still present after the first save: %v", err)
-	}
 	if _, err := os.Stat(filepath.Join(dataDir, "monitor.state")); err != nil {
 		t.Fatalf("no monitor.state after the first life: %v", err)
 	}

@@ -25,9 +25,9 @@
 //
 // The facade re-exports the domain types of the internal packages
 // (tara, social, sai, finance, market, core, report) so downstream users
-// program against a single import path. Everything is deterministic:
-// stochastic components take explicit seeds and no library code calls
-// time.Now.
+// program against a single import path. The workflows are
+// deterministic: they take explicit seeds and explicit time windows,
+// and the continuous monitor reads time only through its clock.
 //
 // # Scaling
 //

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 
 	psp "github.com/psp-framework/psp"
 )
@@ -46,8 +47,13 @@ func run() error {
 
 	if len(res.Learned) > 0 {
 		fmt.Println("\nkeywords auto-learned this run:")
-		for topic, tags := range res.Learned {
-			fmt.Printf("  %-22s %v\n", topic+":", tags)
+		topics := make([]string, 0, len(res.Learned))
+		for topic := range res.Learned {
+			topics = append(topics, topic)
+		}
+		slices.Sort(topics)
+		for _, topic := range topics {
+			fmt.Printf("  %-22s %v\n", topic+":", res.Learned[topic])
 		}
 	}
 	return nil

@@ -1,10 +1,6 @@
 package monitor
 
-import (
-	"time"
-
-	"github.com/psp-framework/psp/internal/obs"
-)
+import "github.com/psp-framework/psp/internal/obs"
 
 // Metrics is the social monitor's recording surface. All fields are
 // obs recorders (atomic, nil-safe); nil *Metrics disables recording.
@@ -62,7 +58,7 @@ func (m *Monitor) registerGauges() {
 		"Seconds since the current assessment was published (-1 before the initial run).",
 		func() float64 {
 			if cur := m.Assessment(); cur != nil {
-				return time.Since(cur.UpdatedAt).Seconds()
+				return m.cfg.clock.Now().Sub(cur.UpdatedAt).Seconds()
 			}
 			return -1
 		})
@@ -75,7 +71,7 @@ func (m *Monitor) registerGauges() {
 			if at.IsZero() {
 				return 0
 			}
-			return time.Since(at).Seconds()
+			return m.cfg.clock.Now().Sub(at).Seconds()
 		})
 }
 

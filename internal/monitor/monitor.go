@@ -42,8 +42,6 @@ type Config struct {
 	// workflow re-run (default 10× Debounce); it never delays an
 	// isolated delta, nor one that owes no work, which publish at once.
 	MaxLag time.Duration
-	// Now stamps assessments; nil uses time.Now. Injectable for tests.
-	Now func() time.Time
 	// State, when set, persists the monitor's warm-restart image (the
 	// assessment, the result cache's fills and slice memos, and the
 	// watched store's durable cursor) after every publication that
@@ -75,6 +73,10 @@ type Config struct {
 	Tracer *obs.Tracer
 	// Logger receives the monitor's structured log lines; nil discards.
 	Logger *slog.Logger
+
+	// clock is the monitor's time source; New defaults it to the wall
+	// clock.
+	clock clock
 }
 
 // Assessment is one immutable snapshot of the monitored risk picture:
@@ -157,8 +159,8 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.MaxLag <= 0 {
 		cfg.MaxLag = 10 * cfg.Debounce
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.clock == nil {
+		cfg.clock = realClock{}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -222,7 +224,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 	// debounce bounded by MaxLag, or after a retry backoff. Its last
 	// pass end stays zero through the initial or restored pass, so the
 	// first delta after startup is leading-edge.
-	sched := schedule{debounce: m.cfg.Debounce, maxLag: m.cfg.MaxLag}
+	sched := schedule{clock: m.cfg.clock, debounce: m.cfg.Debounce, maxLag: m.cfg.MaxLag}
 	// A failed warm-restart catch-up must retry like any failed flush:
 	// without this arm the loop would wait for the next ingested batch
 	// while serving the stale restored assessment.
@@ -330,7 +332,7 @@ type window struct {
 // around a restart, which the cache absorbs.
 func (m *Monitor) classify(w *window, batch []*social.PostProfile) {
 	if w.posts == 0 {
-		w.since = time.Now()
+		w.since = m.cfg.clock.Now()
 	}
 	var matched int
 	if m.patch {
@@ -385,7 +387,7 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 	}
 	observePublish := func() {
 		if met != nil && !since.IsZero() {
-			met.PublishLatency.ObserveSince(since)
+			met.PublishLatency.Observe(int64(m.cfg.clock.Now().Sub(since)))
 		}
 	}
 
@@ -406,7 +408,7 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 		m.mu.Lock()
 		m.lastErr = err
 		if m.lastErrAt.IsZero() {
-			m.lastErrAt = m.cfg.Now()
+			m.lastErrAt = m.cfg.clock.Now()
 		}
 		m.mu.Unlock()
 		m.cfg.Logger.Warn("re-assessment failed", slog.Int("delta_posts", delta), slog.Any("error", err))
@@ -521,7 +523,7 @@ func (m *Monitor) persistState(ctx context.Context) {
 	rs, err := core.ExportResult(cur.Result)
 	if err == nil {
 		n, err = m.cfg.State.Save(&State{
-			SavedAt:    m.cfg.Now(),
+			SavedAt:    m.cfg.clock.Now(),
 			InputSig:   stateSignature(m.cfg.Framework, m.cfg.Input),
 			Generation: cur.Generation,
 			UpdatedAt:  cur.UpdatedAt,
@@ -538,7 +540,7 @@ func (m *Monitor) persistState(ctx context.Context) {
 	if err != nil {
 		m.persistErr = fmt.Errorf("monitor: persist state: %w", err)
 		if m.lastErrAt.IsZero() {
-			m.lastErrAt = m.cfg.Now()
+			m.lastErrAt = m.cfg.clock.Now()
 		}
 	} else {
 		m.persistErr = nil
@@ -563,7 +565,7 @@ func (m *Monitor) publish(res *core.SocialResult, dirty core.DirtySet, full, rec
 	cur := &Assessment{
 		Result:     res,
 		Generation: gen,
-		UpdatedAt:  m.cfg.Now(),
+		UpdatedAt:  m.cfg.clock.Now(),
 		CorpusSize: m.cfg.Store.Len(),
 		Ingested:   m.ingested,
 		FullRun:    full,

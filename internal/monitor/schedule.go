@@ -2,6 +2,20 @@ package monitor
 
 import "time"
 
+// clock is the monitor's only source of time: the schedule's timers,
+// the assessment and error stamps, the publish latency and the age
+// gauges all read it, so an in-package test can step them exactly.
+type clock interface {
+	Now() time.Time
+	After(time.Duration) <-chan time.Time
+}
+
+// realClock is the wall clock, the default of New and NewTARAMonitor.
+type realClock struct{}
+
+func (realClock) Now() time.Time                         { return time.Now() }
+func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+
 // schedule is the dispatch policy both monitor loops share. Work that
 // reaches an idle loop runs at once — the leading edge. Idle means no
 // timer is armed (no trailing debounce, no retry backoff, and so
@@ -15,6 +29,7 @@ import "time"
 // count as a loop pass, so the first work after startup is
 // leading-edge.
 type schedule struct {
+	clock            clock
 	debounce, maxLag time.Duration
 	// timer fires the next pass: the trailing debounce or the retry
 	// backoff. Nil when none is armed (a nil channel blocks its select
@@ -26,35 +41,29 @@ type schedule struct {
 }
 
 // arrive records work reaching the loop and reports whether a pass
-// should start now. Otherwise the work waits for the armed timer: a
-// retry backoff stands as it is (re-arming it would let steady work
-// retry an outage at debounce cadence), and the trailing debounce
-// restarts, but never past maxLag after the first deferred arrival.
+// should start now: it does when the loop is idle. Otherwise the work
+// waits for the armed timer: a retry backoff stands as it is
+// (re-arming it would let steady work retry an outage at debounce
+// cadence), and the trailing debounce restarts, but never past maxLag
+// after the first deferred arrival.
 func (s *schedule) arrive() bool {
-	if s.idle() {
+	now := s.clock.Now()
+	if s.timer == nil && (s.lastEnd.IsZero() || now.Sub(s.lastEnd) >= s.debounce) {
 		return true
 	}
-	now := time.Now()
 	if s.failStreak > 0 {
 		return false
 	}
 	if s.timer == nil {
 		s.lagAt = now.Add(s.maxLag)
 	}
-	s.timer = time.After(min(s.debounce, s.lagAt.Sub(now)))
+	s.timer = s.clock.After(min(s.debounce, s.lagAt.Sub(now)))
 	return false
-}
-
-// idle reports whether work arriving now would start a pass at once:
-// no timer is armed and the last pass ended at least debounce ago (or
-// none has ended yet).
-func (s *schedule) idle() bool {
-	return s.timer == nil && (s.lastEnd.IsZero() || time.Since(s.lastEnd) >= s.debounce)
 }
 
 // ran records the end of a loop pass; a failed pass arms the retry.
 func (s *schedule) ran(failed bool) {
-	s.lastEnd = time.Now()
+	s.lastEnd = s.clock.Now()
 	s.timer = nil
 	if failed {
 		s.fail()
@@ -67,7 +76,7 @@ func (s *schedule) ran(failed bool) {
 // directly only for a failed initial or restored pass, which leaves
 // lastEnd zero.
 func (s *schedule) fail() {
-	s.timer = time.After(s.retryDelay())
+	s.timer = s.clock.After(s.retryDelay())
 	s.failStreak++
 }
 

@@ -1,50 +1,172 @@
 // Scheduling tests: an isolated delta runs the moment it lands, a
 // follow-up inside the debounce window waits for the trailing edge,
-// and a failure streak keeps its backoff. The Schedule tests set
-// Debounce (and MaxLag) to one hour, so every "prompt" publication is
-// the leading edge and every "not yet" is the trailing debounce — no
-// timing margin to flake on.
+// MaxLag bounds a burst, and a failure streak keeps its backoff. The
+// schedule itself is stepped directly; the monitor loops run on a fake
+// clock, so every "prompt" publication carries the instant of its
+// arrival and every "not yet" is a timer armed for an exact instant.
 package monitor
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/psp-framework/psp/internal/core"
-	"github.com/psp-framework/psp/internal/obs"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
 )
 
+// scheduleDebounce is the Debounce of the schedule tests' monitors.
+const scheduleDebounce = time.Second
+
+// TestScheduleSteps drives the schedule alone, on a fake clock, through
+// scripted arrivals and pass ends, checking after each step whether a
+// pass starts at once and which timer it armed, and whether the armed
+// timer fired during the clock advance before the step.
+func TestScheduleSteps(t *testing.T) {
+	const d = scheduleDebounce
+	const ms = time.Millisecond
+	type step struct {
+		wait  time.Duration // clock advance before the step
+		fires bool          // the armed timer fires during wait (else it must not)
+		// op: "arrive", "ran" (a pass ended), "fail" (a pass failed),
+		// "initfail" (the initial pass failed) or "" (only wait).
+		op    string
+		run   bool          // arrive: a pass starts at once
+		armed time.Duration // the timer the step requested; 0 for none
+	}
+	for _, tc := range []struct {
+		name   string
+		maxLag time.Duration
+		steps  []step
+	}{
+		{"leading edge", 10 * d, []step{
+			{op: "arrive", run: true}, // the first work after startup
+			{op: "ran"},
+			{wait: d, op: "arrive", run: true}, // idle again a debounce after the pass
+			{op: "ran"},
+			{wait: d - 1, op: "arrive", armed: d}, // not yet idle: trailing debounce
+		}},
+		{"trailing debounce re-arms", 10 * d, []step{
+			{op: "arrive", run: true},
+			{op: "ran"},
+			{wait: 100 * ms, op: "arrive", armed: d},
+			{wait: 300 * ms, op: "arrive", armed: d}, // restarts the quiet period
+			{wait: d - 1},
+			{wait: 1, fires: true, op: "ran"},
+			{op: "arrive", armed: d},
+		}},
+		{"MaxLag bounds a burst", 2500 * ms, []step{
+			{op: "arrive", run: true},
+			{op: "ran"},
+			{op: "arrive", armed: d}, // the pass is due by 2.5 s from now
+			{wait: 900 * ms, op: "arrive", armed: d},
+			{wait: 900 * ms, op: "arrive", armed: 700 * ms},
+			{wait: 500 * ms, op: "arrive", armed: 200 * ms},
+			{wait: 200 * ms, fires: true, op: "ran"},
+			{op: "arrive", armed: d}, // a new window, with a new bound
+		}},
+		{"retry backoff doubles up to 30 s", 10 * d, []step{
+			{op: "arrive", run: true},
+			{op: "fail", armed: d},
+			{wait: d, fires: true, op: "fail", armed: 2 * d},
+			{wait: 2 * d, fires: true, op: "fail", armed: 4 * d},
+			{wait: 4 * d, fires: true, op: "fail", armed: 8 * d},
+			{wait: 8 * d, fires: true, op: "fail", armed: 16 * d},
+			{wait: 16 * d, fires: true, op: "fail", armed: 30 * time.Second},
+			{wait: 30 * time.Second, fires: true, op: "fail", armed: 30 * time.Second},
+			{wait: 30 * time.Second, fires: true, op: "ran"}, // recovery ends the streak
+			{op: "arrive", armed: d},
+			{wait: d, fires: true, op: "fail", armed: d}, // a new streak starts over
+		}},
+		{"arrivals during a failure streak join the retry", 10 * d, []step{
+			{op: "arrive", run: true},
+			{op: "fail", armed: d},
+			{wait: 200 * ms, op: "arrive"},
+			{wait: 700 * ms, op: "arrive"},
+			{wait: 100 * ms, fires: true, op: "fail", armed: 2 * d},
+			{wait: d, op: "arrive"},
+			{wait: d, fires: true, op: "ran"},
+		}},
+		{"a failed initial pass retries", 10 * d, []step{
+			{op: "initfail", armed: d},
+			{op: "arrive"},
+			{wait: d, fires: true, op: "ran"},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := newFakeClock()
+			s := schedule{clock: clk, debounce: d, maxLag: tc.maxLag}
+			for i, st := range tc.steps {
+				clk.Advance(st.wait)
+				fired := false
+				select {
+				case <-s.timer:
+					fired = true
+				default:
+				}
+				if fired != st.fires {
+					t.Fatalf("step %d: timer fired = %v after %v, want %v", i, fired, st.wait, st.fires)
+				}
+				before := len(clk.armed)
+				run := false
+				switch st.op {
+				case "arrive":
+					run = s.arrive()
+				case "ran":
+					s.ran(false)
+				case "fail":
+					s.ran(true)
+				case "initfail":
+					s.fail()
+				}
+				var armed time.Duration
+				if len(clk.armed) > before {
+					armed = clk.armed[len(clk.armed)-1]
+				}
+				if run != st.run || armed != st.armed {
+					t.Fatalf("step %d (%s at +%v): run %v, armed %v; want run %v, armed %v",
+						i, st.op, clk.now.Sub(fakeStart), run, armed, st.run, st.armed)
+				}
+			}
+		})
+	}
+}
+
 // TestScheduleIsolatedIngestRunsAtOnce: the first ingest after the
 // initial assessment reaches an idle monitor and publishes at once; a
 // second ingest right after it lands inside the debounce window and
-// waits for the trailing edge.
+// waits for the trailing edge, one debounce later.
 func TestScheduleIsolatedIngestRunsAtOnce(t *testing.T) {
 	store, err := social.DefaultStore(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, first := hourMonitor(t, store, store)
+	m, clk, first := fakeMonitor(t, store, store)
 
 	if err := store.Add(deltaPost(1, "isolated #chiptuning stage1 file")); err != nil {
 		t.Fatal(err)
 	}
 	cur := waitGen(t, m, first.Generation+1)
-	if cur.Ingested != 1 || !cur.Recomputed {
-		t.Fatalf("isolated ingest published Ingested=%d Recomputed=%v, want 1 recomputed", cur.Ingested, cur.Recomputed)
+	if cur.Ingested != 1 || !cur.Recomputed || !cur.UpdatedAt.Equal(fakeStart) {
+		t.Fatalf("isolated ingest published Ingested=%d Recomputed=%v at %v, want 1 recomputed at once",
+			cur.Ingested, cur.Recomputed, cur.UpdatedAt.Sub(fakeStart))
 	}
 
 	if err := store.Add(deltaPost(2, "follow-up #chiptuning remap")); err != nil {
 		t.Fatal(err)
 	}
-	quiet(t, m, cur.Generation, "a follow-up ingest inside the debounce window")
+	deferred(t, m, clk, 1, cur.Generation, "a follow-up ingest inside the debounce window")
+	clk.Advance(scheduleDebounce)
+	if cur = waitGen(t, m, cur.Generation+1); cur.Ingested != 2 || !cur.UpdatedAt.Equal(fakeStart.Add(scheduleDebounce)) {
+		t.Fatalf("trailing edge published Ingested=%d at %v, want 2 at %v",
+			cur.Ingested, cur.UpdatedAt.Sub(fakeStart), scheduleDebounce)
+	}
 }
 
 // TestScheduleTARAOpOnQuietFleet: a tenant mutation on a fleet that
@@ -52,7 +174,8 @@ func TestScheduleIsolatedIngestRunsAtOnce(t *testing.T) {
 func TestScheduleTARAOpOnQuietFleet(t *testing.T) {
 	reg := tara.NewRegistry()
 	genTenantFleet(t, reg, 3)
-	tm := runTARAMonitor(t, TARAConfig{Registry: reg, Debounce: time.Hour})
+	clk := newFakeClock()
+	tm := runTARAMonitor(t, TARAConfig{Registry: reg, Debounce: scheduleDebounce, clock: clk})
 
 	target, _ := reg.Get("t01")
 	before := target.Assessment()
@@ -61,41 +184,26 @@ func TestScheduleTARAOpOnQuietFleet(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cur, err := tm.WaitForTenant(ctx, "t01", before.Generation+1)
-	if err != nil {
-		t.Fatalf("mutation on a quiet fleet not re-rated promptly: %v", err)
-	}
-	if cur.RatedThreats != 1 {
-		t.Fatalf("re-rate covered %d threats, want the 1 mutated", cur.RatedThreats)
+	cur := waitTenant(t, tm, "t01", before.Generation+1)
+	if cur.RatedThreats != 1 || !cur.UpdatedAt.Equal(fakeStart) || len(clk.waitArmed(t, 0)) != 0 {
+		t.Fatalf("re-rate covered %d threats at +%v, want the 1 mutated at once, with no timer",
+			cur.RatedThreats, cur.UpdatedAt.Sub(fakeStart))
 	}
 }
 
 // TestScheduleTARANotifyDuringFailureStreak: once a pass has failed,
 // the retry waits out its backoff — a mutation of another tenant in
-// the meantime does not start an early pass.
+// the meantime joins the retry instead of starting an early pass or
+// re-arming the timer.
 func TestScheduleTARANotifyDuringFailureStreak(t *testing.T) {
 	reg := tara.NewRegistry()
 	genTenantFleet(t, reg, 2)
-	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
-	runTARAMonitor(t, TARAConfig{Registry: reg, Debounce: time.Hour, Tracer: tr})
-
-	// Every pass re-rates the dirty, still broken t01: its failed
-	// tara.rate spans count the passes.
-	failedPasses := func() (n int) {
-		for _, s := range tr.Spans(0) {
-			if s.Name == "tara.rate" && s.Err != "" {
-				n++
-			}
-		}
-		return n
-	}
+	clk := newFakeClock()
+	tm := runTARAMonitor(t, TARAConfig{Registry: reg, Debounce: scheduleDebounce, clock: clk})
 
 	// Break t01: a damage scenario naming an unknown asset fails
-	// validation, so its next rating attempt fails. A pass rates its
-	// tenants in name order, so once t01 has failed that pass has no
-	// tenant left to rate: the mutation below cannot join it.
+	// validation, so each of its rating attempts fails and re-marks it
+	// dirty.
 	broken, _ := reg.Get("t01")
 	if _, err := broken.Mutate(func(a *tara.Analysis) (bool, error) {
 		a.Damages[0].AssetIDs = append(a.Damages[0].AssetIDs, "no-such-asset")
@@ -104,31 +212,37 @@ func TestScheduleTARANotifyDuringFailureStreak(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if failedPasses() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the broken tenant was never rated")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	clk.waitArmed(t, 1)
 
 	other, _ := reg.Get("t00")
 	gen := other.Assessment().Generation
-	if _, err := other.Mutate(func(a *tara.Analysis) (bool, error) {
-		return a.SetThreatTable(a.Threats[0].ID, hotTable(t))
-	}); err != nil {
-		t.Fatal(err)
+	clk.took(t, func() {
+		if _, err := other.Mutate(func(a *tara.Analysis) (bool, error) {
+			return a.SetThreatTable(a.Threats[0].ID, hotTable(t))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	clk.Advance(scheduleDebounce)
+	if cur := waitTenant(t, tm, "t00", gen+1); !cur.UpdatedAt.Equal(fakeStart.Add(scheduleDebounce)) {
+		t.Fatalf("t00 re-rated at +%v, want by the retry at +%v", cur.UpdatedAt.Sub(fakeStart), scheduleDebounce)
 	}
-	time.Sleep(200 * time.Millisecond)
-	if got := other.Assessment().Generation; got != gen {
-		t.Fatalf("t00 re-rated (generation %d → %d) during the failure backoff", gen, got)
+	if got, want := clk.waitArmed(t, 2), []time.Duration{scheduleDebounce, 2 * scheduleDebounce}; !slices.Equal(got, want) {
+		t.Fatalf("timers %v, want the retry backoff %v", got, want)
 	}
-	if n := failedPasses(); n != 1 {
-		t.Fatalf("%d passes failed on the broken tenant, want 1: the backoff was cut short", n)
+}
+
+// waitTenant waits for the named tenant's assessment of at least
+// generation gen.
+func waitTenant(t *testing.T, tm *TARAMonitor, name string, gen uint64) *tara.TenantAssessment {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cur, err := tm.WaitForTenant(ctx, name, gen)
+	if err != nil {
+		t.Fatalf("waiting for tenant %s generation %d: %v", name, gen, err)
 	}
+	return cur
 }
 
 // hotTable rates every attack vector High.
@@ -146,82 +260,43 @@ func hotTable(t *testing.T) *tara.VectorTable {
 
 // TestMonitorRetriesBackOffUnderSteadyIngest: during a platform outage
 // a steady ingest stream joins the pending retry instead of re-arming
-// the debounce, so consecutive failed flushes stay retryDelay apart
-// (exponential backoff) rather than one debounce or MaxLag apart.
+// the debounce, so the failed flushes arm the exponential backoff D,
+// 2D, 4D, … rather than one debounce or MaxLag each, and the flush
+// that recovers covers every post the outage held back.
 func TestMonitorRetriesBackOffUnderSteadyIngest(t *testing.T) {
 	store, err := social.DefaultStore(21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky := &flakySearcher{inner: store}
-	fw, err := core.New(core.Config{Searcher: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
-	const debounce = 20 * time.Millisecond
-	m, _ := runMonitor(t, Config{
-		Framework: fw,
-		Store:     store,
-		Searcher:  flaky,
-		Debounce:  debounce,
-		MaxLag:    2 * debounce,
-		Tracer:    tr,
-	})
-	waitGen(t, m, 1)
+	m, clk, first := fakeMonitor(t, store, flaky)
 
-	failedFlushes := func() []*obs.Span {
-		var out []*obs.Span
-		for _, s := range tr.Spans(0) {
-			if s.Name == "monitor.flush" && s.Err != "" {
-				out = append([]*obs.Span{s}, out...) // oldest first
-			}
-		}
-		return out
-	}
-
-	// Trip the platform and stream a topical post every 5 ms until five
-	// flushes have failed: four backoff gaps, the last 8× the debounce.
+	// Trip the platform. The first post fails on the leading edge; each
+	// later one joins the pending retry, which fails again.
 	flaky.fail.Store(true)
-	stop := make(chan struct{})
-	streamed := make(chan error, 1)
-	go func() {
-		for i := 100; ; i++ {
-			select {
-			case <-stop:
-				streamed <- nil
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			if err := store.Add(deltaPost(i, "outage-time #chiptuning remap")); err != nil {
-				streamed <- err
-				return
-			}
-		}
-	}()
 	const attempts = 5
-	deadline := time.Now().Add(30 * time.Second)
-	for len(failedFlushes()) < attempts && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	close(stop)
-	if err := <-streamed; err != nil {
-		t.Fatal(err)
-	}
-	failed := failedFlushes()
-	if len(failed) < attempts {
-		t.Fatalf("%d failed flushes within 30 s, want %d", len(failed), attempts)
-	}
-	joined := false
-	for i := 1; i < attempts; i++ {
-		gap := failed[i].Start.Sub(failed[i-1].Start)
-		if want := (&schedule{debounce: debounce, failStreak: uint(i - 1)}).retryDelay(); gap < want {
-			t.Fatalf("failed flush %d came %v after the previous one, want ≥ %v (backoff cut short by ingest)", i, gap, want)
+	var want []time.Duration
+	for i := 0; i < attempts; i++ {
+		clk.took(t, func() {
+			if err := store.Add(deltaPost(100+i, "outage-time #chiptuning remap")); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if i > 0 {
+			clk.Advance(want[i-1])
 		}
-		joined = joined || attrMap(failed[i])["delta_posts"] != "0"
+		want = append(want, scheduleDebounce<<i)
+		if got := clk.waitArmed(t, i+1); !slices.Equal(got, want) {
+			t.Fatalf("timers %v after %d failed flushes, want %v", got, i+1, want)
+		}
 	}
-	if !joined {
-		t.Fatal("no retry flush carried posts: the stream did not join the retries")
+
+	flaky.fail.Store(false)
+	clk.Advance(want[attempts-1])
+	cur := waitGen(t, m, first.Generation+1)
+	if at := fakeStart.Add(31 * scheduleDebounce); !cur.Recomputed || cur.Ingested != attempts || !cur.UpdatedAt.Equal(at) {
+		t.Fatalf("recovery published Recomputed=%v Ingested=%d at +%v, want all %d posts at +%v",
+			cur.Recomputed, cur.Ingested, cur.UpdatedAt.Sub(fakeStart), attempts, at.Sub(fakeStart))
 	}
 }
 
@@ -231,46 +306,50 @@ func fillerPost(i int) *social.Post {
 	return deltaPost(i, "completely #offtopic chatter")
 }
 
-// hourMonitor runs a monitor over store with Debounce = MaxLag = 1 h,
-// querying the platform through searcher, and returns it with its
-// initial assessment.
-func hourMonitor(t *testing.T, store *social.Store, searcher social.Searcher) (*Monitor, *Assessment) {
+// fakeMonitor runs a monitor over store on a fake clock with Debounce
+// scheduleDebounce, querying the platform through searcher, and returns
+// it with its clock and its initial assessment.
+func fakeMonitor(t *testing.T, store *social.Store, searcher social.Searcher) (*Monitor, *fakeClock, *Assessment) {
 	t.Helper()
 	fw, err := core.New(core.Config{Searcher: store})
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := newFakeClock()
 	m, _ := runMonitor(t, Config{
 		Framework: fw,
 		Store:     store,
 		Searcher:  searcher,
 		Input:     core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}},
-		Debounce:  time.Hour,
-		MaxLag:    time.Hour,
+		Debounce:  scheduleDebounce,
+		clock:     clk,
 	})
-	return m, waitGen(t, m, 1)
+	return m, clk, waitGen(t, m, 1)
 }
 
-// quiet asserts that the monitor publishes nothing past gen for 200 ms.
-func quiet(t *testing.T, m *Monitor, gen uint64, what string) {
+// deferred asserts that the monitor's n-th timer was the trailing
+// debounce and that nothing was published past gen: the batch that
+// armed it waits for the timer.
+func deferred(t *testing.T, m *Monitor, clk *fakeClock, n int, gen uint64, what string) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-	defer cancel()
-	if next, err := m.WaitFor(ctx, gen+1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("%s published generation %d", what, next.Generation)
+	if armed := clk.waitArmed(t, n); len(armed) != n || armed[n-1] != scheduleDebounce {
+		t.Fatalf("%s armed timers %v, want %d, the last the %v debounce", what, armed, n, scheduleDebounce)
+	}
+	if cur := m.Assessment(); cur.Generation != gen {
+		t.Fatalf("%s published generation %d", what, cur.Generation)
 	}
 }
 
 // TestScheduleNoWorkFillerPublishesAtOnce: a delta that drops no cached
 // fill publishes at once, whatever the debounce — the previous result,
-// fresh metadata, and not one platform query.
+// fresh metadata, and not one platform query or timer.
 func TestScheduleNoWorkFillerPublishesAtOnce(t *testing.T) {
 	store, err := social.DefaultStore(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tap := &tapSearcher{inner: store}
-	m, first := hourMonitor(t, store, tap)
+	m, clk, first := fakeMonitor(t, store, tap)
 	tap.calls.Store(0)
 
 	for i := 1; i <= 3; i++ {
@@ -286,6 +365,9 @@ func TestScheduleNoWorkFillerPublishesAtOnce(t *testing.T) {
 	if n := tap.calls.Load(); n != 0 {
 		t.Fatalf("no-work publications cost %d platform queries, want 0", n)
 	}
+	if armed := clk.waitArmed(t, 0); len(armed) != 0 {
+		t.Fatalf("no-work publications armed timers %v", armed)
+	}
 }
 
 // TestScheduleNoWorkLeavesLeadingEdge: a no-work publication records no
@@ -296,7 +378,7 @@ func TestScheduleNoWorkLeavesLeadingEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, first := hourMonitor(t, store, store)
+	m, clk, first := fakeMonitor(t, store, store)
 	if err := store.Add(fillerPost(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +389,10 @@ func TestScheduleNoWorkLeavesLeadingEdge(t *testing.T) {
 	if err := store.Add(deltaPost(2, "isolated #chiptuning stage1 file")); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	cur, err := m.WaitFor(ctx, filler.Generation+1)
-	if err != nil {
-		t.Fatalf("on-topic batch after a no-work publication not assessed at once: %v", err)
-	}
-	if !cur.Recomputed || cur.Ingested != 2 {
-		t.Fatalf("on-topic batch published Recomputed=%v Ingested=%d, want a recompute covering both", cur.Recomputed, cur.Ingested)
+	cur := waitGen(t, m, filler.Generation+1)
+	if !cur.Recomputed || cur.Ingested != 2 || len(clk.waitArmed(t, 0)) != 0 {
+		t.Fatalf("on-topic batch published Recomputed=%v Ingested=%d, want a recompute covering both, at once",
+			cur.Recomputed, cur.Ingested)
 	}
 }
 
@@ -327,7 +405,7 @@ func TestScheduleNoWorkJoinsPendingWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, first := hourMonitor(t, store, store)
+	m, clk, first := fakeMonitor(t, store, store)
 	if err := store.Add(deltaPost(1, "isolated #chiptuning stage1 file")); err != nil {
 		t.Fatal(err)
 	}
@@ -335,41 +413,51 @@ func TestScheduleNoWorkJoinsPendingWindow(t *testing.T) {
 	if !lead.Recomputed {
 		t.Fatal("the leading-edge batch did not re-run the workflow")
 	}
-	// Inside the debounce window: this one waits for the trailing edge.
-	if err := store.Add(deltaPost(2, "follow-up #chiptuning remap")); err != nil {
-		t.Fatal(err)
-	}
+	// Inside the debounce window: these wait for the trailing edge, and
+	// the filler restarts it.
+	clk.took(t, func() {
+		if err := store.Add(deltaPost(2, "follow-up #chiptuning remap")); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if err := store.Add(fillerPost(3)); err != nil {
 		t.Fatal(err)
 	}
-	quiet(t, m, lead.Generation, "a filler batch behind a pending on-topic batch")
+	deferred(t, m, clk, 2, lead.Generation, "a filler batch behind a pending on-topic batch")
+	clk.Advance(scheduleDebounce)
+	if cur := waitGen(t, m, lead.Generation+1); !cur.Recomputed || cur.Ingested != 3 {
+		t.Fatalf("trailing edge published Recomputed=%v Ingested=%d, want one recompute covering all 3 posts",
+			cur.Recomputed, cur.Ingested)
+	}
 }
 
 // TestScheduleNoWorkDuringRetryStreak: after a failed flush the dropped
 // fills are still owed, so a filler batch cannot republish the stale
-// result — it waits for the retry.
+// result — it waits for the retry, and joins it.
 func TestScheduleNoWorkDuringRetryStreak(t *testing.T) {
 	store, err := social.DefaultStore(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky := &flakySearcher{inner: store}
-	m, first := hourMonitor(t, store, flaky)
+	m, clk, first := fakeMonitor(t, store, flaky)
 	flaky.fail.Store(true)
 	if err := store.Add(deltaPost(1, "outage-time #chiptuning remap")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for m.LastError() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("flush failure never recorded")
+	clk.waitArmed(t, 1)
+	clk.took(t, func() {
+		if err := store.Add(fillerPost(2)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+	})
+	clk.Advance(scheduleDebounce)
+	if got, want := clk.waitArmed(t, 2), []time.Duration{scheduleDebounce, 2 * scheduleDebounce}; !slices.Equal(got, want) {
+		t.Fatalf("timers %v, want the retry backoff %v", got, want)
 	}
-	if err := store.Add(fillerPost(2)); err != nil {
-		t.Fatal(err)
+	if cur := m.Assessment(); cur.Generation != first.Generation {
+		t.Fatalf("a filler batch during the retry backoff published generation %d", cur.Generation)
 	}
-	quiet(t, m, first.Generation, "a filler batch during the retry backoff")
 }
 
 // TestScheduleNoWorkModelMatchesColdRun is the seeded model test of the

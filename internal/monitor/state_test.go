@@ -507,15 +507,17 @@ func TestMonitorWarmRestartAfterNoWorkStream(t *testing.T) {
 	}
 }
 
-// nowGate is a Config.Now that, while armed, parks each call until the
-// test releases it — a way to hold Run inside a publication.
-type nowGate struct {
+// gateClock is the wall clock behind a gate: while armed, each Now
+// call parks until the test releases it — a way to hold Run at its
+// next clock read.
+type gateClock struct {
+	realClock
 	armed   atomic.Bool
 	entered chan struct{}
 	release chan struct{}
 }
 
-func (g *nowGate) now() time.Time {
+func (g *gateClock) Now() time.Time {
 	if g.armed.Load() {
 		g.entered <- struct{}{}
 		<-g.release
@@ -566,7 +568,7 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 
 	for round := 0; round < 4; round++ {
 		statePath := filepath.Join(t.TempDir(), "monitor.state")
-		gate := &nowGate{entered: make(chan struct{}), release: make(chan struct{})}
+		gate := &gateClock{entered: make(chan struct{}), release: make(chan struct{})}
 		cfg := Config{
 			Framework: fw,
 			Store:     store,
@@ -574,7 +576,7 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 			Debounce:  time.Hour,
 			MaxLag:    time.Hour,
 			State:     NewFileStateStore(statePath),
-			Now:       gate.now,
+			clock:     gate,
 		}
 		m, err := New(cfg)
 		if err != nil {
@@ -587,12 +589,16 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 
 		base := 100 * (round + 1)
 		gate.armed.Store(true)
-		add(fillerPost(base)) // published at once: Run parks in Now
+		// Run reads the clock twice per filler batch: to stamp the
+		// window it opens, then to stamp the publication.
+		add(fillerPost(base))
 		<-gate.entered
 		add(fillerPost(base + 1))
 		add(deltaPost(base+2, "queued #chiptuning stage1 remap"))
-		gate.release <- struct{}{} // Run reads the second filler and parks again
-		<-gate.entered
+		for i := 0; i < 2; i++ { // publish the first filler, read the second
+			gate.release <- struct{}{}
+			<-gate.entered
+		}
 		cancel() // the on-topic batch is still queued
 		gate.armed.Store(false)
 		gate.release <- struct{}{}
@@ -602,7 +608,7 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 			t.Fatal("monitor did not stop after cancellation")
 		}
 
-		cfg.Now = nil
+		cfg.clock = nil
 		probe, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

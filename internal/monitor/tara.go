@@ -32,8 +32,6 @@ type TARAConfig struct {
 	// change and is rated at once; a burst waits out Debounce after its
 	// first signal.
 	Debounce time.Duration
-	// Now overrides the clock for tests.
-	Now func() time.Time
 	// Metrics, when set, records rating-call deltas and dirty-threat
 	// counts (see NewTARAMetrics).
 	Metrics *TARAMetrics
@@ -46,6 +44,10 @@ type TARAConfig struct {
 	// Logger receives the fleet monitor's structured log lines; nil
 	// discards.
 	Logger *slog.Logger
+
+	// clock is the fleet monitor's time source; NewTARAMonitor defaults
+	// it to the wall clock.
+	clock clock
 }
 
 // TARAMonitor continuously re-rates the dirty tenants of a registry: it
@@ -79,8 +81,8 @@ func NewTARAMonitor(cfg TARAConfig) (*TARAMonitor, error) {
 	if cfg.Debounce <= 0 {
 		cfg.Debounce = 100 * time.Millisecond
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.clock == nil {
+		cfg.clock = realClock{}
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.NopLogger()
@@ -123,7 +125,7 @@ func (tm *TARAMonitor) Run(ctx context.Context) error {
 	}
 	// A pass is due within one Debounce of the first signal of a
 	// burst: maxLag = Debounce.
-	sched := schedule{debounce: tm.cfg.Debounce, maxLag: tm.cfg.Debounce}
+	sched := schedule{clock: tm.cfg.clock, debounce: tm.cfg.Debounce, maxLag: tm.cfg.Debounce}
 	if !tm.ratePass(ctx, tm.cfg.Registry.Names()) {
 		// The failed tenants are re-marked dirty: retry them after the
 		// backoff, not at once.
@@ -167,7 +169,7 @@ func (tm *TARAMonitor) ratePass(ctx context.Context, names []string) bool {
 		}
 		_, span := tm.cfg.Tracer.Start(ctx, "tara.rate")
 		span.SetAttr("tenant", name)
-		cur, err := ten.Rate(tm.cfg.Now(), func(p *tara.Plan) ([]*tara.ThreatResult, error) {
+		cur, err := ten.Rate(tm.cfg.clock.Now(), func(p *tara.Plan) ([]*tara.ThreatResult, error) {
 			return tm.cfg.Framework.RatePlan(ctx, p)
 		})
 		tm.mu.Lock()
