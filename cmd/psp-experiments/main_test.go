@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -33,6 +37,44 @@ func TestRunAllExperiments(t *testing.T) {
 	} {
 		if !strings.Contains(out, marker) {
 			t.Errorf("output misses marker %q", marker)
+		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden outputs under testdata/")
+
+// TestRunAllExperimentsGolden pins the whole reproduction byte for byte:
+// every figure, equation and table at seed 42. A change that moves a
+// figure on purpose rewrites the golden with -update and says which
+// figure moved and why.
+func TestRunAllExperimentsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := runExperiments(&buf, "all", 42); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "all-seed42.golden")
+	if *update {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, w)
+			}
 		}
 	}
 }

@@ -63,8 +63,9 @@
 // ISO/SAE 21434 Clause 8 frames risk assessment as an ongoing
 // activity, and the monitoring subsystem makes the batch workflow
 // continuous: SocialStore.Watch exposes a live changefeed of ingested
-// posts (the catch-up after a restart is SocialStore.DurableCursor and
-// PostsSince, not the feed), a Monitor (NewMonitor) tails it,
+// posts, taken on the consumer's goroutine (the catch-up after a
+// restart is SocialStore.DurableCursor and PostsSince, not the feed),
+// a Monitor (NewMonitor) tails it,
 // classifies each delta into
 // the affected keyword topics and threats (DirtySet), and
 // re-runs just the dirty slice of the workflow through a ResultCache —
@@ -128,8 +129,8 @@
 // store and the monitor both persist. OpenSocialStore runs a store on
 // a crash-safe engine (internal/durable): every Add appends to its
 // time-bucket stripe's segmented write-ahead log — CRC-framed records,
-// group commit, one fsync acknowledging every append waiting on that
-// stripe — before it touches an index, a background pass compacts the
+// group commit, one fsync acknowledging every append written on that
+// stripe since the previous fsync began — before it touches an index, a background pass compacts the
 // stripes that absorbed writes into one binary snapshot file each —
 // posts and posting lists in two CRC-framed sections — and truncates
 // old WAL segments. Reopening the directory recovers snapshot + WAL

@@ -16,8 +16,8 @@
 //
 // Records carry no explicit sequence number: a record's sequence is the
 // segment's first sequence plus the record's index within the segment.
-// Sequences start at 1 and are dense — every accepted Append gets the
-// next sequence, assigned by the single writer goroutine.
+// Sequences start at 1 and are dense — every written record gets the
+// next sequence, assigned under the log's write lock as it is written.
 //
 // # Segments
 //
@@ -32,16 +32,22 @@
 //
 // # Group commit
 //
-// Append hands the payload to the log's writer goroutine and blocks.
-// The writer drains every append waiting at that moment (up to
-// LogOptions.MaxGroup), frames them into one buffer, issues one write
-// and one fsync, and only then acknowledges each caller — so N
-// concurrent appenders share a single fsync instead of paying one
-// each. The OnDurable hook runs on the writer goroutine, in sequence
-// order, after the fsync and before the acknowledgement; the social
-// store uses it to register every durable-but-unapplied sequence so
-// snapshot floors never claim a record the in-memory indices have not
-// absorbed yet.
+// Append runs on its caller's goroutine: it frames and writes its
+// record under the log's write lock, then waits for an fsync that began
+// after the write. When none is in flight, the appender leads one
+// itself, releasing the lock around the fsync; records written
+// meanwhile form the next commit group, which one of their appenders
+// leads once the fsync ends. So N concurrent appenders share fsyncs
+// instead of paying one each, and a lone appender pays no batching
+// delay. A record becomes visible to Replay and LastSeq only once its
+// fsync succeeded; a failed write or fsync is sticky and no record it
+// covers is acknowledged. A roll first commits the active segment's
+// records as an ordinary group and never closes a segment under an
+// in-flight fsync. The OnDurable hook runs on the appender that led
+// the commit, in sequence order, after the fsync and before the
+// acknowledgement; the social store uses it to register every
+// durable-but-unapplied sequence so snapshot floors never claim a
+// record the in-memory indices have not absorbed yet.
 //
 // # Recovery rules
 //
@@ -64,13 +70,14 @@
 //
 // # Disk-fault policy
 //
-// A failed segment write or fsync is sticky: the writer goroutine
-// records the first error and fails that append and every later one
-// with it, permanently, until the process reopens the log. The log
-// never retries past a write error, because after a short or failed
-// write the on-disk tail position is unknown — appending again could
-// interleave a new frame with the torn remains of the old one and
-// forge a record that recovery would trust. Refusing is safe by
+// A failed segment write or fsync is sticky: the log records the first
+// error and fails that append, every written record no successful
+// fsync has covered, and every later append with it, permanently,
+// until the process reopens the log. The log never retries past a
+// write error, because after a short or failed write the on-disk tail
+// position is unknown — appending again could interleave a new frame
+// with the torn remains of the old one and forge a record that
+// recovery would trust. Refusing is safe by
 // construction: the failed batch was never acknowledged, the tail the
 // failure left behind is exactly the damage the recovery scan
 // truncates, and reopening re-derives the true end of the log from

@@ -6,7 +6,10 @@ package durable_test
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/psp-framework/psp/internal/durable"
 	"github.com/psp-framework/psp/internal/fault"
@@ -149,4 +152,124 @@ func TestWALOpenFaultSurfaces(t *testing.T) {
 	if _, err := durable.OpenLog(t.TempDir(), durable.LogOptions{FS: fs}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("OpenLog = %v, want ErrInjected", err)
 	}
+}
+
+// TestWALGroupCommitAmortizes: with every fsync slowed to 5 ms, eight
+// concurrent writers must share fsyncs — records written while one is
+// in flight join the next — with sequences dense and OnDurable in
+// order. A log that fsyncs each record on its own pays 80.
+func TestWALGroupCommitAmortizes(t *testing.T) {
+	fs := &fault.FS{Sync: fault.New(fault.Config{Latency: 5 * time.Millisecond})}
+	var (
+		hookMu   sync.Mutex
+		hookSeqs []uint64
+	)
+	l, err := durable.OpenLog(t.TempDir(), durable.LogOptions{
+		FS: fs,
+		OnDurable: func(seq uint64) {
+			hookMu.Lock()
+			hookSeqs = append(hookSeqs, seq)
+			hookMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 8, 10
+	var (
+		mu   sync.Mutex
+		seqs []uint64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				res, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				mu.Lock()
+				seqs = append(seqs, res.Seq)
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const appends = writers * perWriter
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("sequences not dense: position %d holds %d", i, seq)
+		}
+	}
+	if len(hookSeqs) != appends {
+		t.Fatalf("OnDurable ran %d times, want %d", len(hookSeqs), appends)
+	}
+	for i, seq := range hookSeqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("OnDurable out of order: position %d saw %d", i, seq)
+		}
+	}
+	fsyncs := fs.Sync.Ops()
+	t.Logf("%d fsyncs for %d appends", fsyncs, appends)
+	if fsyncs > appends/2 {
+		t.Fatalf("%d fsyncs for %d appends: concurrent appends must share fsyncs", fsyncs, appends)
+	}
+}
+
+// TestWALUnsyncedRecordInvisible: a record that is written but whose
+// fsync is still in flight, or failed, is never returned by Replay nor
+// counted by LastSeq.
+func TestWALUnsyncedRecordInvisible(t *testing.T) {
+	t.Run("delayed", func(t *testing.T) {
+		fs := &fault.FS{Sync: fault.New(fault.Config{Latency: 200 * time.Millisecond})}
+		l, err := durable.OpenLog(t.TempDir(), durable.LogOptions{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		done := make(chan error, 1)
+		go func() {
+			_, err := l.Append([]byte("slow"))
+			done <- err
+		}()
+		// The fsync starts only after the record is written.
+		for deadline := time.Now().Add(5 * time.Second); fs.Sync.Ops() == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the append never reached its fsync")
+			}
+		}
+		if got := replayAllExt(t, l); len(got) != 0 || l.LastSeq() != 0 {
+			t.Fatalf("record visible during its fsync: replay %v, LastSeq %d", got, l.LastSeq())
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if got := replayAllExt(t, l); got[1] != "slow" || l.LastSeq() != 1 {
+			t.Fatalf("acknowledged record not visible: replay %v, LastSeq %d", got, l.LastSeq())
+		}
+	})
+	t.Run("failed", func(t *testing.T) {
+		fs := &fault.FS{Sync: fault.New(fault.Config{FailOps: []int{2}})}
+		l, err := durable.OpenLog(t.TempDir(), durable.LogOptions{FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if _, err := l.Append([]byte("kept")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append([]byte("lost")); err == nil {
+			t.Fatal("append acknowledged although its fsync failed")
+		}
+		if got := replayAllExt(t, l); len(got) != 1 || got[1] != "kept" || l.LastSeq() != 1 {
+			t.Fatalf("after a failed fsync: replay %v, LastSeq %d, want only record 1", got, l.LastSeq())
+		}
+	})
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,18 +25,9 @@ const (
 	// DefaultSegmentBytes is the segment roll threshold when
 	// LogOptions.SegmentBytes is zero.
 	DefaultSegmentBytes = 4 << 20
-	// DefaultMaxGroup is the group-commit batch cap when
-	// LogOptions.MaxGroup is zero.
-	DefaultMaxGroup = 256
 
 	segSuffix = ".seg"
 )
-
-// groupCollectYields bounds the scheduler-yield run collectGroup waits
-// for more appends before fsyncing: enough round trips for every
-// concurrently acknowledged appender to resubmit, a few microseconds
-// when nobody does.
-const groupCollectYields = 16
 
 // crcTable is the Castagnoli polynomial table shared by writers and
 // recovery scans.
@@ -51,16 +41,11 @@ type LogOptions struct {
 	// SegmentBytes is the size past which the active segment rolls
 	// (default DefaultSegmentBytes).
 	SegmentBytes int64
-	// MaxGroup caps how many waiting appends one group commit absorbs
-	// (default DefaultMaxGroup).
-	MaxGroup int
-	// groupYields is collectGroup's patience in scheduler yields
-	// (internal; groupCollectYields unless a test overrides it).
-	groupYields int
-	// OnDurable, when set, runs on the writer goroutine for every
-	// appended record — in sequence order, after the group's fsync,
-	// before the append is acknowledged. It must not call back into the
-	// log.
+	// OnDurable, when set, runs for every appended record — in sequence
+	// order, after the fsync that covered it, before the append is
+	// acknowledged. It runs on the appender that led the commit, which
+	// holds back every other commit meanwhile, so it must not call back
+	// into the log.
 	OnDurable func(seq uint64)
 	// Metrics, when set, records append/fsync latency, group sizes and
 	// segment churn. Share one instance across a store's stripe logs to
@@ -87,38 +72,32 @@ type Log struct {
 	dir  string
 	opts LogOptions
 
-	// mu guards segs — shared between the writer goroutine (rolling,
-	// count updates) and Replay/TruncateBefore/LastSeq.
-	mu   sync.Mutex
-	segs []segment
-
-	// sendMu serializes Append submission against Close: once closed is
-	// set under the write lock, no sender is mid-submission, so the
-	// writer can drain the channel and exit without stranding a caller.
-	sendMu sync.RWMutex
-	closed bool
-
-	reqs chan *appendReq
-	stop chan struct{}
-	done chan struct{}
-
-	// Writer-goroutine-owned state (initialized before the goroutine
-	// starts, touched only by it afterwards).
+	// mu guards the write side below. A commit releases it around its
+	// fsync, so appends keep writing while one is in flight; cond is
+	// broadcast whenever a commit settles and when Close ends.
+	mu      sync.Mutex
+	cond    *sync.Cond
 	f       File
 	size    int64
-	nextSeq uint64
-	werr    error // sticky write failure; fails all later appends
+	nextSeq uint64 // sequence of the next record written
+	open    *group // records written since the last fsync began (nil: none)
+	syncing bool   // a commit's fsync is in flight
+	werr    error  // sticky write or fsync failure; fails all later appends
+	closed  bool
+
+	// segMu guards segs: each segment's acknowledged records, which
+	// Replay, TruncateBefore and LastSeq read without the write lock.
+	segMu sync.Mutex
+	segs  []segment
 }
 
-type appendReq struct {
-	payload []byte
-	done    chan appendRes
-}
-
-type appendRes struct {
-	seq   uint64
-	group int // records in the commit group whose fsync covered this one
-	err   error
+// group is one commit group: the records written between two fsync
+// starts, made durable and acknowledged together by one fsync.
+type group struct {
+	first   uint64 // sequence of the group's first record
+	n       int
+	settled bool // the commit ended, acknowledged or failed with err
+	err     error
 }
 
 // AppendResult reports one durable append: the record's sequence and
@@ -138,29 +117,17 @@ func OpenLog(dir string, opts LogOptions) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.MaxGroup <= 0 {
-		opts.MaxGroup = DefaultMaxGroup
-	}
-	if opts.groupYields == 0 {
-		opts.groupYields = groupCollectYields
-	}
 	if opts.FS == nil {
 		opts.FS = OSFS{}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: create log dir: %w", err)
 	}
-	l := &Log{
-		dir:  dir,
-		opts: opts,
-		reqs: make(chan *appendReq, opts.MaxGroup),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+	l := &Log{dir: dir, opts: opts}
+	l.cond = sync.NewCond(&l.mu)
 	if err := l.recover(); err != nil {
 		return nil, err
 	}
-	go l.run()
 	return l, nil
 }
 
@@ -300,11 +267,14 @@ func scanSegment(path string, maxCount int, fn func(idx int, payload []byte) err
 	return count, validSize, false, nil
 }
 
-// Append submits one payload and blocks until it is durable (written
-// and fsync'd, possibly as part of a larger group commit), returning
-// the record's sequence and the commit-group size it was fsync'd with
-// (see AppendResult). The payload is copied into the log's write
-// buffer synchronously, so the caller may reuse it afterwards.
+// Append writes one payload and blocks until it is durable, returning
+// the record's sequence and the size of the commit group whose fsync
+// covered it (see AppendResult). The record is framed and written under
+// the log's write lock; the appender then waits for a commit that began
+// after its write, leading that commit itself when no fsync is in
+// flight. Records written during an fsync join the next one, so
+// concurrent appenders share fsyncs. The caller may reuse the payload
+// once Append returns.
 func (l *Log) Append(payload []byte) (AppendResult, error) {
 	if len(payload) == 0 {
 		return AppendResult{}, fmt.Errorf("durable: empty payload")
@@ -316,154 +286,128 @@ func (l *Log) Append(payload []byte) (AppendResult, error) {
 	if l.opts.Metrics != nil {
 		t0 = time.Now()
 	}
-	req := &appendReq{payload: payload, done: make(chan appendRes, 1)}
-	l.sendMu.RLock()
-	if l.closed {
-		l.sendMu.RUnlock()
-		return AppendResult{}, ErrClosed
-	}
-	l.reqs <- req
-	l.sendMu.RUnlock()
-	// Every submitted request is answered: the writer drains the
-	// channel before exiting, and Close flips closed before stopping it.
-	res := <-req.done
+	res, err := l.append(payload)
 	if m := l.opts.Metrics; m != nil {
-		if res.err != nil {
+		if err != nil {
 			m.AppendErrors.Inc()
 		} else {
 			m.Appends.Inc()
 		}
 		m.AppendLatency.ObserveSince(t0)
 	}
-	return AppendResult{Seq: res.seq, Group: res.group}, res.err
+	return res, err
 }
 
-// run is the writer goroutine: it groups waiting appends, commits each
-// group with one write+fsync, and acknowledges in sequence order.
-func (l *Log) run() {
-	defer close(l.done)
-	for {
-		var req *appendReq
-		select {
-		case req = <-l.reqs:
-		case <-l.stop:
-			// No sender can submit anymore; drain what already queued.
-			for {
-				select {
-				case req := <-l.reqs:
-					l.commitGroup(l.collectGroup(req))
-				default:
-					if l.f != nil {
-						l.f.Sync()
-						l.f.Close()
-					}
-					return
-				}
-			}
-		}
-		l.commitGroup(l.collectGroup(req))
-	}
-}
-
-// collectGroup gathers the commit group for one fsync: everything
-// already waiting, plus whatever arrives during a brief collection
-// pause. The pause is what makes group commit actually amortize —
-// appenders acknowledged by the previous fsync need a scheduler round
-// trip to resubmit, so an impatient writer would commit groups of one
-// to two forever, paying a full fsync each. The pause is a bounded run
-// of scheduler yields rather than a timer: yields cost microseconds
-// (timers on this path fire a millisecond late), stop as soon as the
-// queue goes quiet, and let the resubmitting goroutines run — exactly
-// the ones being waited for.
-func (l *Log) collectGroup(first *appendReq) []*appendReq {
-	group := []*appendReq{first}
-	quiet := 0
-	for len(group) < l.opts.MaxGroup && quiet < l.opts.groupYields {
-		select {
-		case r := <-l.reqs:
-			group = append(group, r)
-			quiet = 0
-			continue
+func (l *Log) append(payload []byte) (AppendResult, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// A roll first commits what the active segment holds, then swaps
+	// it; it never closes a segment under an in-flight fsync.
+	for l.werr == nil && !l.closed && l.size >= l.opts.SegmentBytes {
+		switch {
+		case l.syncing:
+			l.cond.Wait()
+		case l.open != nil:
+			l.commit()
 		default:
-		}
-		runtime.Gosched()
-		quiet++
-	}
-	return group
-}
-
-// commitGroup writes one group: a single buffer build, one write, one
-// fsync, then per-record OnDurable hooks and acknowledgements in
-// sequence order.
-func (l *Log) commitGroup(group []*appendReq) {
-	if l.werr != nil {
-		for _, r := range group {
-			r.done <- appendRes{err: l.werr}
-		}
-		return
-	}
-	if l.size >= l.opts.SegmentBytes {
-		if err := l.roll(); err != nil {
-			l.werr = err
-			for _, r := range group {
-				r.done <- appendRes{err: err}
+			if err := l.roll(); err != nil {
+				l.werr = err
 			}
-			return
 		}
 	}
-	var buf []byte
-	for _, r := range group {
-		var header [recordHeaderSize]byte
-		binary.LittleEndian.PutUint32(header[0:4], uint32(len(r.payload)))
-		binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(r.payload, crcTable))
-		buf = append(buf, header[:]...)
-		buf = append(buf, r.payload...)
-	}
-	if _, err := l.f.Write(buf); err == nil {
-		var t0 time.Time
-		if l.opts.Metrics != nil {
-			t0 = time.Now()
-		}
-		err = l.f.Sync()
-		if err != nil {
-			l.werr = fmt.Errorf("durable: fsync: %w", err)
-		} else if m := l.opts.Metrics; m != nil {
-			m.Fsyncs.Inc()
-			m.FsyncLatency.ObserveSince(t0)
-			m.GroupRecords.Observe(int64(len(group)))
-		}
-	} else {
-		l.werr = fmt.Errorf("durable: write: %w", err)
+	if l.closed {
+		return AppendResult{}, ErrClosed
 	}
 	if l.werr != nil {
-		// The group's bytes may be partially on disk — a torn tail the
-		// next open will truncate. Nothing was acknowledged.
-		for _, r := range group {
-			r.done <- appendRes{err: l.werr}
-		}
-		return
+		return AppendResult{}, l.werr
+	}
+	buf := make([]byte, recordHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+	copy(buf[recordHeaderSize:], payload)
+	if _, err := l.f.Write(buf); err != nil {
+		// The record may be partly on disk: a torn tail the next open
+		// truncates. It takes no sequence.
+		l.werr = fmt.Errorf("durable: write: %w", err)
+		return AppendResult{}, l.werr
 	}
 	l.size += int64(len(buf))
-	firstSeq := l.nextSeq
-	l.nextSeq += uint64(len(group))
-	l.mu.Lock()
-	l.segs[len(l.segs)-1].count += len(group)
-	l.mu.Unlock()
-	for i, r := range group {
-		seq := firstSeq + uint64(i)
-		if l.opts.OnDurable != nil {
-			l.opts.OnDurable(seq)
-		}
-		r.done <- appendRes{seq: seq, group: len(group)}
+	if l.open == nil {
+		l.open = &group{first: l.nextSeq}
 	}
+	g, seq := l.open, l.nextSeq
+	g.n++
+	l.nextSeq++
+	// An unsettled group is the open one unless an fsync is covering it.
+	for !g.settled {
+		if l.syncing {
+			l.cond.Wait()
+		} else {
+			l.commit()
+		}
+	}
+	if g.err != nil {
+		return AppendResult{}, g.err
+	}
+	return AppendResult{Seq: seq, Group: g.n}, nil
 }
 
-// roll closes the active segment and starts the next, named after the
-// next unassigned sequence.
-func (l *Log) roll() error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("durable: sync before roll: %w", err)
+// commit makes the open group durable with one fsync and settles it,
+// acknowledging its appenders or failing them. It runs with l.mu held
+// and no fsync in flight; after a sticky failure it fails the group
+// unsynced.
+func (l *Log) commit() {
+	g := l.open
+	l.open = nil
+	err := l.werr
+	if err == nil {
+		f := l.f
+		l.syncing = true
+		l.mu.Unlock()
+		err = l.syncGroup(f, g)
+		l.mu.Lock()
+		l.syncing = false
+		if err != nil && l.werr == nil {
+			l.werr = err
+		}
 	}
+	g.settled, g.err = true, err
+	l.cond.Broadcast()
+}
+
+// syncGroup fsyncs f and, on success, makes g's records visible to
+// Replay and LastSeq and runs OnDurable for each in sequence order. It
+// runs without l.mu, so appends keep writing meanwhile: syncing keeps
+// every other commit and every roll out until it returns, which keeps
+// the groups, and so the OnDurable calls, in sequence order.
+func (l *Log) syncGroup(f File, g *group) error {
+	var t0 time.Time
+	if l.opts.Metrics != nil {
+		t0 = time.Now()
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("durable: fsync: %w", err)
+	}
+	if m := l.opts.Metrics; m != nil {
+		m.Fsyncs.Inc()
+		m.FsyncLatency.ObserveSince(t0)
+		m.GroupRecords.Observe(int64(g.n))
+	}
+	l.segMu.Lock()
+	l.segs[len(l.segs)-1].count += g.n
+	l.segMu.Unlock()
+	if l.opts.OnDurable != nil {
+		for i := 0; i < g.n; i++ {
+			l.opts.OnDurable(g.first + uint64(i))
+		}
+	}
+	return nil
+}
+
+// roll closes the active segment, whose records are all committed, and
+// starts the next, named after the next unassigned sequence. It runs
+// with l.mu held.
+func (l *Log) roll() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("durable: close before roll: %w", err)
 	}
@@ -477,9 +421,9 @@ func (l *Log) roll() error {
 		return err
 	}
 	l.f, l.size = f, 0
-	l.mu.Lock()
+	l.segMu.Lock()
 	l.segs = append(l.segs, segment{first: l.nextSeq, path: path})
-	l.mu.Unlock()
+	l.segMu.Unlock()
 	if m := l.opts.Metrics; m != nil {
 		m.SegmentRolls.Inc()
 	}
@@ -489,8 +433,8 @@ func (l *Log) roll() error {
 // LastSeq returns the sequence of the last durable record (0 when the
 // log has none).
 func (l *Log) LastSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
 	last := l.segs[len(l.segs)-1]
 	return last.first + uint64(last.count) - 1
 }
@@ -499,8 +443,8 @@ func (l *Log) LastSeq() uint64 {
 // oldest record Replay can reach. When the log holds no records it
 // returns the next sequence to be assigned.
 func (l *Log) FirstSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
 	return l.segs[0].first
 }
 
@@ -509,9 +453,9 @@ func (l *Log) FirstSeq() uint64 {
 // record set visited is (at least) everything durable at call time.
 // fn's payload slice is reused between calls.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
-	l.mu.Lock()
+	l.segMu.Lock()
 	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
+	l.segMu.Unlock()
 	for _, seg := range segs {
 		if seg.first+uint64(seg.count) <= after+1 {
 			continue // entire segment at or below the floor
@@ -535,8 +479,8 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 // never deleted), so some records at or below seq may survive — replay
 // floors make that harmless.
 func (l *Log) TruncateBefore(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.segMu.Lock()
+	defer l.segMu.Unlock()
 	keep := 0
 	for keep+1 < len(l.segs) && l.segs[keep+1].first <= seq+1 {
 		keep++
@@ -556,19 +500,28 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	return nil
 }
 
-// Close stops the writer after finishing every already-submitted
-// append, syncs, and closes the active segment. Appends submitted after
+// Close finishes the appends already written, committing them when no
+// fsync is in flight, then closes the active segment. Appends after
 // Close fail with ErrClosed. Close is idempotent.
 func (l *Log) Close() error {
-	l.sendMu.Lock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.sendMu.Unlock()
-		<-l.done
+		for l.f != nil {
+			l.cond.Wait()
+		}
 		return nil
 	}
 	l.closed = true
-	l.sendMu.Unlock()
-	close(l.stop)
-	<-l.done
+	for l.syncing || l.open != nil {
+		if l.syncing {
+			l.cond.Wait()
+		} else {
+			l.commit()
+		}
+	}
+	l.f.Close()
+	l.f = nil
+	l.cond.Broadcast()
 	return l.werr
 }

@@ -61,11 +61,10 @@
 // serialized through core's export surface, the result cache — its
 // listing fills as post IDs and its slice memos as per-post SAI
 // features and keyword-group co-occurrence graphs — and the watched
-// durable store's WAL cursor. That cursor comes from
-// Store.FeedCursor, so it covers only batches the loop has read and
-// classified: a batch still queued on the changefeed when the monitor
-// saves (or stops, which discards the queue) stays above it and is
-// replayed by the restart. The file is a magic and three sections
+// durable store's WAL cursor. That cursor comes from Feed.Next, so it
+// covers only posts the loop has taken and classified: a batch still
+// pending on the changefeed when the monitor saves (or stops, which
+// discards it) stays above it and is replayed by the restart. The file is a magic and three sections
 // (result, fills, memos), each framed by its length and CRC-32C like
 // every other snapshot the system writes, and it is replaced
 // atomically. The next Run restores it — provided the signature of the

@@ -193,10 +193,10 @@ func (m *Monitor) Run(ctx context.Context) error {
 	feed := m.cfg.Store.Watch(ctx)
 
 	// Every post this cursor covers is in the restart delta or seen by
-	// the cold run below. Later cursors come from Store.FeedCursor,
-	// which covers only batches the loop has read and classified: a
-	// restart replays at most a little extra — and patching and
-	// invalidation are idempotent — never too little.
+	// the cold run below. Later cursors come from Feed.Next, which
+	// covers only posts the loop has taken and then classifies before
+	// any save: a restart replays at most a little extra — and patching
+	// and invalidation are idempotent — never too little.
 	m.cursor = m.cfg.Store.DurableCursor()
 	var win window
 	if delta, ok := m.tryRestore(); ok {
@@ -239,10 +239,13 @@ func (m *Monitor) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			m.saveOnStop(ctx)
 			return ctx.Err()
-		case batch, ok := <-feed:
-			if !ok {
-				m.saveOnStop(ctx)
-				return ctx.Err()
+		case <-feed.Ready():
+			batch, c := feed.Next()
+			if c != nil {
+				m.cursor = c
+			}
+			if len(batch) == 0 {
+				continue // an earlier Next took the posts this signal stood for
 			}
 			// With nothing owed, this batch may start a pass now: at once
 			// if it owes nothing either, else on the leading edge if the
@@ -253,9 +256,6 @@ func (m *Monitor) Run(ctx context.Context) error {
 				fctx, span = m.startFlush(ctx, true)
 			}
 			m.classify(&win, batch)
-			if c, ok := m.cfg.Store.FeedCursor(feed); ok {
-				m.cursor = c
-			}
 			if !m.owed {
 				// Nothing to coalesce: the previous result is exact for
 				// this batch too. (A pending window and an armed timer
@@ -424,8 +424,8 @@ func (m *Monitor) flush(ctx context.Context, span *obs.Span, w *window) {
 // nothing owed (and so nothing pending): those publications never save,
 // and without this a restart would serve an older generation — or, once
 // the store has compacted its WAL past the last saved cursor, run cold.
-// Batches still queued on the feed are lost with the subscription, but
-// the saved cursor does not cover them (see FeedCursor), so the restart
+// Posts still pending on the feed are lost with the subscription, but
+// the saved cursor does not cover them (see Feed.Next), so the restart
 // replays them.
 func (m *Monitor) saveOnStop(ctx context.Context) {
 	if m.owed {

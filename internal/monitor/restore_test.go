@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,30 +81,32 @@ type restoredView struct {
 }
 
 // probeRestore runs only the restore step of a new monitor over cfg and
-// reports what it restored, or ok=false when it fell back to cold.
-func probeRestore(t *testing.T, cfg Config) (view restoredView, ok bool) {
-	t.Helper()
+// reports what it restored, or ok=false when it fell back to cold. It
+// reports through err rather than a testing.T, so probes can run on
+// several goroutines.
+func probeRestore(cfg Config) (view restoredView, ok bool, err error) {
 	m, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return view, false, err
 	}
 	if _, ok := m.tryRestore(); !ok {
 		if m.Assessment() != nil || m.rc.Queries().Len() != 0 {
-			t.Fatal("a failed restore left an assessment or cache behind")
+			return view, false, errors.New("a failed restore left an assessment or cache behind")
 		}
-		return view, false
+		return view, false, nil
 	}
 	assessment, err := json.Marshal(renderAssessment(m.Assessment()))
 	if err != nil {
-		t.Fatal(err)
+		return view, false, err
 	}
-	return restoredView{assessment, m.rc.ExportFills(), m.rc.ExportMemos()}, true
+	return restoredView{assessment, m.rc.ExportFills(), m.rc.ExportMemos()}, true, nil
 }
 
 // TestRestoreDamagedStateFile: a state file cut at every offset, or with
 // every 7th byte flipped, either restores exactly what the undamaged file
 // restores — the assessment and the result cache, fills and memos — or
-// leaves the monitor to run cold. It never serves anything else.
+// leaves the monitor to run cold. It never serves anything else. The
+// probes run on one worker per CPU, each with its own state file.
 func TestRestoreDamagedStateFile(t *testing.T) {
 	dir := t.TempDir()
 	statePath := filepath.Join(dir, "monitor.state")
@@ -115,35 +121,75 @@ func TestRestoreDamagedStateFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Framework: fw, Store: store, Input: in, State: NewFileStateStore(statePath)}
-	want, ok := probeRestore(t, cfg)
-	if !ok {
-		t.Fatal("the undamaged state file did not restore")
+	want, ok, err := probeRestore(cfg)
+	if err != nil || !ok {
+		t.Fatalf("the undamaged state file did not restore (err %v)", err)
 	}
 	if len(want.memos) == 0 {
 		t.Fatal("the undamaged state restored no memos; the test is vacuous")
 	}
 
-	check := func(what string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(statePath, data, 0o644); err != nil {
-			t.Fatal(err)
+	// A probe is a cut (flip < 0) or a flip of byte flip (cut < 0).
+	type probe struct{ cut, flip int }
+	check := func(cfg Config, path string, p probe) error {
+		var data []byte
+		if p.cut >= 0 {
+			data = full[:p.cut]
+		} else {
+			data = append([]byte(nil), full...)
+			data[p.flip] ^= 0x40
 		}
-		got, ok := probeRestore(t, cfg)
-		if !ok {
-			return // cold
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
+		}
+		got, ok, err := probeRestore(cfg)
+		if err != nil || !ok {
+			return err // nil: cold
 		}
 		if !bytes.Equal(got.assessment, want.assessment) ||
 			!reflect.DeepEqual(got.fills, want.fills) || !reflect.DeepEqual(got.memos, want.memos) {
-			t.Fatalf("%s: restored state differs from the undamaged restore", what)
+			return errors.New("restored state differs from the undamaged restore")
 		}
+		return nil
+	}
+	probes := make(chan probe)
+	var (
+		mu     sync.Mutex
+		failed []string
+		probed int
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		path := filepath.Join(dir, fmt.Sprintf("probe-%d.state", w))
+		wcfg := cfg
+		wcfg.State = NewFileStateStore(path)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range probes {
+				err := check(wcfg, path, p)
+				mu.Lock()
+				probed++
+				if err != nil {
+					failed = append(failed, fmt.Sprintf("%+v: %v", p, err))
+				}
+				mu.Unlock()
+			}
+		}()
 	}
 	for cut := 0; cut < len(full); cut++ {
-		check("cut", full[:cut])
+		probes <- probe{cut: cut, flip: -1}
 	}
 	for off := 0; off < len(full); off += 7 {
-		bad := append([]byte(nil), full...)
-		bad[off] ^= 0x40
-		check("flip", bad)
+		probes <- probe{cut: -1, flip: off}
+	}
+	close(probes)
+	wg.Wait()
+	if want := len(full) + (len(full)+6)/7; probed != want {
+		t.Fatalf("probed %d damaged files, want %d", probed, want)
+	}
+	if len(failed) > 0 {
+		t.Fatalf("%d damaged files served a wrong restore, first %s", len(failed), failed[0])
 	}
 }
 
@@ -215,9 +261,9 @@ func TestRestoreLegacyJSONState(t *testing.T) {
 	stop()
 	// The cold run's save replaced the file; the next start is warm and
 	// serves what the cold run published.
-	view, ok := probeRestore(t, cfg)
-	if !ok {
-		t.Fatal("the state saved over the legacy file does not restore")
+	view, ok, err := probeRestore(cfg)
+	if err != nil || !ok {
+		t.Fatalf("the state saved over the legacy file does not restore (err %v)", err)
 	}
 	coldView, err := json.Marshal(renderAssessment(first))
 	if err != nil {

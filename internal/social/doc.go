@@ -74,9 +74,9 @@
 // stale whenever a write landed before the position. Parsing one now
 // returns a deprecation error.
 //
-// Changefeed: Store.Watch is a live-only feed. Every batch whose Add
-// begins after the subscription is delivered to the subscriber
-// exactly once and whole, posts in (CreatedAt, ID) order, each as the
+// Changefeed: Store.Watch returns a live-only Feed. Every batch whose
+// Add begins after the subscription is queued on it exactly once and
+// whole, posts in (CreatedAt, ID) order, each as the
 // PostProfile Add indexed it under, so no consumer tokenizes it
 // again. Add publishes while still holding its shard writer locks —
 // after its snapshot swaps — so batches whose stripe sets overlap
@@ -85,10 +85,14 @@
 // registry mutex without touching writers or lock-free readers. The
 // feed never replays stored posts: catch-up after a restart is the
 // durable cursor's job (DurableCursor, then Watch, then PostsSince,
-// which covers every post the feed did not). Add queues a batch on
-// the feed before the WAL floors move past it, so a consumer that
-// checkpoints its progress persists FeedCursor, the cursor over only
-// the batches it has already received.
+// which covers every post the feed did not). The consumer waits on
+// Feed.Ready, a coalescing signal, and takes everything pending with
+// Feed.Next, on its own goroutine; pending posts wait only in the
+// feed's queue, so the backlog gauge counts exactly the posts not yet
+// taken. Add queues a batch on the feed before the
+// WAL floors move past it, and Next reads the floors before it takes,
+// so the cursor Next returns covers only posts already taken — the
+// cursor a consumer that checkpoints its progress persists.
 // The continuous monitoring subsystem (internal/monitor) tails this
 // feed to re-assess only the affected keyword topics as new posts
 // arrive.

@@ -92,8 +92,8 @@ const (
 type DurableCursor []uint64
 
 // durStripe tracks one stripe's durable-but-unapplied WAL sequences.
-// The log's OnDurable hook registers sequences in order (on the log's
-// writer goroutine), Add removes them after the in-memory commit, and
+// The log's OnDurable hook registers sequences in order (on the
+// appender leading the log's commit), Add removes them after the in-memory commit, and
 // the floor — the highest sequence below which everything is applied —
 // is what snapshots record: a post the indices have not absorbed yet
 // can never be truncated out of the WAL.
@@ -533,10 +533,10 @@ func removeOrphanSnapshots(snapDir string, man *durable.Manifest) {
 	}
 }
 
-// onDurable registers a fsync'd-but-unapplied sequence. It runs on the
-// stripe log's writer goroutine, in sequence order — the order matters:
-// a floor read between two registrations must always see every durable
-// sequence that is not yet applied.
+// onDurable registers a fsync'd-but-unapplied sequence. The stripe log
+// runs it in sequence order — the order matters: a floor read between
+// two registrations must always see every durable sequence that is not
+// yet applied.
 func (d *storeDurability) onDurable(stripe int, seq uint64) {
 	st := &d.stripes[stripe]
 	st.mu.Lock()

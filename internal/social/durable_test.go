@@ -530,14 +530,9 @@ func TestWatchAfterDurableCursorHandOff(t *testing.T) {
 	for _, p := range delta {
 		seen[p.ID] = true
 	}
-	for deadline := time.After(10 * time.Second); !seen[sentinel]; {
-		select {
-		case batch := <-feed:
-			for _, pp := range batch {
-				seen[pp.Post().ID] = true
-			}
-		case <-deadline:
-			t.Fatal("live feed never delivered the sentinel")
+	for !seen[sentinel] {
+		for _, pp := range nextPosts(t, feed) {
+			seen[pp.Post().ID] = true
 		}
 	}
 	if len(owed) == 0 {
@@ -552,9 +547,10 @@ func TestWatchAfterDurableCursorHandOff(t *testing.T) {
 
 // TestWatchFeedCursorCoversOnlyReceivedBatches: Add advances the WAL
 // floors after it queues a batch on the feed, so the store's cursor
-// can cover a batch its consumer has not read. FeedCursor refuses
-// while one is queued and, once the consumer has read it, returns a
-// cursor that covers it.
+// can cover a batch its consumer has not taken. Feed.Next reads the
+// floors before it takes, so its cursor covers exactly the posts it and
+// earlier calls returned; it offers none once the subscription ended,
+// nor on an in-memory store.
 func TestWatchFeedCursorCoversOnlyReceivedBatches(t *testing.T) {
 	s, err := OpenStoreDir(t.TempDir(), noCompact(4))
 	if err != nil {
@@ -564,44 +560,39 @@ func TestWatchFeedCursorCoversOnlyReceivedBatches(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	feed := s.Watch(ctx)
-	if _, ok := s.FeedCursor(feed); !ok {
-		t.Fatal("an idle feed must yield a cursor")
+	if batch, c := feed.Next(); len(batch) != 0 || c == nil {
+		t.Fatalf("an idle feed must yield no posts and a cursor, got %d posts, cursor %v", len(batch), c)
 	}
 	for round := 0; round < 3; round++ {
 		if err := s.Add(durPost(2*round, round), durPost(2*round+1, round)); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.FeedCursor(feed); ok {
-			t.Fatalf("round %d: cursor offered while the batch is still queued", round)
+		if delta, err := s.PostsSince(s.DurableCursor()); err != nil || len(delta) != 0 {
+			t.Fatalf("round %d: the store's cursor does not cover the queued batch (%d posts above, err %v)", round, len(delta), err)
 		}
-		<-feed
-		c, ok := s.FeedCursor(feed)
-		if !ok {
-			t.Fatalf("round %d: no cursor after the batch was read", round)
+		batch, c := feed.Next()
+		if len(batch) != 2 || c == nil {
+			t.Fatalf("round %d: Next took %d posts, cursor %v; want the 2-post batch and a cursor", round, len(batch), c)
 		}
 		if delta, err := s.PostsSince(c); err != nil || len(delta) != 0 {
 			t.Fatalf("round %d: cursor leaves %d posts uncovered (err %v)", round, len(delta), err)
 		}
 	}
-	if _, ok := s.FeedCursor(make(chan []*PostProfile)); ok {
-		t.Fatal("a channel Watch did not return must not yield a cursor")
-	}
 	cancel()
-	for range feed {
-	}
-	if _, ok := s.FeedCursor(feed); ok {
+	if _, c := feed.Next(); c != nil {
 		t.Fatal("a cancelled subscription still yields cursors")
 	}
 	mem := NewStore()
-	if _, ok := mem.FeedCursor(mem.Watch(ctx)); ok {
+	if _, c := mem.Watch(context.Background()).Next(); c != nil {
 		t.Fatal("an in-memory store has no cursor")
 	}
 }
 
 // TestWatchFeedCursorUnderConcurrentAdd: with writers running and a
-// consumer that lags, every post acknowledged before a FeedCursor call
-// that succeeds was either read from the feed or lies above the cursor
-// — a consumer persisting the cursor never skips a post on catch-up.
+// consumer that lags, every post acknowledged before a Next call was
+// either taken by that call or an earlier one or lies above the cursor
+// it returned — a consumer persisting the cursor never skips a post on
+// catch-up.
 func TestWatchFeedCursorUnderConcurrentAdd(t *testing.T) {
 	s, err := OpenStoreDir(t.TempDir(), noCompact(4))
 	if err != nil {
@@ -637,26 +628,28 @@ func TestWatchFeedCursorUnderConcurrentAdd(t *testing.T) {
 	}
 
 	received := make(map[string]bool)
-	refused, checked := 0, 0
+	checked, lagged := 0, 0
 	for len(received) < writers*perWriter {
 		select {
-		case batch := <-feed:
-			for _, pp := range batch {
-				received[pp.Post().ID] = true
-			}
+		case <-feed.Ready():
 		case <-time.After(10 * time.Second):
 			t.Fatalf("feed stalled at %d of %d posts", len(received), writers*perWriter)
 		}
-		if len(received)%3 == 0 {
-			time.Sleep(200 * time.Microsecond) // let a queue build up
+		if checked%3 == 0 {
+			time.Sleep(time.Millisecond) // let a queue build up
 		}
 		mu.Lock()
 		before := append([]string(nil), acked...)
 		mu.Unlock()
-		c, ok := s.FeedCursor(feed)
-		if !ok {
-			refused++
-			continue
+		batch, c := feed.Next()
+		if c == nil {
+			t.Fatal("a durable store's live feed offered no cursor")
+		}
+		for _, pp := range batch {
+			received[pp.Post().ID] = true
+		}
+		if len(batch) > 1 {
+			lagged++
 		}
 		checked++
 		delta, err := s.PostsSince(c)
@@ -669,12 +662,12 @@ func TestWatchFeedCursorUnderConcurrentAdd(t *testing.T) {
 		}
 		for _, id := range before {
 			if !received[id] && !above[id] {
-				t.Fatalf("cursor covers %s, which the consumer has not read", id)
+				t.Fatalf("cursor covers %s, which the consumer has not taken", id)
 			}
 		}
 	}
-	if checked == 0 || refused == 0 {
-		t.Fatalf("checked %d cursors, refused %d: both paths must run", checked, refused)
+	if lagged == 0 {
+		t.Fatalf("no Next took more than one post in %d calls: the consumer never lagged", checked)
 	}
 }
 

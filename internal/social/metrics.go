@@ -125,7 +125,7 @@ type StoreStats struct {
 	Posts  int
 	Shards int
 	// ChangefeedSubscribers / ChangefeedBacklog describe the changefeed:
-	// live subscriptions and posts queued but not yet delivered.
+	// live subscriptions and posts queued but not yet taken (Feed.Next).
 	ChangefeedSubscribers int
 	ChangefeedBacklog     int
 	// Durable reports whether the store runs on a write-ahead log;

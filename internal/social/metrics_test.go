@@ -83,6 +83,9 @@ func TestStoreMetricsRecording(t *testing.T) {
 	if st.ChangefeedSubscribers != 1 {
 		t.Fatalf("subscribers = %d, want 1", st.ChangefeedSubscribers)
 	}
+	if st.ChangefeedBacklog != 10 {
+		t.Fatalf("backlog = %d with 10 posts published and none taken, want 10", st.ChangefeedBacklog)
+	}
 	if st.Durable {
 		t.Fatal("in-memory store reported durable")
 	}
@@ -95,12 +98,15 @@ func TestStoreMetricsRecording(t *testing.T) {
 	for _, want := range []string{
 		"psp_store_posts 10",
 		"psp_store_changefeed_subscribers 1",
+		"psp_store_changefeed_backlog_posts 10",
 	} {
 		if !containsSample(b.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, b.String())
 		}
 	}
-	_ = feed
+	if batch, _ := feed.Next(); len(batch) != 10 || s.ChangefeedBacklog() != 0 {
+		t.Fatalf("Next took %d posts, leaving a backlog of %d; want 10 and 0", len(batch), s.ChangefeedBacklog())
+	}
 }
 
 // TestDurableStoreMetrics: recovery gauges, WAL counters and

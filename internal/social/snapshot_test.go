@@ -378,7 +378,7 @@ func TestWatchExactlyOnceAcrossCOWCommits(t *testing.T) {
 
 	const writers, burstsPerWriter, burstLen = 6, 30, 4
 	var wg sync.WaitGroup
-	lateFeeds := make(chan (<-chan []*PostProfile), 1)
+	lateFeeds := make(chan *Feed, 1)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {

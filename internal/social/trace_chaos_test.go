@@ -296,9 +296,16 @@ func TestTraceIngestLinkLeadsChangefeed(t *testing.T) {
 	type link struct{ traceID, spanID string }
 	seen := make(chan link)
 	go func() {
-		for range feed {
-			traceID, spanID := s.LastIngestTrace()
-			seen <- link{traceID, spanID}
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-feed.Ready():
+			}
+			if batch, _ := feed.Next(); len(batch) > 0 {
+				traceID, spanID := s.LastIngestTrace()
+				seen <- link{traceID, spanID}
+			}
 		}
 	}()
 	for i := 0; i < 200; i++ {

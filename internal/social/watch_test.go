@@ -160,18 +160,59 @@ func TestWatchDeliversLiveBatches(t *testing.T) {
 		t.Errorf("live delivery = %v, want [w1 w2]", got)
 	}
 
-	// Cancellation closes the feed.
+	// Cancellation unsubscribes: later batches no longer queue.
 	cancel()
-	select {
-	case _, ok := <-feed:
-		if ok {
-			// A queued batch may still flush; the channel must close after.
-			if _, ok := <-feed; ok {
-				t.Error("feed still open after cancellation")
-			}
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().ChangefeedSubscribers > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("feed still subscribed after cancellation")
 		}
-	case <-time.After(2 * time.Second):
-		t.Error("feed not closed after cancellation")
+	}
+	if err := s.Add(&Post{ID: "w3", Author: "a", Text: "three", CreatedAt: ts(2023, 2, 3), Metrics: Metrics{Views: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if batch, _ := feed.Next(); len(batch) != 0 {
+		t.Errorf("cancelled feed still received %d posts", len(batch))
+	}
+}
+
+// TestWatchBacklogCountsUntakenPosts: the backlog gauge is exactly the
+// posts published to a subscriber that its Next has not yet taken, and
+// Ready signals once for several batches.
+func TestWatchBacklogCountsUntakenPosts(t *testing.T) {
+	s := NewStoreShards(4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := s.Watch(ctx)
+	for b := 0; b < 3; b++ {
+		batch := make([]*Post, 4)
+		for i := range batch {
+			batch[i] = dayPost(4*b + i)
+		}
+		if err := s.Add(batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.ChangefeedBacklog(); got != 12 {
+		t.Fatalf("backlog = %d with 12 posts published and none taken, want 12", got)
+	}
+	if got := s.Stats().ChangefeedBacklog; got != 12 {
+		t.Fatalf("Stats backlog = %d, want 12", got)
+	}
+	select {
+	case <-feed.Ready():
+	default:
+		t.Fatal("no ready signal with posts pending")
+	}
+	if batch, _ := feed.Next(); len(batch) != 12 {
+		t.Fatalf("Next took %d posts, want all 12", len(batch))
+	}
+	if got := s.ChangefeedBacklog(); got != 0 {
+		t.Fatalf("backlog = %d after Next took everything, want 0", got)
+	}
+	select {
+	case <-feed.Ready():
+		t.Fatal("a second ready signal for batches one Next already took")
+	default:
 	}
 }
 
@@ -212,22 +253,30 @@ func TestWatchNoLossNoDupUnderConcurrentAdd(t *testing.T) {
 	}
 }
 
+// nextPosts waits for the feed's signal and takes what is pending,
+// failing the test when nothing arrives within 10 s.
+func nextPosts(t *testing.T, feed *Feed) []*PostProfile {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		select {
+		case <-feed.Ready():
+		case <-deadline:
+			t.Fatal("no posts arrived on the feed")
+		}
+		if batch, _ := feed.Next(); len(batch) > 0 {
+			return batch
+		}
+	}
+}
+
 // collectFeed reads IDs off a feed until n posts arrived or a timeout.
-func collectFeed(t *testing.T, feed <-chan []*PostProfile, n int) []string {
+func collectFeed(t *testing.T, feed *Feed, n int) []string {
 	t.Helper()
 	var out []string
-	deadline := time.After(5 * time.Second)
 	for len(out) < n {
-		select {
-		case batch, ok := <-feed:
-			if !ok {
-				t.Fatalf("feed closed after %d of %d posts", len(out), n)
-			}
-			for _, pp := range batch {
-				out = append(out, pp.Post().ID)
-			}
-		case <-deadline:
-			t.Fatalf("timed out after %d of %d posts", len(out), n)
+		for _, pp := range nextPosts(t, feed) {
+			out = append(out, pp.Post().ID)
 		}
 	}
 	if len(out) > n {
@@ -265,7 +314,7 @@ func TestWatchSubscribeDuringConcurrentAdd(t *testing.T) {
 		}(w)
 	}
 
-	feeds := make([]<-chan []*PostProfile, watchers)
+	feeds := make([]*Feed, watchers)
 	for i := range feeds {
 		feeds[i] = f.watch(ctx)
 	}
@@ -294,7 +343,7 @@ func newLiveFlood(s *Store) *liveFlood {
 }
 
 // watch subscribes; the subscription counts once Watch has returned.
-func (f *liveFlood) watch(ctx context.Context) <-chan []*PostProfile {
+func (f *liveFlood) watch(ctx context.Context) *Feed {
 	feed := f.s.Watch(ctx)
 	f.watches.Add(1)
 	return feed
@@ -332,21 +381,12 @@ const sentinelID = "flood-sentinel"
 // the sentinel and asserts no duplicate, no partial batch, no post from
 // outside the flood and every owed batch. It returns the number of
 // posts delivered.
-func (f *liveFlood) check(t *testing.T, name string, k int, feed <-chan []*PostProfile) int {
+func (f *liveFlood) check(t *testing.T, name string, k int, feed *Feed) int {
 	t.Helper()
 	got := make(map[string]int)
-	deadline := time.After(10 * time.Second)
 	for got[sentinelID] == 0 {
-		select {
-		case batch, ok := <-feed:
-			if !ok {
-				t.Fatalf("%s: feed closed before the sentinel", name)
-			}
-			for _, pp := range batch {
-				got[pp.Post().ID]++
-			}
-		case <-deadline:
-			t.Fatalf("%s: no sentinel after %d posts", name, len(got))
+		for _, pp := range nextPosts(t, feed) {
+			got[pp.Post().ID]++
 		}
 	}
 	delivered := 0
@@ -418,13 +458,8 @@ func TestWatchProfilesMatchLikeProfilePost(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []*PostProfile
-	for deadline := time.After(5 * time.Second); len(got) < len(posts); {
-		select {
-		case batch := <-feed:
-			got = append(got, batch...)
-		case <-deadline:
-			t.Fatalf("feed delivered %d of %d posts", len(got), len(posts))
-		}
+	for len(got) < len(posts) {
+		got = append(got, nextPosts(t, feed)...)
 	}
 
 	mid := time.Date(2023, 1, 15, 0, 0, 0, 0, time.UTC)
