@@ -57,7 +57,10 @@
 //     length, a CRC mismatch, or a short read (the torn tail of a
 //     crashed write) ends the scan: the file is truncated to the last
 //     valid record and every later segment is deleted. Torn or corrupt
-//     tails are truncated, never fatal.
+//     tails are truncated, never fatal. The scan only checks records,
+//     so it streams each payload through the CRC in fixed 64 KiB reads
+//     and never holds a record whole; a multi-megabyte record costs the
+//     open no allocation of its size.
 //   - A gap in the segment chain (a missing file) ends the log at the
 //     gap: later segments are deleted, because their sequences could
 //     not be trusted.
@@ -66,7 +69,10 @@
 //
 // Acknowledged appends are fsync'd by definition, so none of this can
 // drop an acknowledged record — only unacknowledged tail writes are at
-// risk, and those are exactly what the rules discard.
+// risk, and those are exactly what the rules discard. Damage that
+// appears after the open is not repaired: Replay fails when a segment
+// yields fewer records than it acknowledged, rather than end early as
+// if the log were complete.
 //
 // # Disk-fault policy
 //

@@ -210,6 +210,11 @@ func (l *Log) dropFiles(firsts []uint64) {
 	}
 }
 
+// scanChunkBytes is the read size of a scan without a callback: such a
+// scan only checks each record's CRC, so it streams the payload through
+// one buffer of this size and never holds a record whole.
+const scanChunkBytes = 64 << 10
+
 // scanSegment walks a segment's records. maxCount caps how many records
 // are visited (-1 for all); fn, when non-nil, receives each record's
 // index and payload (the payload slice is reused between calls). It
@@ -232,7 +237,12 @@ func scanSegment(path string, maxCount int, fn func(idx int, payload []byte) err
 	fileSize := info.Size()
 
 	var header [recordHeaderSize]byte
-	var payload []byte
+	// buf receives the payloads. With a callback it grows to hold each
+	// record whole; without one it stays a single chunk.
+	var buf []byte
+	if fn == nil {
+		buf = make([]byte, min(scanChunkBytes, fileSize))
+	}
 	for maxCount < 0 || count < maxCount {
 		if validSize+recordHeaderSize > fileSize {
 			return count, validSize, validSize < fileSize, nil
@@ -246,18 +256,15 @@ func scanSegment(path string, maxCount int, fn func(idx int, payload []byte) err
 			validSize+recordHeaderSize+int64(length) > fileSize {
 			return count, validSize, true, nil
 		}
-		if int(length) > cap(payload) {
-			payload = make([]byte, length)
+		if fn != nil && int(length) > len(buf) {
+			buf = make([]byte, length)
 		}
-		payload = payload[:length]
-		if _, err := f.ReadAt(payload, validSize+recordHeaderSize); err != nil {
-			return count, validSize, true, nil
-		}
-		if crc32.Checksum(payload, crcTable) != crc {
+		sum, err := checksumAt(f, buf, validSize+recordHeaderSize, int64(length))
+		if err != nil || sum != crc {
 			return count, validSize, true, nil
 		}
 		if fn != nil {
-			if err := fn(count, payload); err != nil {
+			if err := fn(count, buf[:length]); err != nil {
 				return count, validSize, false, err
 			}
 		}
@@ -265,6 +272,23 @@ func scanSegment(path string, maxCount int, fn func(idx int, payload []byte) err
 		validSize += recordHeaderSize + int64(length)
 	}
 	return count, validSize, false, nil
+}
+
+// checksumAt returns the CRC of the n bytes of f at off, reading them
+// through buf one len(buf) chunk at a time. When n ≤ len(buf), buf[:n]
+// holds the bytes afterwards.
+func checksumAt(f *os.File, buf []byte, off, n int64) (uint32, error) {
+	var sum uint32
+	for n > 0 {
+		chunk := buf[:min(int64(len(buf)), n)]
+		if _, err := f.ReadAt(chunk, off); err != nil {
+			return 0, err
+		}
+		sum = crc32.Update(sum, crcTable, chunk)
+		off += int64(len(chunk))
+		n -= int64(len(chunk))
+	}
+	return sum, nil
 }
 
 // Append writes one payload and blocks until it is durable, returning
@@ -451,7 +475,10 @@ func (l *Log) FirstSeq() uint64 {
 // Replay streams every durable record with sequence > after, in
 // sequence order, to fn. It may run concurrently with appends: the
 // record set visited is (at least) everything durable at call time.
-// fn's payload slice is reused between calls.
+// fn's payload slice is reused between calls. A segment that yields
+// fewer records than it acknowledged — damaged on disk since the open,
+// or deleted by a concurrent TruncateBefore — fails the replay, so a
+// caller never mistakes a short replay for a complete one.
 func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) error {
 	l.segMu.Lock()
 	segs := append([]segment(nil), l.segs...)
@@ -460,7 +487,7 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 		if seg.first+uint64(seg.count) <= after+1 {
 			continue // entire segment at or below the floor
 		}
-		_, _, _, err := scanSegment(seg.path, seg.count, func(idx int, payload []byte) error {
+		n, _, _, err := scanSegment(seg.path, seg.count, func(idx int, payload []byte) error {
 			seq := seg.first + uint64(idx)
 			if seq <= after {
 				return nil
@@ -469,6 +496,9 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, payload []byte) error) er
 		})
 		if err != nil {
 			return err
+		}
+		if n < seg.count {
+			return fmt.Errorf("durable: segment %s: only %d of its %d records readable", seg.path, n, seg.count)
 		}
 	}
 	return nil

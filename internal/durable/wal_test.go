@@ -295,6 +295,130 @@ func TestLogRecoveryCorruptCRC(t *testing.T) {
 	}
 }
 
+// bigPayload is a deterministic payload of several scan chunks, distinct
+// per i, so a record that recovery keeps can be checked byte for byte.
+func bigPayload(i int) []byte {
+	p := make([]byte, 3*scanChunkBytes+1000)
+	for k := range p {
+		p[k] = byte(i*31 + k*7)
+	}
+	return p
+}
+
+// recoverBigTail writes three acknowledged multi-chunk records, appends
+// raw bytes after them as a crash would leave them, and reopens the log.
+// Recovery must cut exactly the raw tail: the three records replay
+// intact, the segment shrinks back to their frames, and the next append
+// takes sequence 4.
+func recoverBigTail(t *testing.T, raw []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(bigPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		size += int64(len(frame(bigPayload(i))))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := appendRaw(t, dir, raw)
+
+	l2, err := OpenLog(dir, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	got := replayAll(t, l2, 0)
+	if len(got) != 3 {
+		t.Fatalf("%d records after recovery, want the 3 acknowledged ones", len(got))
+	}
+	for i := 0; i < 3; i++ {
+		if got[uint64(i+1)] != string(bigPayload(i)) {
+			t.Fatalf("record %d did not survive recovery intact", i+1)
+		}
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() != size {
+		t.Fatalf("segment holds %d bytes after recovery, want the %d of the acknowledged records", info.Size(), size)
+	}
+	if res, err := l2.Append([]byte("next")); err != nil || res.Seq != 4 {
+		t.Fatalf("append after recovery: seq %d err %v, want 4", res.Seq, err)
+	}
+}
+
+// TestLogRecoveryBigRecordCorruptLastChunk: the recovery scan streams a
+// payload through its CRC one chunk at a time; a flip in the last chunk
+// of a multi-chunk record must still fail the record.
+func TestLogRecoveryBigRecordCorruptLastChunk(t *testing.T) {
+	bad := frame(bigPayload(3))
+	bad[len(bad)-10] ^= 0x01
+	recoverBigTail(t, bad)
+}
+
+// TestLogRecoveryBigRecordTornTail: a multi-chunk record torn inside a
+// later chunk is cut whole.
+func TestLogRecoveryBigRecordTornTail(t *testing.T) {
+	full := frame(bigPayload(3))
+	recoverBigTail(t, full[:recordHeaderSize+2*scanChunkBytes+500])
+}
+
+// TestLogRecoveryBigRecordLengthOverrun: a record whose length field
+// reaches past the end of the file is cut before any of it is read.
+func TestLogRecoveryBigRecordLengthOverrun(t *testing.T) {
+	full := frame(bigPayload(3))
+	binary.LittleEndian.PutUint32(full[0:4], uint32(len(full)))
+	recoverBigTail(t, full)
+}
+
+// TestLogReplayReportsDamageAfterOpen: a record that was valid at open
+// but is damaged on disk afterwards fails Replay, instead of ending the
+// replay early with a nil error that reads as a complete one.
+func TestLogReplayReportsDamageAfterOpen(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	payloads := []string{"record-0", "record-1", "record-2"}
+	for _, p := range payloads {
+		if _, err := l.Append([]byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, segFiles(t, dir)[0]), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64(len(frame([]byte(payloads[0])))) + recordHeaderSize
+	if _, err := f.WriteAt([]byte{'R'}, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = l.Replay(0, func(uint64, []byte) error {
+		n++
+		return nil
+	})
+	if err == nil {
+		t.Fatalf("replay of a segment damaged after open returned nil after %d of 3 records", n)
+	}
+	if n != 1 {
+		t.Fatalf("replay visited %d records before the damage, want 1", n)
+	}
+}
+
 // TestLogRecoveryMissingSegment: an empty just-rolled segment is valid;
 // a gap in the chain ends the log at the gap.
 func TestLogRecoveryMissingSegment(t *testing.T) {

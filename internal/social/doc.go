@@ -177,8 +177,14 @@
 // error naming the -dump/-corpus migration route. The open removes
 // every snapshot-directory entry the manifest does not name, including
 // the temp files of a compaction that crashed mid-write.
-// Recovery replays each stripe's WAL tail above its floor,
-// deduplicating the (deliberately conservative) overlap by post ID.
+// Recovery runs in two parallel passes over the stripes. The first
+// opens each stripe's log, whose CRC scan truncates a torn tail, and
+// reads and decodes the stripe's posts section. The ID registry is then
+// sized once from the decoded total, and the second pass installs each
+// stripe's indices (or re-tokenizes it). Only after every snapshot is
+// installed does the open replay each stripe's WAL tail above its
+// floor, in stripe order, deduplicating the (deliberately conservative)
+// overlap by post ID.
 // DurableCursor and PostsSince expose the WAL position to consumers
 // that checkpoint their own progress — the monitor persists the cursor
 // with its assessment and catches up incrementally after a restart.

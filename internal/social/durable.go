@@ -151,20 +151,23 @@ type storeDurability struct {
 }
 
 // OpenStoreDir opens (or initializes) a durable store in dir and
-// recovers its contents: each stripe's snapshot file is read and its
-// posts and search indices are installed directly — warm open is a file
-// read plus a varint scan, no re-tokenization — then each stripe's WAL
-// tail above the manifest's floor is replayed (torn or corrupt tail
-// records are truncated, never fatal). A stripe whose postings section
-// is damaged, or whose posts route elsewhere in this store, is
-// re-tokenized from its posts section and compacted again at the next
-// pass; a damaged posts section fails the open, naming the file. A
-// directory whose manifest predates the single-file layout is refused
-// before anything in it is written or removed. The returned store
-// behaves exactly like an in-memory one, plus: Add acknowledges only
-// after its batch is fsync'd (group commit), a background pass compacts
-// dirty stripes into snapshots, and Close flushes. Search results are
-// byte-identical to an in-memory store holding the same posts.
+// recovers its contents: each stripe's log is opened (its scan
+// truncates torn or corrupt tail records, never fatal) and its snapshot
+// file is read, then its posts and search indices are installed
+// directly — warm open is a file read plus a varint scan, no
+// re-tokenization — and finally each stripe's WAL tail above the
+// manifest's floor is replayed. Stripes open and install in parallel;
+// the replay runs in stripe order once every snapshot is installed. A
+// stripe whose postings section is damaged, or whose posts route
+// elsewhere in this store, is re-tokenized from its posts section and
+// compacted again at the next pass; a damaged posts section fails the
+// open, naming the file. A directory whose manifest predates the
+// single-file layout is refused before anything in it is written or
+// removed. The returned store behaves exactly like an in-memory one,
+// plus: Add acknowledges only after its batch is fsync'd (group
+// commit), a background pass compacts dirty stripes into snapshots, and
+// Close flushes. Search results are byte-identical to an in-memory
+// store holding the same posts.
 func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
 	man, err := durable.LoadManifest(dir)
 	if err != nil {
@@ -214,25 +217,13 @@ func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
 		d.stripes[i].pending = make(map[uint64]struct{})
 	}
 
-	// Snapshots first: they hold everything at or below the floors. One
-	// parallel load per stripe: stripe loads are independent — distinct
-	// shards, and the ID registry is stripe-locked — so the bounded
-	// fan-out is safe.
-	snapDir := filepath.Join(dir, snapDirName)
-	var phases recoveryPhases
-	errs := make([]error, shards)
-	forEachBounded(shards, func(i int) {
-		errs[i] = d.loadStripe(s, snapDir, man.Snapshots[i], i, &phases)
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	removeOrphanSnapshots(snapDir, man)
-
-	// Then each stripe's WAL tail. Replay overlaps the snapshot by up
-	// to one segment (truncation is whole-segment) and may overlap it
-	// further when the floor was taken conservatively mid-ingest, so
-	// records are deduplicated by post ID.
+	// Two fan-outs over the stripes, which are independent: distinct
+	// shards, distinct log directories, and a stripe-locked ID registry.
+	// The first opens each stripe's log (its recovery scan included) and
+	// reads and decodes its snapshot's posts section. The second installs
+	// each stripe's indices, or re-tokenizes it. Between them the ID
+	// registry is sized once, from the decoded total, so the installs
+	// fill its maps without growing them.
 	fail := func(err error) (*Store, error) {
 		for _, log := range d.logs {
 			if log != nil {
@@ -241,25 +232,58 @@ func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
 		}
 		return nil, err
 	}
-	var walMetrics *durable.LogMetrics
+	logOpts := durable.LogOptions{SegmentBytes: opts.SegmentBytes, FS: opts.FS}
 	if opts.Metrics != nil {
-		walMetrics = opts.Metrics.WAL
+		logOpts.Metrics = opts.Metrics.WAL
 	}
-	for i := 0; i < shards; i++ {
-		i := i
-		log, err := durable.OpenLog(d.stripeDir(i), durable.LogOptions{
-			SegmentBytes: opts.SegmentBytes,
-			OnDurable:    func(seq uint64) { d.onDurable(i, seq) },
-			Metrics:      walMetrics,
-			FS:           opts.FS,
-		})
-		if err != nil {
-			return fail(err)
+	snapDir := filepath.Join(dir, snapDirName)
+	var phases recoveryPhases
+	loads := make([]stripeLoad, shards)
+	errs := make([]error, shards)
+	forEachBounded(shards, func(i int) {
+		errs[i] = d.openStripe(&loads[i], snapDir, man.Snapshots[i], i, logOpts, &phases)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return fail(err)
+	}
+	total := 0
+	for _, ld := range loads {
+		total += len(ld.posts)
+	}
+	if total > 0 {
+		// An eighth more than the mean absorbs the ID hash's spread.
+		per := total/idStripes + total/idStripes/8
+		for k := range s.ids {
+			s.ids[k].posts = make(map[string]*Post, per)
 		}
-		d.logs[i] = log
+	}
+	forEachBounded(shards, func(i int) {
+		errs[i] = d.loadStripe(s, &loads[i], i, &phases)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return fail(err)
+	}
+	// A stripe whose posts route elsewhere re-tokenizes only after every
+	// install: an install replaces its shard whole, so it would drop the
+	// posts an earlier re-tokenization had routed there.
+	for i := range loads {
+		if loads[i].misrouted {
+			if err := d.rebuildStripe(s, &loads[i], i, &phases); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	removeOrphanSnapshots(snapDir, man)
+
+	// Then each stripe's WAL tail, in stripe order, once every snapshot
+	// is installed. Replay overlaps the snapshot by up to one segment
+	// (truncation is whole-segment) and may overlap it further when the
+	// floor was taken conservatively mid-ingest, so records are
+	// deduplicated by post ID.
+	for i, log := range d.logs {
 		t0 := time.Now()
 		replayed := int64(0)
-		err = log.Replay(man.Floors[i], func(_ uint64, payload []byte) error {
+		err := log.Replay(man.Floors[i], func(_ uint64, payload []byte) error {
 			replayed++
 			return replayBatch(s, payload)
 		})
@@ -350,68 +374,102 @@ func (p *phaseNanos) seconds() float64 { return float64(p.Load()) / 1e9 }
 
 // recoveryPhases breaks one recovery down by phase: snapshot files read
 // and their posts decoded, postings decoded and installed, fallback
-// re-tokenization, WAL replay — plus the per-stripe outcome split.
-// Stripe loads run in parallel, so phase times are summed across
+// re-tokenization, WAL scan and replay — plus the per-stripe outcome
+// split. Stripe loads run in parallel, so phase times are summed across
 // stripes (CPU seconds); the top-level recovery gauge stays wall-clock.
 type recoveryPhases struct {
 	snapshot phaseNanos // snapshot files read + posts sections decoded
 	load     phaseNanos // postings sections decoded + installed
 	rebuild  phaseNanos // fallback re-tokenization
-	replay   phaseNanos // WAL tails replayed
+	replay   phaseNanos // WAL segments scanned at log open + tails replayed
 	indexed  atomic.Int64
 	rebuilt  atomic.Int64
 }
 
-// loadStripe recovers one stripe from its snapshot file. The posts
-// section is load-bearing: unreadable or invalid fails the open, naming
-// the stripe and the file. The postings section is derived: when it is
-// damaged, or the posts are out of order or route to other stripes of
-// this store, the stripe is re-tokenized from the decoded posts through
-// Add and left dirty so the next compaction writes a fresh file.
-// Mis-routed posts land wherever shardFor routes them now, so that case
-// dirties every stripe.
-func (d *storeDurability) loadStripe(s *Store, snapDir, name string, i int, ph *recoveryPhases) error {
+// stripeLoad carries one stripe's snapshot from openStripe to
+// loadStripe: the file's path, its decoded posts, and its postings
+// section, still encoded. misrouted marks a stripe whose posts are out
+// of order or route to other stripes, which OpenStoreDir re-tokenizes
+// after every install.
+type stripeLoad struct {
+	path      string
+	posts     []*Post
+	postings  []byte
+	misrouted bool
+}
+
+// openStripe opens stripe i's log and reads its snapshot file into ld.
+// The posts section is load-bearing: unreadable or invalid fails the
+// open, naming the stripe and the file.
+func (d *storeDurability) openStripe(ld *stripeLoad, snapDir, name string, i int, opts durable.LogOptions, ph *recoveryPhases) error {
+	t0 := time.Now()
+	opts.OnDurable = func(seq uint64) { d.onDurable(i, seq) }
+	log, err := durable.OpenLog(d.stripeDir(i), opts)
+	ph.replay.Add(int64(time.Since(t0)))
+	if err != nil {
+		return err
+	}
+	d.logs[i] = log
 	if name == "" {
 		return nil
 	}
-	path := filepath.Join(snapDir, name)
-	t0 := time.Now()
-	data, err := os.ReadFile(path)
-	var posts []*Post
-	var postings []byte
+	ld.path = filepath.Join(snapDir, name)
+	t0 = time.Now()
+	data, err := os.ReadFile(ld.path)
 	if err == nil {
-		posts, postings, err = decodeSnapshotPosts(data)
+		ld.posts, ld.postings, err = decodeSnapshotPosts(data)
 	}
 	ph.snapshot.Add(int64(time.Since(t0)))
 	if err != nil {
-		return fmt.Errorf("social: stripe %d snapshot %s: %w", i, path, err)
+		return fmt.Errorf("social: stripe %d snapshot %s: %w", i, ld.path, err)
 	}
-	t0 = time.Now()
-	ordered := stripeOrdered(s, posts, i)
-	if ordered {
-		var g *shardGen
-		if g, err = decodePostings(postings, posts); err == nil {
-			err = s.installStripeBase(i, g)
-		}
+	return nil
+}
+
+// loadStripe installs stripe i from the snapshot openStripe read. The
+// postings section is derived: when it is damaged, the stripe is
+// re-tokenized from the decoded posts. A stripe whose posts are out of
+// order or route to other stripes of this store is only marked
+// misrouted here.
+func (d *storeDurability) loadStripe(s *Store, ld *stripeLoad, i int, ph *recoveryPhases) error {
+	if ld.path == "" {
+		return nil
+	}
+	if !stripeOrdered(s, ld.posts, i) {
+		ld.misrouted = true
+		return nil
+	}
+	t0 := time.Now()
+	g, err := decodePostings(ld.postings, ld.posts)
+	if err == nil {
+		err = s.installStripeBase(i, g)
 	}
 	ph.load.Add(int64(time.Since(t0)))
-	if ordered && err == nil {
+	if err == nil {
 		ph.indexed.Add(1)
 		return nil
 	}
-	t0 = time.Now()
-	err = s.Add(posts...)
+	return d.rebuildStripe(s, ld, i, ph)
+}
+
+// rebuildStripe re-tokenizes stripe i's snapshot posts through Add and
+// leaves the stripe dirty, so the next compaction writes a fresh file.
+// Mis-routed posts land wherever shardFor routes them now, so that case
+// dirties every stripe.
+func (d *storeDurability) rebuildStripe(s *Store, ld *stripeLoad, i int, ph *recoveryPhases) error {
+	t0 := time.Now()
+	err := s.Add(ld.posts...)
 	ph.rebuild.Add(int64(time.Since(t0)))
 	if err != nil {
-		return fmt.Errorf("social: stripe %d snapshot %s: %w", i, path, err)
+		return fmt.Errorf("social: stripe %d snapshot %s: %w", i, ld.path, err)
 	}
 	ph.rebuilt.Add(1)
-	if ordered {
+	if !ld.misrouted {
 		d.stripes[i].dirty.Add(1)
-	} else {
-		for j := range d.stripes {
-			d.stripes[j].dirty.Add(1)
-		}
+		return nil
+	}
+	for j := range d.stripes {
+		d.stripes[j].dirty.Add(1)
 	}
 	return nil
 }

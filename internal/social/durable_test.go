@@ -671,6 +671,96 @@ func TestWatchFeedCursorUnderConcurrentAdd(t *testing.T) {
 	}
 }
 
+// TestWatchFeedNextReadsFloorsBeforeTaking pins the order inside Next:
+// a batch applied between its floor read and its take is returned by
+// that Next and lies above the cursor it returns. Taking first would
+// hand back a cursor that covers the batch although Next never returned
+// it, and a consumer persisting that cursor would skip the batch on
+// catch-up.
+func TestWatchFeedNextReadsFloorsBeforeTaking(t *testing.T) {
+	s, err := OpenStoreDir(t.TempDir(), noCompact(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	feed := s.Watch(ctx)
+	added := []*Post{durPost(0, 0), durPost(1, 1), durPost(2, 2)}
+	feed.afterFloors = func() {
+		feed.afterFloors = nil
+		if err := s.Add(added...); err != nil {
+			t.Error(err)
+		}
+	}
+	batch, c := feed.Next()
+	if c == nil {
+		t.Fatal("a durable store's live feed offered no cursor")
+	}
+	returned := make(map[string]bool, len(batch))
+	for _, pp := range batch {
+		returned[pp.Post().ID] = true
+	}
+	delta, err := s.PostsSince(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	above := make(map[string]bool, len(delta))
+	for _, p := range delta {
+		above[p.ID] = true
+	}
+	for _, p := range added {
+		if !returned[p.ID] && !above[p.ID] {
+			t.Fatalf("cursor %v covers %s, which Next did not return", c, p.ID)
+		}
+	}
+}
+
+// TestDurablePostsSinceReportsDamage: a WAL record damaged on disk after
+// the open fails PostsSince, instead of handing back a short catch-up
+// that reads as complete.
+func TestDurablePostsSinceReportsDamage(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStoreDir(dir, noCompact(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cur := s.DurableCursor()
+	for n := 0; n < 3; n++ {
+		if err := s.Add(durPost(n, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if delta, err := s.PostsSince(cur); err != nil || len(delta) != 3 {
+		t.Fatalf("intact WAL: %d posts since the cursor (err %v), want 3", len(delta), err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, walDirName, "stripe-0000", "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one WAL segment, got %v (err %v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second record's first payload byte: just past the first
+	// record's frame and the second's 8-byte header.
+	off := int64(8+binary.LittleEndian.Uint32(data[0:4])) + 8
+	f, err := os.OpenFile(segs[0], os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{data[off] ^ 0x01}, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if delta, err := s.PostsSince(cur); err == nil {
+		t.Fatalf("PostsSince over a damaged record returned %d posts and no error", len(delta))
+	}
+}
+
 // TestDurableSeedResumesAfterCrash: a directory whose seed crashed
 // before the marker committed resumes seeding idempotently (durable
 // posts skipped by ID); once the marker exists the seed never runs

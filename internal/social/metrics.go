@@ -34,6 +34,8 @@ type StoreMetrics struct {
 	// Recovery phase breakdown: phase-labeled series of the same
 	// psp_store_recovery_seconds family as the wall-clock total. Phase
 	// times are summed across stripes (stripe loads run in parallel).
+	// wal_replay covers both WAL passes: each log's CRC scan at open and
+	// the replay of its tail above the snapshot floor.
 	RecoverySnapshotSeconds *obs.Gauge // phase="snapshot_read"
 	RecoveryIndexSeconds    *obs.Gauge // phase="index_load"
 	RecoveryRebuildSeconds  *obs.Gauge // phase="index_rebuild"

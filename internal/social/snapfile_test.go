@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -310,6 +311,74 @@ func TestDurableSweepsOrphanSnapFiles(t *testing.T) {
 	}
 	if got := listAll(t, re); !reflect.DeepEqual(got, want) {
 		t.Fatal("listing changed across the sweep")
+	}
+}
+
+// TestDurableMisroutedSnapshotKeepsInstalledStripe: a snapshot whose
+// posts route to another stripe is re-tokenized into that stripe, and
+// that stripe's own snapshot install must not drop them. Both orders of
+// the two loads must end with every post listed; one CPU makes the
+// open load stripe 0 (the mis-routed file) before stripe 1 installs,
+// the order in which an install used to replace the re-tokenized posts.
+func TestDurableMisroutedSnapshotKeepsInstalledStripe(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	router := NewStoreShards(2)
+	// stripeOne returns n posts that route to stripe 1, from ID base.
+	stripeOne := func(base, n int) []*Post {
+		var out []*Post
+		for k := base; len(out) < n; k++ {
+			if p := durPost(k, k%11); router.shardFor(p.CreatedAt) == 1 {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	closed := func(posts []*Post) (string, *durable.Manifest) {
+		dir := t.TempDir()
+		s, err := OpenStoreDir(dir, noCompact(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Add(posts...); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir, checkSnapLayout(t, dir)
+	}
+	own, foreign := stripeOne(0, 20), stripeOne(1000, 20)
+	dir, man := closed(own)
+	src, srcMan := closed(foreign)
+	// Stripe 0 of dir gets src's stripe-1 file: every post in it routes
+	// to stripe 1.
+	data, err := os.ReadFile(filepath.Join(src, snapDirName, srcMan.Snapshots[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := fmt.Sprintf("stripe-0000-%08d.snap", man.Gen)
+	if err := os.WriteFile(filepath.Join(dir, snapDirName, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man.Snapshots[0] = name
+	if err := man.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenStoreDir(dir, noCompact(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.closeAbrupt()
+	mem := NewStoreShards(2)
+	if err := mem.Add(append(own, foreign...)...); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := listAll(t, re), listAll(t, mem); !reflect.DeepEqual(got, want) {
+		t.Fatalf("listing after a mis-routed stripe's rebuild differs from the in-memory store (%d posts registered)", re.Len())
+	}
+	if st := re.Stats(); st.RecoveredIndexed != 1 || st.RecoveredRebuilt != 1 {
+		t.Fatalf("recovery split %d indexed / %d rebuilt, want 1 / 1", st.RecoveredIndexed, st.RecoveredRebuilt)
 	}
 }
 

@@ -100,6 +100,10 @@ type Feed struct {
 	s   *Store
 	ctx context.Context
 	sub *subscriber
+
+	// afterFloors, when set, runs in Next between the floor read and
+	// the take: the test hook that pins their order.
+	afterFloors func()
 }
 
 // Watch subscribes to the store's changefeed: every batch of posts
@@ -150,6 +154,9 @@ func (f *Feed) Next() ([]*PostProfile, DurableCursor) {
 	var c DurableCursor
 	if f.s.dur != nil {
 		c = f.s.dur.floors()
+	}
+	if f.afterFloors != nil {
+		f.afterFloors()
 	}
 	f.sub.mu.Lock()
 	batch := f.sub.pending
