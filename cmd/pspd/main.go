@@ -95,8 +95,8 @@
 // Readiness and liveness are distinct: /v1/healthz always answers 200
 // while the process is up (point liveness probes here), and
 // /v1/readyz answers 503 with the pending reasons until the daemon can
-// actually serve assessments (point readiness gates here — on a warm
-// restart the persisted assessment restores readiness immediately).
+// actually serve assessments (point readiness gates here — a warm
+// restart is ready as soon as its restored assessment publishes).
 // Every request is traced end to end: the HTTP middleware continues an
 // inbound W3C traceparent header (or starts a fresh trace), and spans
 // from every stage the request touches — server handling, store search

@@ -141,10 +141,11 @@
 // untouched with the -dump/-corpus migration route in the error. The
 // monitor persists its own state alongside (MonitorConfig.State,
 // NewMonitorFileState), in the same CRC-framed sections: the
-// serialized assessment, the result cache's fills (post IDs) and slice
+// assessment's metadata, the result cache's fills (post IDs) and slice
 // memos (per-post features and co-occurrence graphs), and the store
-// cursor. A restarted pspd therefore serves its previous assessment
-// immediately — same generation, same ETag — and catches up with one
+// cursor. A restarted pspd therefore re-derives its previous assessment
+// from the restored cache without a platform query and serves it at
+// once — same generation, same ETag — and catches up with one
 // incremental delta run over the posts ingested past the cursor, which
 // re-analyzes only posts the saved cache never saw, instead of a cold
 // full workflow. The

@@ -14,27 +14,29 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"github.com/psp-framework/psp/internal/canbus"
 	"github.com/psp-framework/psp/internal/tara"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
-	if err := dosExperiment(); err != nil {
+func run(w io.Writer) error {
+	if err := dosExperiment(w); err != nil {
 		return err
 	}
-	return flashExperiment()
+	return flashExperiment(w)
 }
 
-func dosExperiment() error {
-	fmt.Println("== Part 1: signal-extinction DoS on the powertrain CAN ==")
+func dosExperiment(w io.Writer) error {
+	fmt.Fprintln(w, "== Part 1: signal-extinction DoS on the powertrain CAN ==")
 	bus := canbus.NewBus()
 	torque := canbus.NewPeriodicSender("ECM-torque",
 		canbus.Frame{ID: 0x0C0, Data: []byte{0x10, 0x27}}, 2)
@@ -57,7 +59,7 @@ func dosExperiment() error {
 	g1, d1, _ := torque.Stats()
 	underAttack := float64(d1-d0) / float64(g1-g0)
 
-	fmt.Printf("torque frame delivery: %.0f%% baseline → %.0f%% under attack\n",
+	fmt.Fprintf(w, "torque frame delivery: %.0f%% baseline → %.0f%% under attack\n",
 		baseline*100, underAttack*100)
 
 	// The TARA verdict for this scenario under the standard models.
@@ -70,11 +72,11 @@ func dosExperiment() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("standard TARA: impact=%s, vector=Physical → feasibility=%s, CAL=%s\n",
+	fmt.Fprintf(w, "standard TARA: impact=%s, vector=Physical → feasibility=%s, CAL=%s\n",
 		impact, feas, cal)
-	fmt.Printf("→ a %.0f%% outage of a safety-critical signal rates '%s' feasibility and\n",
+	fmt.Fprintf(w, "→ a %.0f%% outage of a safety-critical signal rates '%s' feasibility and\n",
 		(1-underAttack)*100, feas)
-	fmt.Println("  caps at CAL2 — the mismatch the PSP framework corrects.")
+	fmt.Fprintln(w, "  caps at CAL2 — the mismatch the PSP framework corrects.")
 
 	// The attack potential-based model already disagrees with G.9.
 	potential, err := tara.StandardPotentialWeights().Potential(tara.AttackPotentialInput{
@@ -85,13 +87,13 @@ func dosExperiment() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("attack potential of the same attack: %d → %s (models disagree)\n\n",
+	fmt.Fprintf(w, "attack potential of the same attack: %d → %s (models disagree)\n\n",
 		potential, tara.StandardPotentialThresholds().Rating(potential))
 	return nil
 }
 
-func flashExperiment() error {
-	fmt.Println("== Part 2: ECM reprogramming via OBD with a leaked secret ==")
+func flashExperiment(w io.Writer) error {
+	fmt.Fprintln(w, "== Part 2: ECM reprogramming via OBD with a leaked secret ==")
 	secret := []byte{0xA5, 0x5A} // leaked on the tuning forums
 	stock := []byte("STOCK-CAL-v1")
 	tuned := []byte("STAGE1-CAL-power+18%")
@@ -109,9 +111,9 @@ func flashExperiment() error {
 	if tool.Failed() != 0 {
 		return fmt.Errorf("flash failed with NRC 0x%02X", tool.Failed())
 	}
-	fmt.Printf("firmware before: %q\n", stock)
-	fmt.Printf("firmware after:  %q (flashed in %d bus slots)\n", ecm.Firmware, slots)
-	fmt.Println("→ with scene-leaked secrets, OBD reprogramming is a routine local attack;")
-	fmt.Println("  the PSP-retuned table rates it High instead of G.9's Low.")
+	fmt.Fprintf(w, "firmware before: %q\n", stock)
+	fmt.Fprintf(w, "firmware after:  %q (flashed in %d bus slots)\n", ecm.Firmware, slots)
+	fmt.Fprintln(w, "→ with scene-leaked secrets, OBD reprogramming is a routine local attack;")
+	fmt.Fprintln(w, "  the PSP-retuned table rates it High instead of G.9's Low.")
 	return nil
 }

@@ -14,14 +14,16 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	psp "github.com/psp-framework/psp"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -39,7 +41,7 @@ func ecmThreat() *psp.ThreatScenario {
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	fw, err := psp.NewDefault(42)
 	if err != nil {
 		return err
@@ -53,7 +55,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(psp.RenderTuningComparison(allTime.OutsiderTable, allTime.Tunings[0]))
+	fmt.Fprint(w, psp.RenderTuningComparison(allTime.OutsiderTable, allTime.Tunings[0]))
 
 	// Window 2: posts since 2022 only (Fig. 9-C).
 	recent, err := fw.RunSocial(ctx, psp.SocialInput{
@@ -63,8 +65,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nTime-window sensitivity (Fig. 9-C, data since 2022):")
-	fmt.Print(psp.RenderVectorTable(recent.Tunings[0].Table))
+	fmt.Fprintln(w, "\nTime-window sensitivity (Fig. 9-C, data since 2022):")
+	fmt.Fprint(w, psp.RenderVectorTable(recent.Tunings[0].Table))
 
 	// Run the TARA twice: static weights, then PSP weights.
 	for _, cfg := range []struct {
@@ -80,9 +82,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nTARA verdicts with %s:\n", cfg.label)
+		fmt.Fprintf(w, "\nTARA verdicts with %s:\n", cfg.label)
 		for _, r := range results {
-			fmt.Printf("  %-20s feasibility=%-9s risk=%s treatment=%s\n",
+			fmt.Fprintf(w, "  %-20s feasibility=%-9s risk=%s treatment=%s\n",
 				r.Threat.Name, r.Feasibility, r.Risk, r.Treatment)
 		}
 	}

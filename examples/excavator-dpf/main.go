@@ -12,18 +12,20 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	psp "github.com/psp-framework/psp"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	fw, err := psp.NewDefault(42)
 	if err != nil {
 		return err
@@ -41,12 +43,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(chart)
+	fmt.Fprint(w, chart)
 	top, err := social.Index.Top()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\ntop insider attack: %s → running the financial model for it\n\n", top.Topic)
+	fmt.Fprintf(w, "\ntop insider attack: %s → running the financial model for it\n\n", top.Topic)
 
 	// Step 2 — financial workflow (Fig. 10) for DPF tampering.
 	res, err := fw.RunFinancial(psp.FinancialInput{
@@ -60,24 +62,24 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(psp.RenderFinancialSummary(res, "Financial feasibility — DPF tampering, excavators, Europe"))
+	fmt.Fprint(w, psp.RenderFinancialSummary(res, "Financial feasibility — DPF tampering, excavators, Europe"))
 
 	// The two headline numbers of the paper.
-	fmt.Printf("\nEquation 6: MV = %d × %s = %s per year\n", res.PAE, res.PPIA, res.MV)
-	fmt.Printf("Equation 7: the product must resist an adversary investment of %s\n\n", res.SecurityBudget)
+	fmt.Fprintf(w, "\nEquation 6: MV = %d × %s = %s per year\n", res.PAE, res.PPIA, res.MV)
+	fmt.Fprintf(w, "Equation 7: the product must resist an adversary investment of %s\n\n", res.SecurityBudget)
 
 	// Step 3 — break-even diagram (Fig. 11).
 	diagram, err := psp.RenderBEPDiagram(res.Curve, "Break-even diagram (per attacker)")
 	if err != nil {
 		return err
 	}
-	fmt.Print(diagram)
+	fmt.Fprint(w, diagram)
 
 	// Price survey detail: the clusters behind PPIA.
-	fmt.Println("\nmined price bands (devices and services):")
+	fmt.Fprintln(w, "\nmined price bands (devices and services):")
 	for _, c := range res.Survey.Clusters {
-		fmt.Printf("  %7.2f EUR × %d listings\n", c.Center, c.Size())
+		fmt.Fprintf(w, "  %7.2f EUR × %d listings\n", c.Center, c.Size())
 	}
-	fmt.Printf("dominant band vendors (n of Eq. 3): %d\n", res.Survey.CompetitorCount())
+	fmt.Fprintf(w, "dominant band vendors (n of Eq. 3): %d\n", res.Survey.CompetitorCount())
 	return nil
 }

@@ -1,0 +1,50 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden output under testdata/")
+
+// TestRunGolden pins the example's output byte for byte. A change that
+// moves a printed figure on purpose rewrites the golden with -update
+// and says which figure moved and why.
+func TestRunGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "excavator-dpf.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, w)
+			}
+		}
+	}
+}

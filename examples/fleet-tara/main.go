@@ -12,20 +12,22 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http/httptest"
+	"os"
 	"runtime"
 
 	psp "github.com/psp-framework/psp"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// Serve the reference corpus over HTTP, as sociald would.
 	store, err := psp.DefaultSocialStore(42)
 	if err != nil {
@@ -48,7 +50,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("social platform: %s (%d posts)\n\n", server.URL, store.Len())
+	fmt.Fprintf(w, "social platform: sociald over HTTP (%d posts)\n\n", store.Len())
 
 	// One insider tuning shared by the powertrain items.
 	tuning, err := fw.RunSocial(context.Background(), psp.SocialInput{
@@ -75,7 +77,7 @@ func run() error {
 		{"static ISO/SAE 21434 G.9", psp.StandardVectorTable()},
 		{"PSP-retuned insider weights", retuned},
 	} {
-		fmt.Printf("== fleet risk register — %s ==\n", model.label)
+		fmt.Fprintf(w, "== fleet risk register — %s ==\n", model.label)
 		for _, item := range items {
 			item.analysis.VectorModel = model.table
 			results, err := item.analysis.Run()
@@ -83,11 +85,11 @@ func run() error {
 				return fmt.Errorf("item %s: %w", item.analysis.Item.Name, err)
 			}
 			for _, r := range results {
-				fmt.Printf("  %-6s %-30s risk=%s (%-9s) CAL=%s\n",
+				fmt.Fprintf(w, "  %-6s %-30s risk=%s (%-9s) CAL=%s\n",
 					item.ecu, r.Threat.Name, r.Risk, r.Feasibility, r.CAL)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }

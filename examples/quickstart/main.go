@@ -6,19 +6,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"slices"
 
 	psp "github.com/psp-framework/psp"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+func run(w io.Writer) error {
 	// NewDefault wires the deterministic reference corpus (seeded) and
 	// the calibrated market dataset.
 	fw, err := psp.NewDefault(42)
@@ -36,24 +38,24 @@ func run() error {
 		return fmt.Errorf("social workflow: %w", err)
 	}
 
-	fmt.Print(psp.RenderSAITable(res.Index, "Social Attraction Index — excavators, Europe"))
+	fmt.Fprint(w, psp.RenderSAITable(res.Index, "Social Attraction Index — excavators, Europe"))
 
 	top, err := res.Index.Top()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nmost attractive insider attack: %s (probability %.1f%%, %d posts)\n",
+	fmt.Fprintf(w, "\nmost attractive insider attack: %s (probability %.1f%%, %d posts)\n",
 		top.Topic, top.Probability*100, top.Posts)
 
 	if len(res.Learned) > 0 {
-		fmt.Println("\nkeywords auto-learned this run:")
+		fmt.Fprintln(w, "\nkeywords auto-learned this run:")
 		topics := make([]string, 0, len(res.Learned))
 		for topic := range res.Learned {
 			topics = append(topics, topic)
 		}
 		slices.Sort(topics)
 		for _, topic := range topics {
-			fmt.Printf("  %-22s %v\n", topic+":", res.Learned[topic])
+			fmt.Fprintf(w, "  %-22s %v\n", topic+":", res.Learned[topic])
 		}
 	}
 	return nil

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -192,8 +192,8 @@ func TestRunSocialDeltaLearnsKeywordsMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := renderResult(t, after), renderResult(t, cold); !bytes.Equal(a, b) {
-		t.Fatalf("delta result after the queued batch diverged from a cold run:\n%s\n%s", a, b)
+	if !reflect.DeepEqual(after, cold) {
+		t.Fatalf("delta result after the queued batch diverged from a cold run:\n%+v\n%+v", after.Index.Entries, cold.Index.Entries)
 	}
 	checkMemos(t, fw, rc)
 }
@@ -252,8 +252,8 @@ func checkDelta(t *testing.T, fw *Framework, rc *ResultCache, in SocialInput, ap
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := renderResult(t, warm), renderResult(t, cold); !bytes.Equal(a, b) {
-		t.Fatalf("delta result diverged from a cold run:\n%s\n%s", a, b)
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatalf("delta result diverged from a cold run:\n%+v\n%+v", warm.Index.Entries, cold.Index.Entries)
 	}
 	checkMemos(t, fw, rc)
 

@@ -28,7 +28,10 @@
 // recomputed slice reads its fill in place — no paging back out of the
 // cache — and matches its previous posts with one merge walk over the
 // two (CreatedAt, ID)-ordered listings, so it tokenizes only the posts
-// new to its listing.
+// new to its listing. The cache is also what a restart persists
+// (ExportFills, ExportMemos, ImportFills): a delta run over a restored
+// cache re-derives the saved result without a platform query or a
+// tokenized post, so the result itself is never serialized.
 //
 // The financial workflow (Fig. 10) estimates the potential attacker
 // population (PAE) from sales data and annual reports, mines marketplace

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,10 +19,13 @@ import (
 // through its binary form, sometimes restore a fresh cache from the
 // last save and replay every post ingested since — over a local store
 // and through a federated Multi, with the poisoning defence on and off.
-// Two invariants hold after every flush:
+// Three invariants hold:
 //
-//   - the published result renders byte-identically (ExportResult as
-//     JSON) to a cold RunSocial over the same corpus;
+//   - after every flush, the published result is reflect.DeepEqual to a
+//     cold RunSocial over the same corpus;
+//   - after every restore, a RunSocialDelta before the catch-up — the
+//     monitor's restored generation — equals the result published at
+//     the last save, and tokenizes no post;
 //   - the first flush after a restore tokenizes exactly the posts new to
 //     each re-drained listing, plus — only for a co-occurrence graph the
 //     saved state could not extend — the listing's other posts. A cache
@@ -61,9 +63,13 @@ type restoreModel struct {
 	// lookup resolves a listed post ID the way the backend lists it.
 	lookup func(id string) *social.Post
 	rc     *ResultCache
-	// saved is the last saved cache in its binary forms; sinceSave the
-	// posts ingested after it — a restore's catch-up delta.
+	// last is the result the last flush published.
+	last *SocialResult
+	// saved is the last saved cache in its binary forms and the result
+	// published with it; sinceSave the posts ingested after it — a
+	// restore's catch-up delta.
 	savedFills, savedMemos []byte
+	savedResult            *SocialResult
 	sinceSave              []*social.Post
 	seq                    int
 }
@@ -253,22 +259,10 @@ func (m *restoreModel) flush(batch []*social.Post) {
 	if err != nil {
 		m.t.Fatal(err)
 	}
-	if a, b := renderResult(m.t, warm), renderResult(m.t, cold); !bytes.Equal(a, b) {
-		m.t.Fatalf("delta result diverged from a cold run:\n%s\n%s", a, b)
+	if !reflect.DeepEqual(warm, cold) {
+		m.t.Fatalf("delta result diverged from a cold run:\n%+v\n%+v", warm.Index.Entries, cold.Index.Entries)
 	}
-}
-
-func renderResult(t *testing.T, r *SocialResult) []byte {
-	t.Helper()
-	st, err := ExportResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
+	m.last = warm
 }
 
 // save records the cache's binary image, as the monitor does after a
@@ -276,11 +270,13 @@ func renderResult(t *testing.T, r *SocialResult) []byte {
 func (m *restoreModel) save() {
 	m.savedFills = AppendFills(nil, m.rc.ExportFills())
 	m.savedMemos = AppendMemos(nil, m.rc.ExportMemos())
+	m.savedResult = m.last
 	m.sinceSave = nil
 }
 
 // restore replaces the cache with one imported from the last save,
-// flushes the catch-up delta, and checks what the flush tokenized. It
+// re-derives the saved result from it, flushes the catch-up delta, and
+// checks what the flush tokenized. It
 // returns the number of listings the flush re-drained over a restored
 // memo, and how many of those rebuilt their graph.
 func (m *restoreModel) restore() (redrains, rebuilds int) {
@@ -301,6 +297,16 @@ func (m *restoreModel) restore() (redrains, rebuilds int) {
 		m.t.Fatalf("restored %d of %d memos", len(m.rc.slices), len(memos))
 	}
 	before := memoViews(fills, memos)
+	res, err := m.fw.RunSocialDelta(context.Background(), m.in, m.rc)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, m.savedResult) {
+		m.t.Fatalf("the restored cache re-derived another result than the saved one:\n%+v\n%+v", res.Index.Entries, m.savedResult.Index.Entries)
+	}
+	if got := m.rc.tokenized.Load(); got != 0 {
+		m.t.Fatalf("re-deriving the saved result tokenized %d posts, want 0", got)
+	}
 	m.flush(m.sinceSave)
 	after := memoViews(m.rc.ExportFills(), m.rc.ExportMemos())
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -19,81 +18,6 @@ func stateThreat() *tara.ThreatScenario {
 		Profiles:  []tara.AttackerProfile{tara.ProfileInsider},
 		Vector:    tara.VectorPhysical,
 		Keywords:  []string{"chiptuning", "ecutune", "remap", "stage1"},
-	}
-}
-
-// TestResultStateRoundtrip: a real workflow result survives the
-// export → JSON → restore cycle with every consumer-visible field
-// intact (threat scenarios resolving back to the live pointers).
-func TestResultStateRoundtrip(t *testing.T) {
-	store, err := social.DefaultStore(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := New(Config{Searcher: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	threats := []*tara.ThreatScenario{stateThreat()}
-	in := SocialInput{Threats: threats}
-	orig, err := fw.RunSocial(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := ExportResult(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded ResultState
-	if err := json.Unmarshal(wire, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	got, err := RestoreResult(&decoded, threats)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got.Index, orig.Index) {
-		t.Errorf("index diverged:\n got %+v\nwant %+v", got.Index.Entries, orig.Index.Entries)
-	}
-	if !reflect.DeepEqual(got.OutsiderTable, orig.OutsiderTable) {
-		t.Error("outsider table diverged")
-	}
-	if len(orig.Learned) > 0 && !reflect.DeepEqual(got.Learned, orig.Learned) {
-		t.Errorf("learned diverged: %v vs %v", got.Learned, orig.Learned)
-	}
-	if !reflect.DeepEqual(got.Keywords.Groups(), orig.Keywords.Groups()) {
-		t.Error("keyword groups diverged")
-	}
-	if got.InauthenticFiltered != orig.InauthenticFiltered ||
-		!got.Since.Equal(orig.Since) || !got.Until.Equal(orig.Until) {
-		t.Error("scalar fields diverged")
-	}
-	if len(got.Tunings) != len(orig.Tunings) {
-		t.Fatalf("%d tunings, want %d", len(got.Tunings), len(orig.Tunings))
-	}
-	for i, tuning := range got.Tunings {
-		want := orig.Tunings[i]
-		if tuning.Threat != want.Threat {
-			t.Errorf("tuning %d: threat not resolved to the live scenario", i)
-		}
-		if tuning.Insider != want.Insider || tuning.Posts != want.Posts ||
-			!reflect.DeepEqual(tuning.VectorShares, want.VectorShares) ||
-			!reflect.DeepEqual(tuning.Factors, want.Factors) ||
-			!reflect.DeepEqual(tuning.Table, want.Table) {
-			t.Errorf("tuning %d diverged", i)
-		}
-	}
-
-	// A state referencing a scenario the input no longer carries is
-	// stale, not silently restorable.
-	if _, err := RestoreResult(&decoded, nil); err == nil {
-		t.Error("restore against missing threats must fail")
 	}
 }
 
@@ -238,40 +162,5 @@ func TestRestoreDecodersSurviveDamage(t *testing.T) {
 			bad[off] ^= 0x40
 			_ = importDamaged(bad) // a flip may decode; it must not panic
 		}
-	}
-}
-
-// TestResultStateDecodesSavedFormat: a result state in the saved JSON
-// form (vectors and ratings by display name, tables as {name, ratings})
-// restores and re-exports to the same bytes, so monitor.state files
-// written before tables had their own JSON methods keep restoring warm.
-func TestResultStateDecodesSavedFormat(t *testing.T) {
-	const saved = `{"index":[{"topic":"chiptuning","tags":["chiptuning","remap"],"posts":12,"score":3.5,"probability":0.75,"insider":true,"vector_shares":{"Local":0.25,"Physical":0.75}}],` +
-		`"keywords":[{"topic":"chiptuning","tags":["chiptuning","remap"]}],` +
-		`"outsider_table":{"name":"ISO/SAE 21434 G.9 (attack vector-based)","ratings":{"Adjacent":"Medium","Local":"Low","Network":"High","Physical":"Very Low"}},` +
-		`"tunings":[{"threat_id":"TS-ECM-01","insider":true,"posts":12,"vector_shares":{"Local":0.25,"Physical":0.75},"factors":{"Local":1,"Physical":3},` +
-		`"table":{"name":"PSP insider","ratings":{"Adjacent":"Very Low","Local":"Medium","Network":"Low","Physical":"High"}}}],` +
-		`"inauthentic_filtered":0,"since":"2022-01-01T00:00:00Z","until":"2023-01-01T00:00:00Z"}`
-	var st ResultState
-	if err := json.Unmarshal([]byte(saved), &st); err != nil {
-		t.Fatal(err)
-	}
-	res, err := RestoreResult(&st, []*tara.ThreatScenario{stateThreat()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := res.Tunings[0].Table.Rating(tara.VectorPhysical); r != tara.FeasibilityHigh {
-		t.Fatalf("restored tuning rates Physical %v, want High", r)
-	}
-	again, err := ExportResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire, err := json.Marshal(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(wire) != saved {
-		t.Fatalf("re-exported state differs from the saved form:\n got %s\nwant %s", wire, saved)
 	}
 }

@@ -57,32 +57,36 @@
 // With Config.State set (FileStateStore behind pspd's -data-dir), the
 // monitor persists a State after every publication that re-ran the
 // workflow, and when it stops with metadata-only generations unsaved:
-// the assessment
-// serialized through core's export surface, the result cache — its
-// listing fills as post IDs and its slice memos as per-post SAI
-// features and keyword-group co-occurrence graphs — and the watched
-// durable store's WAL cursor. That cursor comes from Feed.Next, so it
-// covers only posts the loop has taken and classified: a batch still
-// pending on the changefeed when the monitor saves (or stops, which
-// discards it) stays above it and is replayed by the restart. The file is a magic and three sections
-// (result, fills, memos), each framed by its length and CRC-32C like
-// every other snapshot the system writes, and it is replaced
-// atomically. The next Run restores it — provided the signature of the
-// input and of the framework's analysis configuration still matches
-// and the cursor is still within the WAL's truncation horizon —
-// publishes the restored Assessment immediately (Restored=true, the
-// persisted generation, zero platform queries), and asks the store for
-// PostsSince(cursor): the posts the persisted state never saw. A
-// non-empty catch-up delta runs through the normal incremental flush,
-// and because the memos came back bound to their fills, that flush
-// costs what it would have cost the process that saved the state: an
-// untouched listing does no work, and a patched one tokenizes only its
-// new posts. The catch-up delta is profiled here, and it may overlap
-// the first live batches; patching skips the posts a listing already
-// holds. An empty delta keeps the restored generation alive,
-// so pollers' cached ETags stay valid across the restart. Any mismatch
-// or damage — a failed checksum, a file from an older build — falls
-// back to a cold initial run, whose first save replaces the file.
+// the assessment's metadata (generation, publication instant, corpus
+// size), the result cache — its listing fills as post IDs and its slice
+// memos as per-post SAI features and keyword-group co-occurrence graphs
+// — and the watched durable store's WAL cursor. The assessment's result
+// is not saved: it is a deterministic function of that evidence. The
+// cursor comes from Feed.Next, so it covers only posts the loop has
+// taken and classified: a batch still pending on the changefeed when the
+// monitor saves (or stops, which discards it) stays above it and is
+// replayed by the restart. The file is a magic and three sections
+// (metadata, fills, memos), each framed by its length and CRC-32C like
+// every other snapshot the system writes, and it is replaced atomically.
+// The next Run restores it — provided the signature of the input and of
+// the framework's analysis configuration still matches, the cursor is
+// still within the WAL's truncation horizon and every fill resolves —
+// into the result cache, and asks the store for PostsSince(cursor): the
+// posts the persisted state never saw. It then makes the same initial
+// workflow run a cold start makes. Over the restored cache that run
+// re-derives the saved result without a platform query or a tokenized
+// post, and it publishes as the restored Assessment (Restored=true, the
+// persisted generation and freshness). A non-empty catch-up delta runs
+// through the normal incremental flush, and because the memos came back
+// bound to their fills, that flush costs what it would have cost the
+// process that saved the state: an untouched listing does no work, and a
+// patched one tokenizes only its new posts. The catch-up delta is
+// profiled here, and it may overlap the first live batches; patching
+// skips the posts a listing already holds. An empty delta keeps the
+// restored generation alive, so pollers' cached ETags stay valid across
+// the restart. Any mismatch or damage — a failed checksum, a file in the
+// older JSON layout — falls back to a cold initial run, whose first save
+// replaces the file.
 //
 // A save runs after its publication, so it never delays what a poller
 // sees, and it is traced as its own "monitor.save" span, a child of the

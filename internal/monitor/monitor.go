@@ -43,15 +43,17 @@ type Config struct {
 	// isolated delta, nor one that owes no work, which publish at once.
 	MaxLag time.Duration
 	// State, when set, persists the monitor's warm-restart image (the
-	// assessment, the result cache's fills and slice memos, and the
-	// watched store's durable cursor) after every publication that
-	// re-ran the workflow, and when Run stops after metadata-only ones,
-	// and restores it at the next Run: a restarted monitor serves its
-	// last assessment immediately and catches up with one incremental
-	// delta run, as warm as the process that saved it, instead of a cold
-	// full workflow. Warm restore requires Store to be durable
-	// (social.OpenStoreDir) — without a durable cursor the state is
-	// saved with a nil cursor and ignored at restore time.
+	// assessment's metadata, the result cache's fills and slice memos,
+	// and the watched store's durable cursor) after every publication
+	// that re-ran the workflow, and when Run stops after metadata-only
+	// ones, and restores it at the next Run: a restarted monitor
+	// re-derives its last assessment from the restored cache without a
+	// platform query, serves it under the persisted generation, and
+	// catches up with one incremental delta run, as warm as the process
+	// that saved it, instead of a cold full workflow. Warm restore
+	// requires Store to be durable (social.OpenStoreDir) — without a
+	// durable cursor the state is saved with a nil cursor and ignored at
+	// restore time.
 	State StateStore
 	// Metrics, when set, records publication counts, debounce-to-publish
 	// latency and delta sizes (see NewMetrics); gauge-valued readings
@@ -101,9 +103,10 @@ type Assessment struct {
 	// result was re-published with fresh metadata.
 	Recomputed bool
 	// Restored marks an assessment served from persisted state after a
-	// restart, before any workflow ran in this process. Its Generation
-	// and UpdatedAt are the persisted ones, so pollers (and their
-	// ETags) see continuity across the restart.
+	// restart: its result was re-derived from the restored result cache
+	// without a platform query, before any catch-up delta. Its
+	// Generation and UpdatedAt are the persisted ones, so pollers (and
+	// their ETags) see continuity across the restart.
 	Restored bool
 	// Dirty summarizes which topics and threats the triggering delta
 	// could affect (empty on the initial run).
@@ -176,13 +179,14 @@ func New(cfg Config) (*Monitor, error) {
 }
 
 // Run performs the initial assessment — warm from persisted state when
-// Config.State holds a usable image (the restored snapshot publishes
-// immediately and the catch-up is one incremental delta run over the
-// posts the durable cursor has not seen), cold otherwise — then tails
-// the store's changefeed and re-assesses incrementally until ctx is
-// cancelled. Transient workflow failures are recorded (see LastError)
-// and retried on the next delta; Run only returns on context
-// cancellation or if the initial assessment fails.
+// Config.State holds a usable image (the result cache is restored from
+// it, the restored snapshot publishes as soon as the workflow has
+// re-derived its result from that cache, and the catch-up is one
+// incremental delta run over the posts the durable cursor has not seen),
+// cold otherwise — then tails the store's changefeed and re-assesses
+// incrementally until ctx is cancelled. Transient workflow failures are
+// recorded (see LastError) and retried on the next delta; Run only
+// returns on context cancellation or if the initial assessment fails.
 func (m *Monitor) Run(ctx context.Context) error {
 	// Subscribe before computing the restart delta. The feed is
 	// live-only: a post whose Add begins after Watch returns arrives on
@@ -198,25 +202,19 @@ func (m *Monitor) Run(ctx context.Context) error {
 	// any save: a restart replays at most a little extra — and patching
 	// and invalidation are idempotent — never too little.
 	m.cursor = m.cfg.Store.DurableCursor()
+	st, delta := m.tryRestore()
+	if err := m.initialAssessment(ctx, st, len(delta)); err != nil {
+		return err
+	}
 	var win window
-	if delta, ok := m.tryRestore(); ok {
+	if len(delta) > 0 {
 		// Served warm. Catch up on whatever the persisted state had not
 		// seen, at once; an empty delta means the restored assessment
 		// is already exact — keeping its generation (and its pollers'
 		// ETags) alive across the restart.
-		m.saved = m.Assessment().Generation
-		if len(delta) > 0 {
-			fctx, span := m.startFlush(ctx, true)
-			m.classify(&win, social.ProfilePosts(delta))
-			m.flush(fctx, span, &win)
-		}
-	} else {
-		res, err := m.cfg.Framework.RunSocialDelta(ctx, m.cfg.Input, m.rc)
-		if err != nil {
-			return fmt.Errorf("monitor: initial assessment: %w", err)
-		}
-		m.publish(res, core.DirtySet{}, true, true)
-		m.persistState(ctx)
+		fctx, span := m.startFlush(ctx, true)
+		m.classify(&win, social.ProfilePosts(delta))
+		m.flush(fctx, span, &win)
 	}
 
 	// The schedule (see schedule) decides when a window that owes work
@@ -437,35 +435,31 @@ func (m *Monitor) saveOnStop(ctx context.Context) {
 }
 
 // tryRestore loads persisted state and, when it is usable for the
-// configured input and store, publishes the restored assessment and
-// returns the catch-up delta (posts the persisted cursor has not
-// seen). Any mismatch — no state, different input, non-durable store,
-// cursor older than the WAL horizon, undecodable result — falls back
-// to (nil, false): the cold path.
-func (m *Monitor) tryRestore() ([]*social.Post, bool) {
+// configured input and store, restores the result cache from it and
+// returns the state with the catch-up delta (posts the persisted cursor
+// has not seen). Any mismatch — no state, different input, non-durable
+// store, cursor older than the WAL horizon, a fill that does not
+// resolve — falls back to a nil state: the cold path.
+func (m *Monitor) tryRestore() (*State, []*social.Post) {
 	if m.cfg.State == nil {
-		return nil, false
+		return nil, nil
 	}
 	st, err := m.cfg.State.Load()
 	if err != nil {
-		// Damaged, or written by an older build: the first save
+		// Damaged, or in the older JSON layout: the first save
 		// replaces it.
 		m.cfg.Logger.Warn("persisted state unusable, running cold", slog.Any("error", err))
-		return nil, false
+		return nil, nil
 	}
-	if st == nil || st.Result == nil || st.Cursor == nil {
-		return nil, false
+	if st == nil || st.Cursor == nil {
+		return nil, nil
 	}
 	if st.InputSig != stateSignature(m.cfg.Framework, m.cfg.Input) {
-		return nil, false
+		return nil, nil
 	}
 	delta, err := m.cfg.Store.PostsSince(st.Cursor)
 	if err != nil {
-		return nil, false
-	}
-	res, err := core.RestoreResult(st.Result, m.cfg.Input.Threats)
-	if err != nil {
-		return nil, false
+		return nil, nil
 	}
 	if m.rc.ImportFills(st.Fills, st.Memos, m.cfg.Store.Post) != len(st.Fills) {
 		// A partially restored cache would make the "delta matched
@@ -475,39 +469,58 @@ func (m *Monitor) tryRestore() ([]*social.Post, bool) {
 		// different backend — e.g. a federated Multi — or the store
 		// lost posts.) Start over with an empty cache, cold.
 		m.rc = core.NewResultCache(m.cfg.Searcher)
-		return nil, false
+		return nil, nil
 	}
+	return st, delta
+}
 
+// initialAssessment runs the workflow over the result cache and
+// publishes its result. With no restored state (st nil) that is the
+// cold full run, saved at once. With one, the cache holds every listing
+// and memo the saving process's last result was derived from, so the
+// run re-derives that result without a platform query or a tokenized
+// post, and it publishes as the restored snapshot: the persisted
+// generation and freshness, no recompute counted, and already saved.
+// Either way a failed run fails the initial assessment.
+func (m *Monitor) initialAssessment(ctx context.Context, st *State, catchup int) error {
+	res, err := m.cfg.Framework.RunSocialDelta(ctx, m.cfg.Input, m.rc)
+	if err != nil {
+		return fmt.Errorf("monitor: initial assessment: %w", err)
+	}
+	if st == nil {
+		m.publish(res, core.DirtySet{}, true, true)
+		m.persistState(ctx)
+		return nil
+	}
 	m.mu.Lock()
 	m.cur = &Assessment{
 		Result:     res,
 		Generation: st.Generation,
 		UpdatedAt:  st.UpdatedAt,
 		CorpusSize: st.CorpusSize,
-		FullRun:    false,
-		Recomputed: false,
 		Restored:   true,
 	}
 	close(m.notify)
 	m.notify = make(chan struct{})
 	m.mu.Unlock()
+	m.saved = st.Generation
 	if met := m.cfg.Metrics; met != nil {
 		met.Generations.Inc()
 	}
 	m.cfg.Logger.Info("assessment restored from persisted state",
 		slog.Uint64("generation", st.Generation),
 		slog.Int("corpus", st.CorpusSize),
-		slog.Int("catchup_posts", len(delta)))
-	return delta, true
+		slog.Int("catchup_posts", catchup))
+	return nil
 }
 
-// persistState saves the current assessment, cache and the cursor Run
-// last advanced to through the configured state store, under a
-// "monitor.save" span carrying the image size — a child of the flush
-// whose publication it follows, so the flush's self time is its path
-// to publication. Persistence failures are recorded like re-assessment
-// failures (LastError / healthz) — the monitor keeps serving, it just
-// will not restart warm.
+// persistState saves the current assessment's metadata, the cache and
+// the cursor Run last advanced to through the configured state store,
+// under a "monitor.save" span carrying the image size — a child of the
+// flush whose publication it follows, so the flush's self time is its
+// path to publication. Persistence failures are recorded like
+// re-assessment failures (LastError / healthz) — the monitor keeps
+// serving, it just will not restart warm.
 func (m *Monitor) persistState(ctx context.Context) {
 	cursor := m.cursor
 	if m.cfg.State == nil || cursor == nil {
@@ -519,21 +532,15 @@ func (m *Monitor) persistState(ctx context.Context) {
 	}
 	_, span := m.cfg.Tracer.Start(ctx, "monitor.save")
 	defer span.End()
-	var n int
-	rs, err := core.ExportResult(cur.Result)
-	if err == nil {
-		n, err = m.cfg.State.Save(&State{
-			SavedAt:    m.cfg.clock.Now(),
-			InputSig:   stateSignature(m.cfg.Framework, m.cfg.Input),
-			Generation: cur.Generation,
-			UpdatedAt:  cur.UpdatedAt,
-			CorpusSize: cur.CorpusSize,
-			Cursor:     cursor,
-			Result:     rs,
-			Fills:      m.rc.ExportFills(),
-			Memos:      m.rc.ExportMemos(),
-		})
-	}
+	n, err := m.cfg.State.Save(&State{
+		InputSig:   stateSignature(m.cfg.Framework, m.cfg.Input),
+		Generation: cur.Generation,
+		UpdatedAt:  cur.UpdatedAt,
+		CorpusSize: cur.CorpusSize,
+		Cursor:     cursor,
+		Fills:      m.rc.ExportFills(),
+		Memos:      m.rc.ExportMemos(),
+	})
 	span.SetInt("bytes", int64(n))
 	span.Fail(err)
 	m.mu.Lock()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/psp-framework/psp/internal/core"
+	"github.com/psp-framework/psp/internal/durable"
 	"github.com/psp-framework/psp/internal/obs"
 	"github.com/psp-framework/psp/internal/social"
 	"github.com/psp-framework/psp/internal/tara"
@@ -45,8 +46,8 @@ func openSmallDurableStore(t *testing.T, dir string) *social.Store {
 
 // persistedLife runs a monitor over store until it has published a
 // recomputed delta generation and saved it, and returns the saved
-// state file's bytes.
-func persistedLife(t *testing.T, store *social.Store, in core.SocialInput, statePath string) []byte {
+// state file's bytes with the last assessment the monitor published.
+func persistedLife(t *testing.T, store *social.Store, in core.SocialInput, statePath string) ([]byte, *Assessment) {
 	t.Helper()
 	fw, err := core.New(core.Config{Searcher: store})
 	if err != nil {
@@ -69,7 +70,7 @@ func persistedLife(t *testing.T, store *social.Store, in core.SocialInput, state
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return data, m.Assessment()
 }
 
 // restoredView is what a restore serves and what it restores the cache
@@ -78,6 +79,19 @@ type restoredView struct {
 	assessment []byte
 	fills      []core.FillState
 	memos      []core.MemoState
+}
+
+// restoreStep runs Run's warm restore alone: it restores the result
+// cache from the configured state and, when the state is usable,
+// publishes the restored assessment and returns the catch-up delta.
+// ok=false means the state was unusable and Run would start cold; the
+// cold run is not made.
+func restoreStep(m *Monitor) (delta []*social.Post, ok bool, err error) {
+	st, delta := m.tryRestore()
+	if st == nil {
+		return nil, false, nil
+	}
+	return delta, true, m.initialAssessment(context.Background(), st, len(delta))
 }
 
 // probeRestore runs only the restore step of a new monitor over cfg and
@@ -89,11 +103,11 @@ func probeRestore(cfg Config) (view restoredView, ok bool, err error) {
 	if err != nil {
 		return view, false, err
 	}
-	if _, ok := m.tryRestore(); !ok {
-		if m.Assessment() != nil || m.rc.Queries().Len() != 0 {
-			return view, false, errors.New("a failed restore left an assessment or cache behind")
+	if _, ok, err := restoreStep(m); err != nil || !ok {
+		if err == nil && (m.Assessment() != nil || m.rc.Queries().Len() != 0) {
+			err = errors.New("a failed restore left an assessment or cache behind")
 		}
-		return view, false, nil
+		return view, false, err
 	}
 	assessment, err := json.Marshal(renderAssessment(m.Assessment()))
 	if err != nil {
@@ -113,7 +127,7 @@ func TestRestoreDamagedStateFile(t *testing.T) {
 	store := openSmallDurableStore(t, filepath.Join(dir, "store"))
 	defer store.Close()
 	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
-	full := persistedLife(t, store, in, statePath)
+	full, _ := persistedLife(t, store, in, statePath)
 	t.Logf("state file: %d bytes", len(full))
 
 	fw, err := core.New(core.Config{Searcher: store})
@@ -193,18 +207,31 @@ func TestRestoreDamagedStateFile(t *testing.T) {
 	}
 }
 
-// legacyState is the monitor state file of the previous build: one
-// indented JSON document, fills as query plus post IDs.
+// legacyState is the monitor state of earlier builds: a JSON document
+// that also carried the assessment's result, and — in the JSON layout
+// before the binary state file — the fills as query plus post IDs.
 type legacyState struct {
-	SavedAt    time.Time            `json:"saved_at"`
+	Saved      time.Time            `json:"saved_at"`
 	InputSig   string               `json:"input_sig"`
 	Generation uint64               `json:"generation"`
 	UpdatedAt  time.Time            `json:"updated_at"`
 	CorpusSize int                  `json:"corpus_size"`
 	Cursor     social.DurableCursor `json:"cursor"`
-	Result     *core.ResultState    `json:"result"`
+	Result     json.RawMessage      `json:"result"`
 	Fills      []legacyFill         `json:"fills,omitempty"`
 }
+
+// legacyResult is a "result" object in the JSON form earlier builds
+// persisted the assessment in: vectors and ratings by display name,
+// tables as {name, ratings}. Its figures answer nothing the tests
+// monitor, so a restore that served them would differ from the life
+// that saved the state.
+const legacyResult = `{"index":[{"topic":"chiptuning","tags":["chiptuning","remap"],"posts":12,"score":3.5,"probability":0.75,"insider":true,"vector_shares":{"Local":0.25,"Physical":0.75}}],` +
+	`"keywords":[{"topic":"chiptuning","tags":["chiptuning","remap"]}],` +
+	`"outsider_table":{"name":"ISO/SAE 21434 G.9 (attack vector-based)","ratings":{"Adjacent":"Medium","Local":"Low","Network":"High","Physical":"Very Low"}},` +
+	`"tunings":[{"threat_id":"TS-ECM-01","insider":true,"posts":12,"vector_shares":{"Local":0.25,"Physical":0.75},"factors":{"Local":1,"Physical":3},` +
+	`"table":{"name":"PSP insider","ratings":{"Adjacent":"Very Low","Local":"Medium","Network":"Low","Physical":"High"}}}],` +
+	`"inauthentic_filtered":0,"since":"2022-01-01T00:00:00Z","until":"2023-01-01T00:00:00Z"}`
 
 type legacyFill struct {
 	Query   social.Query `json:"query"`
@@ -231,8 +258,8 @@ func TestRestoreLegacyJSONState(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy := legacyState{
-		SavedAt: st.SavedAt, InputSig: string(sig), Generation: st.Generation, UpdatedAt: st.UpdatedAt,
-		CorpusSize: st.CorpusSize, Cursor: st.Cursor, Result: st.Result,
+		Saved: st.UpdatedAt, InputSig: string(sig), Generation: st.Generation, UpdatedAt: st.UpdatedAt,
+		CorpusSize: st.CorpusSize, Cursor: st.Cursor, Result: json.RawMessage(legacyResult),
 	}
 	for _, f := range st.Fills {
 		legacy.Fills = append(legacy.Fills, legacyFill{Query: f.Query, PostIDs: f.PostIDs})
@@ -283,6 +310,61 @@ func TestRestoreLegacyJSONState(t *testing.T) {
 	}
 }
 
+// TestRestoreStateWithResultSection: a binary state file whose first
+// section still carries the assessment's result, as earlier builds
+// wrote it, restores warm. The restore ignores that result and
+// re-derives the one the saving monitor published last from the
+// restored cache, without a platform query.
+func TestRestoreStateWithResultSection(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "monitor.state")
+	store := openSmallDurableStore(t, filepath.Join(dir, "store"))
+	defer store.Close()
+	in := core.SocialInput{Threats: []*tara.ThreatScenario{ecmThreat()}}
+	_, last := persistedLife(t, store, in, statePath)
+	st, err := NewFileStateStore(statePath).Load()
+	if err != nil || st == nil {
+		t.Fatalf("load the saved state: %v", err)
+	}
+	meta, err := json.Marshal(legacyState{
+		Saved: st.UpdatedAt, InputSig: st.InputSig, Generation: st.Generation, UpdatedAt: st.UpdatedAt,
+		CorpusSize: st.CorpusSize, Cursor: st.Cursor, Result: json.RawMessage(legacyResult),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := durable.AppendSection([]byte(stateMagic), func(b []byte) []byte { return append(b, meta...) })
+	data = durable.AppendSection(data, func(b []byte) []byte { return core.AppendFills(b, st.Fills) })
+	data = durable.AppendSection(data, func(b []byte) []byte { return core.AppendMemos(b, st.Memos) })
+	if err := os.WriteFile(statePath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tap := &tapSearcher{inner: store}
+	fw, err := core.New(core.Config{Searcher: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Framework: fw, Store: store, Searcher: tap, Input: in, State: NewFileStateStore(statePath)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := restoreStep(m); err != nil || !ok {
+		t.Fatalf("a state file with a result section did not restore warm (err %v)", err)
+	}
+	restored := m.Assessment()
+	if !restored.Restored || restored.Generation != last.Generation {
+		t.Fatalf("restored generation %d (restored=%v), want the saved generation %d",
+			restored.Generation, restored.Restored, last.Generation)
+	}
+	if !reflect.DeepEqual(restored.Result, last.Result) {
+		t.Fatal("the restored result differs from the one the saving monitor published last")
+	}
+	if n := tap.calls.Load(); n != 0 {
+		t.Fatalf("the restore cost %d platform queries, want 0", n)
+	}
+}
+
 // TestRestoreCatchUpPatchesFills: when the workflow queries the watched
 // store itself, a warm restart's catch-up delta patches the restored
 // listings instead of dropping them, so the catch-up run sends the
@@ -324,7 +406,10 @@ func TestRestoreCatchUpPatchesFills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, ok := m.tryRestore()
+	delta, ok, err := restoreStep(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ok || len(delta) != len(gap) {
 		t.Fatalf("restore ok=%v with a %d-post catch-up, want the %d-post gap", ok, len(delta), len(gap))
 	}

@@ -7,10 +7,9 @@
 package monitor
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -555,17 +554,6 @@ func TestScheduleNoWorkModelMatchesColdRun(t *testing.T) {
 
 	ref := newStore()
 	refAdded := 0
-	exported := func(res *core.SocialResult) []byte {
-		rs, err := core.ExportResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	var atOnce, recomputed int
 	for _, a := range seen {
 		if a.Ingested < refAdded {
@@ -583,7 +571,7 @@ func TestScheduleNoWorkModelMatchesColdRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := exported(a.Result), exported(cold); !bytes.Equal(got, want) {
+		if !reflect.DeepEqual(a.Result, cold) {
 			t.Fatalf("generation %d (Ingested %d, recomputed %v) diverged from a cold run over the posts it covers",
 				a.Generation, a.Ingested, a.Recomputed)
 		}

@@ -14,16 +14,16 @@ import (
 )
 
 // State is a monitor's persisted warm-restart image: the published
-// assessment (serialized through the core export surface), the result
-// cache — its fills as post IDs, its slice memos as per-post features
-// and co-occurrence graphs — and the durable store cursor the state was
-// taken at. A restarted daemon that loads a State serves its assessment
-// immediately and catches up with PostsSince(Cursor) — an incremental
+// assessment's metadata, the result cache — its fills as post IDs, its
+// slice memos as per-post features and co-occurrence graphs — and the
+// durable store cursor the state was taken at. The assessment's result
+// is not part of it: a restarted daemon that loads a State re-derives
+// the result from the restored cache with one delta run that queries
+// no platform and tokenizes no post, serves it under the persisted
+// generation, and catches up with PostsSince(Cursor) — an incremental
 // delta run that re-analyzes only posts the saved cache never saw —
 // instead of a cold full workflow.
 type State struct {
-	// SavedAt is the persistence instant.
-	SavedAt time.Time `json:"saved_at"`
 	// InputSig fingerprints the monitored input (application, region,
 	// window, threat scenarios, flags) and the framework's analysis
 	// configuration (weights, rating bands, learning cap, keyword
@@ -41,8 +41,6 @@ type State struct {
 	// conservatively before) the state capture; posts above it form the
 	// restart delta.
 	Cursor social.DurableCursor `json:"cursor"`
-	// Result is the serialized assessment payload.
-	Result *core.ResultState `json:"result"`
 	// Fills are the listing cache's entries, by post ID.
 	Fills []core.FillState `json:"-"`
 	// Memos are the result cache's slice memos, bound to Fills by key.
@@ -66,15 +64,17 @@ type StateStore interface {
 // length and CRC-32C:
 //
 //	offset 0  8-byte magic "PSPMONS1"
-//	then      result section: the State's JSON fields (metadata and
-//	          the serialized assessment)
+//	then      metadata section: the State's JSON fields (input
+//	          signature, generation, updated-at, corpus size, cursor)
 //	then      fills section: core.AppendFills
 //	then      memos section: core.AppendMemos, ending the file
 //
 // The state is a cache derived from the store, so any damage — a bad
-// magic, a failed checksum, a short or undecodable section, a file
-// from an older build — loads as no usable state, and the monitor runs
-// cold and overwrites it at its first save.
+// magic, a failed checksum, a short or undecodable section, a file in
+// the older JSON layout — loads as no usable state, and the monitor
+// runs cold and overwrites it at its first save. The metadata section
+// is decoded as JSON, so keys it no longer uses — the "result" and
+// "saved_at" of earlier builds — are ignored and such a file restores.
 //
 // Each save encodes into one buffer allocated for it alone, sized from
 // the previous save's image plus headroom, so the image — which grows
@@ -128,11 +128,11 @@ func (f *FileStateStore) Save(st *State) (int, error) {
 
 // encodeState appends the state file image of st to buf.
 func encodeState(buf []byte, st *State) ([]byte, error) {
-	result, err := json.Marshal(st)
+	meta, err := json.Marshal(st)
 	if err != nil {
 		return nil, fmt.Errorf("monitor: encode state: %w", err)
 	}
-	buf = durable.AppendSection(append(buf, stateMagic...), func(b []byte) []byte { return append(b, result...) })
+	buf = durable.AppendSection(append(buf, stateMagic...), func(b []byte) []byte { return append(b, meta...) })
 	buf = durable.AppendSection(buf, func(b []byte) []byte { return core.AppendFills(b, st.Fills) })
 	return durable.AppendSection(buf, func(b []byte) []byte { return core.AppendMemos(b, st.Memos) }), nil
 }
@@ -141,7 +141,7 @@ func decodeState(data []byte) (*State, error) {
 	if len(data) < len(stateMagic) || string(data[:len(stateMagic)]) != stateMagic {
 		return nil, fmt.Errorf("bad magic (not a %q file)", stateMagic)
 	}
-	result, rest, err := durable.ReadSection(data[len(stateMagic):], "result")
+	meta, rest, err := durable.ReadSection(data[len(stateMagic):], "metadata")
 	if err != nil {
 		return nil, err
 	}
@@ -157,8 +157,8 @@ func decodeState(data []byte) (*State, error) {
 		return nil, fmt.Errorf("%d trailing bytes after the memos section", len(rest))
 	}
 	var st State
-	if err := json.Unmarshal(result, &st); err != nil {
-		return nil, fmt.Errorf("result section: %w", err)
+	if err := json.Unmarshal(meta, &st); err != nil {
+		return nil, fmt.Errorf("metadata section: %w", err)
 	}
 	if st.Fills, err = core.DecodeFills(fills); err != nil {
 		return nil, err

@@ -32,6 +32,25 @@ func (c *tapSearcher) Search(ctx context.Context, q social.Query) (*social.Page,
 	return c.inner.Search(ctx, q)
 }
 
+// sameMemos reports whether two memo exports hold the same memos, each
+// sharing its features and its graph with the other. A workflow run
+// tokenizes posts only into a memo it rebuilds, with new features and a
+// new graph (or into a graph it adds to a memo that had none), so a run
+// that leaves the export the same tokenized no post.
+func sameMemos(a, b []core.MemoState) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Sig != y.Sig || x.Graph != y.Graph || len(x.Features) != len(y.Features) ||
+			len(x.Features) > 0 && &x.Features[0] != &y.Features[0] {
+			return false
+		}
+	}
+	return true
+}
+
 // openSeededDurableStore builds a durable store in dir seeded with the
 // reference corpus (only on first open — a reopened dir recovers
 // instead).
@@ -94,8 +113,9 @@ func waitGen(t *testing.T, m *Monitor, gen uint64) *Assessment {
 
 // TestMonitorWarmRestart is the subsystem acceptance test: a monitor
 // over a durable store persists its state; a restarted monitor serves
-// its first assessment from that state without a single platform
-// query, resumes the generation sequence, then catches up with an
+// its first assessment — the saving life's last result, re-derived from
+// the restored cache without a single platform query or tokenized post
+// — resumes the generation sequence, then catches up with an
 // incremental delta run whose output is byte-identical to a cold run
 // over the merged corpus.
 func TestMonitorWarmRestart(t *testing.T) {
@@ -171,12 +191,16 @@ func TestMonitorWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, ok := probe.tryRestore()
-	if !ok {
+	st, delta := probe.tryRestore()
+	if st == nil {
 		t.Fatal("persisted state not restored")
 	}
 	if len(delta) != len(gap) {
 		t.Fatalf("restart delta has %d posts, want the %d-post crash gap", len(delta), len(gap))
+	}
+	imported := probe.rc.ExportMemos()
+	if err := probe.initialAssessment(context.Background(), st, len(delta)); err != nil {
+		t.Fatal(err)
 	}
 	restored := probe.Assessment()
 	if restored == nil || !restored.Restored {
@@ -189,8 +213,15 @@ func TestMonitorWarmRestart(t *testing.T) {
 	if got := tap.calls.Load(); got != 0 {
 		t.Fatalf("restored assessment cost %d platform queries, want 0", got)
 	}
-	// The persisted payload rendered identically to what the first life
-	// served.
+	// The restored result is the one the first life published last,
+	// re-derived from the restored cache without tokenizing a post.
+	if !reflect.DeepEqual(restored.Result, persisted.Result) {
+		t.Fatal("restored result differs from the one the first life published last")
+	}
+	if !sameMemos(probe.rc.ExportMemos(), imported) {
+		t.Fatal("re-deriving the restored result rebuilt a slice memo: it tokenized posts")
+	}
+	// It renders identically to what the first life served.
 	a, _ := json.Marshal(renderAssessment(persisted).Index)
 	b, _ := json.Marshal(renderAssessment(restored).Index)
 	if !bytes.Equal(a, b) {
@@ -486,8 +517,8 @@ func TestMonitorWarmRestartAfterNoWorkStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := probe.tryRestore(); !ok {
-		t.Fatal("state saved after a no-work stream did not restore (cold fallback)")
+	if _, ok, err := restoreStep(probe); err != nil || !ok {
+		t.Fatalf("state saved after a no-work stream did not restore (cold fallback, err %v)", err)
 	}
 	restored := probe.Assessment()
 	if !restored.Restored || restored.Generation != served.Generation {
@@ -546,18 +577,6 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exported := func(res *core.SocialResult) []byte {
-		t.Helper()
-		rs, err := core.ExportResult(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 
 	for round := 0; round < 4; round++ {
 		statePath := filepath.Join(t.TempDir(), "monitor.state")
@@ -608,9 +627,9 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, ok := probe.tryRestore()
-		if !ok {
-			t.Fatalf("round %d: saved state did not restore", round)
+		delta, ok, err := restoreStep(probe)
+		if err != nil || !ok {
+			t.Fatalf("round %d: saved state did not restore (err %v)", round, err)
 		}
 		probe.classify(&window{}, social.ProfilePosts(delta))
 		if probe.owed {
@@ -620,7 +639,7 @@ func TestMonitorWarmRestartStopWithBatchQueued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(exported(probe.Assessment().Result), exported(cold)) {
+		if !reflect.DeepEqual(probe.Assessment().Result, cold) {
 			t.Fatalf("round %d: restart owes no work, yet its restored result misses the batch queued at stop (catch-up delta %d posts)",
 				round, len(delta))
 		}

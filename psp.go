@@ -95,16 +95,13 @@ type (
 	// health).
 	MonitorAPI = monitor.API
 	// MonitorState is a monitor's persisted warm-restart image: the
-	// serialized assessment, the result cache's fills and slice memos,
-	// and the durable store cursor the image was taken at.
+	// assessment's metadata, the result cache's fills and slice memos,
+	// and the durable store cursor the image was taken at. A restore
+	// re-derives the assessment's result from the restored cache.
 	MonitorState = monitor.State
 	// MonitorStateStore persists and restores MonitorState
 	// (MonitorConfig.State).
 	MonitorStateStore = monitor.StateStore
-	// SocialResultState is the JSON-serializable form of a workflow
-	// result (core.ExportResult / core.RestoreResult wired through the
-	// monitor's state).
-	SocialResultState = core.ResultState
 	// TARAMonitor continuously re-rates the dirty tenants of a TARA
 	// registry, optionally bridged to a social Monitor's threat tunings.
 	TARAMonitor = monitor.TARAMonitor
@@ -133,11 +130,12 @@ func NewTARAMonitor(cfg TARAMonitorConfig) (*TARAMonitor, error) { return monito
 // NewMonitorFileState persists monitor state in one binary file of
 // CRC-framed sections, replaced atomically on every save. Give it to
 // MonitorConfig.State (over a store opened with OpenSocialStore) and a
-// restarted monitor serves its previous assessment immediately, then
+// restarted monitor re-derives its previous assessment from the saved
+// result cache without a platform query and serves it at once, then
 // catches up with an incremental delta run as warm as the process that
 // saved the state, instead of a cold full workflow. A damaged file, or
-// one from an older build, restores nothing: the monitor runs cold and
-// replaces it.
+// one in the older JSON layout, restores nothing: the monitor runs cold
+// and replaces it.
 func NewMonitorFileState(path string) MonitorStateStore { return monitor.NewFileStateStore(path) }
 
 // ListenAndServeGraceful runs an HTTP server until ctx is cancelled,
