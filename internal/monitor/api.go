@@ -208,13 +208,13 @@ type indexEntry struct {
 }
 
 type tuningSummary struct {
-	ThreatID   string             `json:"threat_id"`
-	ThreatName string             `json:"threat_name"`
-	Insider    bool               `json:"insider"`
-	Posts      int                `json:"posts"`
-	Table      string             `json:"table"`
-	Ratings    map[string]string  `json:"ratings"`
-	Factors    map[string]float64 `json:"factors,omitempty"`
+	ThreatID   string                                       `json:"threat_id"`
+	ThreatName string                                       `json:"threat_name"`
+	Insider    bool                                         `json:"insider"`
+	Posts      int                                          `json:"posts"`
+	Table      string                                       `json:"table"`
+	Ratings    map[tara.AttackVector]tara.FeasibilityRating `json:"ratings"`
+	Factors    map[tara.AttackVector]float64                `json:"factors,omitempty"`
 }
 
 // renderAssessment flattens an assessment into its wire form.
@@ -251,26 +251,15 @@ func renderAssessment(cur *Assessment) assessmentResponse {
 		})
 	}
 	for _, tuning := range res.Tunings {
-		ts := tuningSummary{
+		out.Tunings = append(out.Tunings, tuningSummary{
 			ThreatID:   tuning.Threat.ID,
 			ThreatName: tuning.Threat.Name,
 			Insider:    tuning.Insider,
 			Posts:      tuning.Posts,
 			Table:      tuning.Table.Name,
-			Ratings:    make(map[string]string, 4),
-		}
-		for _, v := range tara.AllVectors() {
-			if rating, err := tuning.Table.Rating(v); err == nil {
-				ts.Ratings[v.String()] = rating.String()
-			}
-		}
-		if len(tuning.Factors) > 0 {
-			ts.Factors = make(map[string]float64, len(tuning.Factors))
-			for v, f := range tuning.Factors {
-				ts.Factors[v.String()] = f
-			}
-		}
-		out.Tunings = append(out.Tunings, ts)
+			Ratings:    tuning.Table.Ratings(),
+			Factors:    tuning.Factors,
+		})
 	}
 	return out
 }

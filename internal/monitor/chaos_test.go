@@ -112,7 +112,7 @@ func TestChaosMonitorConvergesThroughFlap(t *testing.T) {
 func TestChaosIngestDegraded503(t *testing.T) {
 	fs := &fault.FS{Sync: fault.New(fault.Config{FailFrom: 3})}
 	store, err := social.OpenStoreDir(t.TempDir(), social.DurableOptions{
-		Shards: 1, CompactEvery: -1, CompactRecords: -1, FS: fs,
+		Shards: 1, CompactEvery: -1, FS: fs,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,9 @@ type State struct {
 	// configuration (weights, rating bands, learning cap, keyword
 	// database). A state whose signature does not match is discarded:
 	// it answers a different monitoring question, or answers it
-	// differently.
+	// differently. Threat scenarios enter it in their TARA wire form,
+	// enumerations spelled by name, so a state saved by a build that
+	// spelled them as integers does not match and that start runs cold.
 	InputSig string `json:"input_sig"`
 	// Generation, UpdatedAt and CorpusSize mirror the persisted
 	// assessment's metadata, so the restored snapshot reports the same
@@ -171,9 +173,10 @@ func decodeState(data []byte) (*State, error) {
 
 // stateSignature fingerprints the monitored input and the framework's
 // analysis configuration. JSON over a normalized struct: threat
-// scenarios serialize whole, so editing a scenario's keywords (which
-// changes its platform queries) invalidates persisted state just like
-// changing the application filter or the attraction weights does.
+// scenarios serialize whole, in their TARA wire form, so editing a
+// scenario's keywords (which changes its platform queries) invalidates
+// persisted state just like changing the application filter or the
+// attraction weights does.
 func stateSignature(fw *core.Framework, in core.SocialInput) string {
 	data, err := json.Marshal(in)
 	if err != nil {

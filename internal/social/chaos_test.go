@@ -26,7 +26,7 @@ func TestChaosStoreDegradedReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("simulated fsync failure")
 	fs := &fault.FS{Sync: fault.New(fault.Config{FailFrom: 4, Err: boom})}
-	s, err := OpenStoreDir(dir, DurableOptions{Shards: 1, CompactEvery: -1, CompactRecords: -1, FS: fs})
+	s, err := OpenStoreDir(dir, DurableOptions{Shards: 1, CompactEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestChaosStoreDegradedReadOnly(t *testing.T) {
 	// Restart on a healthy disk: every acknowledged post recovers and
 	// the store is writable again.
 	s.closeAbrupt()
-	s2, err := OpenStoreDir(dir, DurableOptions{CompactEvery: -1, CompactRecords: -1})
+	s2, err := OpenStoreDir(dir, DurableOptions{CompactEvery: -1})
 	if err != nil {
 		t.Fatalf("reopen after degraded crash: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestChaosStoreDegradedReadOnly(t *testing.T) {
 func TestChaosTornWriteByteIdentity(t *testing.T) {
 	dir := t.TempDir()
 	fs := &fault.FS{Write: fault.New(fault.Config{FailFrom: 5}), Torn: true}
-	s, err := OpenStoreDir(dir, DurableOptions{Shards: 1, CompactEvery: -1, CompactRecords: -1, FS: fs})
+	s, err := OpenStoreDir(dir, DurableOptions{Shards: 1, CompactEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestChaosTornWriteByteIdentity(t *testing.T) {
 	}
 	s.closeAbrupt()
 
-	s2, err := OpenStoreDir(dir, DurableOptions{CompactEvery: -1, CompactRecords: -1})
+	s2, err := OpenStoreDir(dir, DurableOptions{CompactEvery: -1})
 	if err != nil {
 		t.Fatalf("reopen after torn write: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestChaosAcknowledgedNeverLostConcurrent(t *testing.T) {
 		Write: fault.New(fault.Config{Seed: 7, ErrorRate: 0.05}),
 		Torn:  true,
 	}
-	s, err := OpenStoreDir(dir, DurableOptions{Shards: 4, CompactEvery: -1, CompactRecords: -1, FS: fs})
+	s, err := OpenStoreDir(dir, DurableOptions{Shards: 4, CompactEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestChaosAcknowledgedNeverLostConcurrent(t *testing.T) {
 	}
 	s.closeAbrupt()
 
-	s2, err := OpenStoreDir(dir, DurableOptions{CompactEvery: -1, CompactRecords: -1})
+	s2, err := OpenStoreDir(dir, DurableOptions{CompactEvery: -1})
 	if err != nil {
 		t.Fatalf("reopen after chaos run: %v", err)
 	}

@@ -52,12 +52,9 @@ type DurableOptions struct {
 	SegmentBytes int64
 	// CompactEvery is the background snapshot-compaction period
 	// (default 30s; negative disables the background pass — Flush and
-	// Close still compact).
+	// Close still compact). The pass also runs early once
+	// compactRecords WAL records accumulated since the last snapshot.
 	CompactEvery time.Duration
-	// CompactRecords triggers an early compaction once this many WAL
-	// records accumulated since the last snapshot (default 8192;
-	// negative disables the record trigger).
-	CompactRecords int
 	// Seed supplies the initial corpus for a directory that has never
 	// completed seeding. It runs after recovery, writes through the WAL,
 	// compacts into the first snapshot, and is recorded with a marker
@@ -81,7 +78,9 @@ const (
 	snapDirName         = "snap"
 	seededMarker        = "SEEDED"
 	defaultCompactEvery = 30 * time.Second
-	defaultCompactRecs  = 8192
+	// compactRecords is the WAL record count since the last snapshot
+	// that wakes the background compactor early.
+	compactRecords = 8192
 )
 
 // DurableCursor is a position in a durable store's write-ahead logs:
@@ -120,10 +119,9 @@ type storeDurability struct {
 	stripes []durStripe
 
 	// records counts WAL appends since the last snapshot; the kick
-	// channel wakes the compactor early once CompactRecords accumulate.
-	records    atomic.Int64
-	compactRec int64
-	kick       chan struct{}
+	// channel wakes the compactor early once compactRecords accumulate.
+	records atomic.Int64
+	kick    chan struct{}
 
 	// cmu serializes compaction, manifest replacement, WAL truncation
 	// and PostsSince scans. compactErr remembers the most recent
@@ -201,17 +199,13 @@ func OpenStoreDir(dir string, opts DurableOptions) (*Store, error) {
 	s := NewStoreShards(shards)
 	s.SetMetrics(opts.Metrics)
 	d := &storeDurability{
-		dir:        dir,
-		logs:       make([]*durable.Log, shards),
-		stripes:    make([]durStripe, shards),
-		compactRec: int64(opts.CompactRecords),
-		kick:       make(chan struct{}, 1),
-		man:        man,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	if d.compactRec == 0 {
-		d.compactRec = defaultCompactRecs
+		dir:     dir,
+		logs:    make([]*durable.Log, shards),
+		stripes: make([]durStripe, shards),
+		kick:    make(chan struct{}, 1),
+		man:     man,
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	for i := range d.stripes {
 		d.stripes[i].pending = make(map[uint64]struct{})
@@ -658,7 +652,7 @@ func (d *storeDurability) logParts(parts []*stripePart, span *obs.Span) (logged 
 			return parts[:i], err
 		}
 	}
-	if d.records.Add(int64(records)) >= d.compactRec && d.compactRec > 0 {
+	if d.records.Add(int64(records)) >= compactRecords {
 		select {
 		case d.kick <- struct{}{}:
 		default:
@@ -719,7 +713,7 @@ func (d *storeDurability) floors() DurableCursor {
 }
 
 // compactLoop is the background snapshot pass: every period (or early,
-// once CompactRecords WAL appends accumulate) it dumps the live store
+// once compactRecords WAL appends accumulate) it dumps the live store
 // and truncates the logs.
 func (d *storeDurability) compactLoop(s *Store, every time.Duration) {
 	defer close(d.done)

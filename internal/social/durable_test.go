@@ -47,7 +47,7 @@ func listAll(t *testing.T, s *Store) []byte {
 
 // noCompact disables background compaction so tests control snapshots.
 func noCompact(shards int) DurableOptions {
-	return DurableOptions{Shards: shards, CompactEvery: -1, CompactRecords: -1}
+	return DurableOptions{Shards: shards, CompactEvery: -1}
 }
 
 // TestDurableReopenEquivalence: acknowledged posts must survive a clean

@@ -226,7 +226,7 @@ func validTraceID(id string) bool {
 // postings scanned.
 func TestTraceDurableIngestAndSearchCost(t *testing.T) {
 	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
-	s, err := OpenStoreDir(t.TempDir(), DurableOptions{Shards: 2, CompactEvery: -1, CompactRecords: -1})
+	s, err := OpenStoreDir(t.TempDir(), DurableOptions{Shards: 2, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestTraceIngestLinkLeadsChangefeed(t *testing.T) {
 func TestTraceIngestLinkWaitsForSpanEnd(t *testing.T) {
 	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
 	fs := &fault.FS{Sync: fault.New(fault.Config{Latency: 50 * time.Millisecond})}
-	s, err := OpenStoreDir(t.TempDir(), DurableOptions{Shards: 1, CompactEvery: -1, CompactRecords: -1, FS: fs})
+	s, err := OpenStoreDir(t.TempDir(), DurableOptions{Shards: 1, CompactEvery: -1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,17 +47,17 @@ func (p SecurityProperty) Valid() bool {
 // worth protecting (firmware, calibration maps, CAN messages, keys, ...).
 type Asset struct {
 	// ID is a stable identifier unique within an Item (e.g. "ECM-FW").
-	ID string
+	ID string `json:"id"`
 	// Name is the human-readable asset name.
-	Name string
+	Name string `json:"name"`
 	// Description explains what the asset is and where it lives.
-	Description string
+	Description string `json:"description,omitempty"`
 	// Properties are the cybersecurity properties of the asset whose
 	// compromise is damaging.
-	Properties []SecurityProperty
+	Properties []SecurityProperty `json:"properties"`
 	// ECU optionally names the vehicle ECU hosting the asset, matching
 	// the vehicle topology model.
-	ECU string
+	ECU string `json:"ecu,omitempty"`
 }
 
 // Validate checks that the asset carries an ID, a name and at least one
@@ -95,11 +95,11 @@ func (a *Asset) HasProperty(p SecurityProperty) bool {
 // together with the assets identified on it.
 type Item struct {
 	// Name identifies the item (e.g. "Engine Control Module").
-	Name string
+	Name string `json:"name"`
 	// Description summarizes the item boundary and function.
-	Description string
+	Description string `json:"description,omitempty"`
 	// Assets are the assets identified on the item.
-	Assets []*Asset
+	Assets []*Asset `json:"assets"`
 }
 
 // Validate checks the item and all of its assets, including asset ID

@@ -41,16 +41,16 @@ func (c ImpactCategory) Valid() bool {
 // more assets, with a per-category impact rating.
 type DamageScenario struct {
 	// ID is a stable identifier unique within an analysis (e.g. "DS-01").
-	ID string
+	ID string `json:"id"`
 	// Description is the damage narrative ("unintended full-torque
 	// request while driving", ...).
-	Description string
+	Description string `json:"description,omitempty"`
 	// AssetIDs lists the assets whose compromise realizes the damage.
-	AssetIDs []string
+	AssetIDs []string `json:"asset_ids,omitempty"`
 	// Impacts carries the rating per impact category. Categories may be
 	// omitted; an omitted category contributes nothing to the overall
 	// rating.
-	Impacts map[ImpactCategory]ImpactRating
+	Impacts map[ImpactCategory]ImpactRating `json:"impacts"`
 }
 
 // Validate checks identifiers and rating validity.

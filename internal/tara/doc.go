@@ -60,4 +60,14 @@
 // snapshot behind an atomic pointer, so readers never block a rater.
 // Ops (ApplyOps, DecodeOps) give mutations a JSON wire form for the
 // /v1/tara API.
+//
+// # Wire format
+//
+// The entities carry their wire keys as JSON tags, and the seven rating
+// and classification enumerations marshal as their display names
+// ("Very Low", "Denial of Service") and unmarshal through the
+// normalizing parsers ("very_low", "denial-of-service"). An analysis
+// document (WriteJSON, ReadJSON) is a thin envelope around the entities;
+// an Op embeds them in the same form. testdata/wire.golden pins both
+// byte for byte.
 package tara

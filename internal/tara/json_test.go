@@ -2,7 +2,9 @@ package tara
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -125,25 +127,42 @@ func TestReadJSONRejectsBadDocuments(t *testing.T) {
 	}
 }
 
+// TestEnumNameParsers: every enumeration decodes its display name and an
+// alternate spelling to the same value, re-encodes it as the display
+// name, and rejects an unknown name (and the empty one) with an error
+// naming it.
 func TestEnumNameParsers(t *testing.T) {
-	if p, err := parseProperty("integrity"); err != nil || p != PropertyIntegrity {
-		t.Errorf("parseProperty = %v, %v", p, err)
+	type enum interface {
+		encoding.TextMarshaler
+		encoding.TextUnmarshaler
 	}
-	if p, err := parseProperty("Non-Repudiation"); err != nil || p != PropertyNonRepudiation {
-		t.Errorf("parseProperty non-repudiation = %v, %v", p, err)
+	cases := []struct {
+		v                 enum
+		display, alt, bad string
+	}{
+		{new(SecurityProperty), "Non-repudiation", "non_repudiation", "Levitation"},
+		{new(ImpactCategory), "Operational", "operational", "Reputational"},
+		{new(ImpactRating), "Severe", "severe", "Apocalyptic"},
+		{new(STRIDECategory), "Denial of Service", "denial-of-service", "Sabotage"},
+		{new(AttackerProfile), "Outsider", "outsider", "Ghost"},
+		{new(AttackVector), "Adjacent", "adjacent_network", "Orbital"},
+		{new(FeasibilityRating), "Very Low", "very_low", "Extreme"},
 	}
-	if c, err := parseCategory("Privacy"); err != nil || c != CategoryPrivacy {
-		t.Errorf("parseCategory = %v, %v", c, err)
-	}
-	if s, err := parseSTRIDE("denial of service"); err != nil || s != DenialOfService {
-		t.Errorf("parseSTRIDE = %v, %v", s, err)
-	}
-	if p, err := parseProfile("outsider"); err != nil || p != ProfileOutsider {
-		t.Errorf("parseProfile = %v, %v", p, err)
-	}
-	for _, bad := range []string{"", "quantum"} {
-		if _, err := parseProperty(bad); err == nil {
-			t.Errorf("parseProperty(%q) accepted", bad)
+	for _, c := range cases {
+		for _, in := range []string{c.display, c.alt} {
+			if err := c.v.UnmarshalText([]byte(in)); err != nil {
+				t.Errorf("%T: UnmarshalText(%q): %v", c.v, in, err)
+				continue
+			}
+			if got, _ := c.v.MarshalText(); string(got) != c.display {
+				t.Errorf("%T: %q decodes to %q, want %q", c.v, in, got, c.display)
+			}
+		}
+		for _, bad := range []string{c.bad, ""} {
+			err := c.v.UnmarshalText([]byte(bad))
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+				t.Errorf("%T: UnmarshalText(%q) = %v, want an error naming it", c.v, bad, err)
+			}
 		}
 	}
 }

@@ -7,23 +7,22 @@ import (
 )
 
 // Op is one mutation of an Analysis in the versioned tenant mutation
-// API. Ops have a stable JSON form built from the same document types as
-// the analysis wire format, so the same enumeration spellings work in
-// both places.
+// API. Its JSON form embeds the entities in their analysis-document
+// form, so the same keys and enumeration spellings work in both places.
 type Op struct {
 	// Kind selects the mutation.
-	Kind OpKind
+	Kind OpKind `json:"op"`
 	// Asset, Damage, Threat, Path carry the entity for the upsert kinds.
-	Asset  *Asset
-	Damage *DamageScenario
-	Threat *ThreatScenario
-	Path   *AttackPath
+	Asset  *Asset          `json:"asset,omitempty"`
+	Damage *DamageScenario `json:"damage,omitempty"`
+	Threat *ThreatScenario `json:"threat,omitempty"`
+	Path   *AttackPath     `json:"path,omitempty"`
 	// ID names the entity for the remove kinds, and the threat for
 	// set_threat_table.
-	ID string
+	ID string `json:"id,omitempty"`
 	// Table is the vector table for set_vector_model and
 	// set_threat_table (nil clears a per-threat override).
-	Table *VectorTable
+	Table *VectorTable `json:"table,omitempty"`
 }
 
 // OpKind enumerates the mutation kinds.
@@ -42,75 +41,6 @@ const (
 	OpSetVectorModel OpKind = "set_vector_model"
 	OpSetThreatTable OpKind = "set_threat_table"
 )
-
-// opDoc is the wire form of an Op.
-type opDoc struct {
-	Op     string       `json:"op"`
-	Asset  *assetDoc    `json:"asset,omitempty"`
-	Damage *damageDoc   `json:"damage,omitempty"`
-	Threat *threatDoc   `json:"threat,omitempty"`
-	Path   *pathDoc     `json:"path,omitempty"`
-	ID     string       `json:"id,omitempty"`
-	Table  *VectorTable `json:"table,omitempty"`
-}
-
-// MarshalJSON serializes the op in its wire form.
-func (o Op) MarshalJSON() ([]byte, error) {
-	doc := &opDoc{Op: string(o.Kind), ID: o.ID}
-	if o.Asset != nil {
-		doc.Asset = encodeAsset(o.Asset)
-	}
-	if o.Damage != nil {
-		doc.Damage = encodeDamage(o.Damage)
-	}
-	if o.Threat != nil {
-		doc.Threat = encodeThreat(o.Threat)
-	}
-	if o.Path != nil {
-		doc.Path = encodePath(o.Path)
-	}
-	doc.Table = o.Table
-	return json.Marshal(doc)
-}
-
-// UnmarshalJSON parses the wire form.
-func (o *Op) UnmarshalJSON(data []byte) error {
-	var doc opDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return err
-	}
-	out := Op{Kind: OpKind(doc.Op), ID: doc.ID, Table: doc.Table}
-	if doc.Asset != nil {
-		as, err := decodeAsset(doc.Asset)
-		if err != nil {
-			return err
-		}
-		out.Asset = as
-	}
-	if doc.Damage != nil {
-		d, err := decodeDamage(doc.Damage)
-		if err != nil {
-			return err
-		}
-		out.Damage = d
-	}
-	if doc.Threat != nil {
-		t, err := decodeThreat(doc.Threat)
-		if err != nil {
-			return err
-		}
-		out.Threat = t
-	}
-	if doc.Path != nil {
-		p, err := decodePath(doc.Path)
-		if err != nil {
-			return err
-		}
-		out.Path = p
-	}
-	*o = out
-	return nil
-}
 
 // DecodeOps parses a JSON array of mutation ops.
 func DecodeOps(r io.Reader) ([]Op, error) {

@@ -10,24 +10,24 @@ import (
 type AttackStep struct {
 	// Description narrates the step ("gain OBD port access", "flash
 	// modified calibration", ...).
-	Description string
+	Description string `json:"description,omitempty"`
 	// Vector is the attack vector exercised by this step.
-	Vector AttackVector
+	Vector AttackVector `json:"vector"`
 	// Potential optionally carries the attack potential profile of the
 	// step for the attack potential-based approach. Nil when the step is
 	// rated by vector only.
-	Potential *AttackPotentialInput
+	Potential *AttackPotentialInput `json:"potential,omitempty"`
 }
 
 // AttackPath is an ordered sequence of steps realizing a threat scenario
 // (§15.6). Feasibility of the whole path is governed by its hardest step.
 type AttackPath struct {
 	// ID is a stable identifier unique within an analysis (e.g. "AP-01").
-	ID string
+	ID string `json:"id"`
 	// ThreatID links the path to the threat scenario it realizes.
-	ThreatID string
+	ThreatID string `json:"threat_id"`
 	// Steps are the ordered attack steps. A path needs at least one.
-	Steps []AttackStep
+	Steps []AttackStep `json:"steps"`
 }
 
 // Validate checks identifiers, step count and step vector validity.

@@ -127,11 +127,11 @@ func StandardPotentialWeights() *AttackPotentialWeights {
 // AttackPotentialInput is one attack path profile to be rated by the
 // attack potential-based approach.
 type AttackPotentialInput struct {
-	Time      ElapsedTime
-	Expertise SpecialistExpertise
-	Knowledge ItemKnowledge
-	Window    WindowOfOpportunity
-	Equipment Equipment
+	Time      ElapsedTime         `json:"elapsed_time"`
+	Expertise SpecialistExpertise `json:"expertise"`
+	Knowledge ItemKnowledge       `json:"knowledge"`
+	Window    WindowOfOpportunity `json:"window"`
+	Equipment Equipment           `json:"equipment"`
 }
 
 // Validate reports the first invalid parameter, if any.

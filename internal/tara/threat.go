@@ -89,28 +89,28 @@ func (p AttackerProfile) Valid() bool {
 // leading to a damage scenario (§15.4).
 type ThreatScenario struct {
 	// ID is a stable identifier unique within an analysis (e.g. "TS-01").
-	ID string
+	ID string `json:"id"`
 	// Name is a short human-readable title ("ECM reprogramming").
-	Name string
+	Name string `json:"name"`
 	// Description narrates how the compromise happens.
-	Description string
+	Description string `json:"description,omitempty"`
 	// DamageIDs links the threat to the damage scenarios it realizes.
-	DamageIDs []string
+	DamageIDs []string `json:"damage_ids"`
 	// AssetIDs lists the targeted assets.
-	AssetIDs []string
+	AssetIDs []string `json:"asset_ids,omitempty"`
 	// Property is the compromised cybersecurity property.
-	Property SecurityProperty
+	Property SecurityProperty `json:"property"`
 	// STRIDE classifies the threat.
-	STRIDE STRIDECategory
+	STRIDE STRIDECategory `json:"stride"`
 	// Profiles are the plausible attacker profiles for the scenario.
-	Profiles []AttackerProfile
+	Profiles []AttackerProfile `json:"profiles,omitempty"`
 	// Vector is the dominant attack vector assumed by the analyst when
 	// using the attack vector-based feasibility approach.
-	Vector AttackVector
+	Vector AttackVector `json:"vector"`
 	// Keywords seed the PSP social query for this scenario (e.g.
 	// "ecm reprogramming", "#chiptuning"). Optional: an empty list keeps
 	// the scenario out of social tuning.
-	Keywords []string
+	Keywords []string `json:"keywords,omitempty"`
 }
 
 // Validate checks identifiers, property, STRIDE and vector validity.

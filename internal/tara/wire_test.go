@@ -138,6 +138,11 @@ func TestWireGolden(t *testing.T) {
 		writeDoc(fmt.Sprintf("GenerateAnalysis seed %d", seed), a)
 	}
 	writeDoc("hand-built analysis", wireAnalysis(t))
+	emptied := wireAnalysis(t)
+	if err := emptied.RemovePath("AP-01"); err != nil {
+		t.Fatal(err)
+	}
+	writeDoc("hand-built analysis, its only path removed", emptied)
 
 	fmt.Fprintf(&out, "== ops\n")
 	for _, op := range wireOps(t) {
